@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"condisc/internal/interval"
 )
@@ -73,7 +74,9 @@ func (c *Cluster) LeaveAt(i int) error {
 	if err := c.Nodes[i].Leave(); err != nil {
 		return err
 	}
-	c.Nodes = append(c.Nodes[:i], c.Nodes[i+1:]...)
+	// slices.Delete zeroes the vacated slot, so the departed node (and its
+	// store) is not kept reachable when the last index leaves.
+	c.Nodes = slices.Delete(c.Nodes, i, i+1)
 	return nil
 }
 

@@ -545,11 +545,11 @@ func (n *Node) handleStream(req request, conn net.Conn) {
 	if req.HasFrom {
 		cur.Seek(interval.Point(req.FromPoint), req.FromKey)
 	}
-	w := deadlineWriter{conn: conn, timeout: n.rpcTimeout}
+	w := &deadlineWriter{conn: conn, timeout: n.rpcTimeout}
 	// A failed write just drops the connection: the receiver reconnects
 	// and resumes; the session stays alive until commit or TTL expiry.
 	count, sum, _ := handoff.Stream(w, cur, n.chunkBytes, func() { n.sessions.Touch(sess) })
-	n.met.handBytesOut.Add(int64(sum))
+	n.met.handBytesOut.Add(w.wrote)
 	n.jrn.Record(journal.KindHandStream, n.ringVer.Load(), 0,
 		req.Session, count, sum)
 }
@@ -559,11 +559,14 @@ func (n *Node) handleStream(req request, conn net.Conn) {
 type deadlineWriter struct {
 	conn    net.Conn
 	timeout time.Duration
+	wrote   int64 // bytes the connection accepted so far
 }
 
-func (w deadlineWriter) Write(p []byte) (int, error) {
+func (w *deadlineWriter) Write(p []byte) (int, error) {
 	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	return w.conn.Write(p)
+	n, err := w.conn.Write(p)
+	w.wrote += int64(n)
+	return n, err
 }
 
 // handleHandCommit is the ownership flip — the single decision point of a
@@ -774,6 +777,7 @@ func (n *Node) Leave() error {
 		n.mu.Unlock()
 		return err
 	}
+	n.met.handPrepares.Inc()
 	n.leaving = true // refuse item ops: the store must match the stream
 	n.mu.Unlock()
 	n.tel.Emitf("leave.offer", "session %x: offering [%v,+%d) to predecessor %s",

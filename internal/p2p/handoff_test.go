@@ -9,6 +9,7 @@ import (
 
 	"condisc/internal/interval"
 	"condisc/internal/store"
+	"condisc/internal/telemetry"
 )
 
 // handoffHarness: a log-backed single-node network holding `items` keys,
@@ -299,5 +300,60 @@ func TestFencedPutRefusedDuringStream(t *testing.T) {
 	resp = owner.handle(request{Op: opPut, Key: "free", Val: []byte("x"), Target: uint64(x) + 1})
 	if !resp.OK {
 		t.Fatalf("put outside the fence refused: %+v", resp)
+	}
+}
+
+// TestHandoffTelemetryCountsBytesAndPrepares pins the two handoff series
+// an operator divides: stream_bytes_total is what the stream put on the
+// wire (frame headers, item records and the EOF frame — not the stream's
+// checksum), and every session, a leave's as much as a join's, counts one
+// prepare for its one commit.
+func TestHandoffTelemetryCountsBytesAndPrepares(t *testing.T) {
+	const items = 200
+	st := store.NewMem()
+	owner, err := NewNode("127.0.0.1:0", 91, WithStore(st), WithTelemetry(telemetry.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	for i := 0; i < items; i++ {
+		key := fmt.Sprintf("k%03d", i)
+		if err := st.Put(owner.HashFunc()(key), key, []byte(fmt.Sprintf("value-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owner.StartFirst(interval.FromFloat(0.3))
+	joiner, err := NewNode("127.0.0.1:0", 91, WithTelemetry(telemetry.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := joiner.StartJoin(owner.Addr(), rand.New(rand.NewPCG(92, 92))); err != nil {
+		t.Fatal(err)
+	}
+	moved := int64(joiner.NumItems())
+	if moved == 0 {
+		t.Fatal("test needs the joiner to take part of the range")
+	}
+	// Per item: u64 point, u32 klen, 4-byte key, u32 vlen, 9-byte value;
+	// per frame an 8-byte header and a 5-byte items preamble; one 25-byte
+	// EOF frame. The frame count depends on cursor batching, so bound it:
+	// at least one items frame, at most one per item.
+	const itemBytes, frameBytes, eofBytes = 8 + 4 + 4 + 4 + 9, 8 + 5, 8 + 17
+	lo := moved*itemBytes + frameBytes + eofBytes
+	hi := moved*(itemBytes+frameBytes) + eofBytes
+	if got := owner.met.handBytesOut.Value(); got < lo || got > hi {
+		t.Fatalf("stream_bytes_total = %d after streaming %d items, want within [%d, %d]", got, moved, lo, hi)
+	}
+
+	if err := joiner.Leave(); err != nil {
+		t.Fatalf("leave: %v", err)
+	}
+	if got := owner.NumItems(); got != items {
+		t.Fatalf("owner has %d items after the leave, want %d", got, items)
+	}
+	for name, n := range map[string]*Node{"owner (join session)": owner, "leaver (leave session)": joiner} {
+		if p, c := n.met.handPrepares.Value(), n.met.handCommits.Value(); p != 1 || c != 1 {
+			t.Errorf("%s: prepares_total = %d, commits_total = %d, want 1 and 1", name, p, c)
+		}
 	}
 }

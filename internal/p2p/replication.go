@@ -98,7 +98,7 @@ func (n *Node) handleReplGet(req request) response {
 // pass instead of per-key RPCs. Nothing is fenced or deleted: the
 // stream is a read.
 func (n *Node) handleReplStream(req request, conn net.Conn) {
-	w := deadlineWriter{conn: conn, timeout: n.rpcTimeout}
+	w := &deadlineWriter{conn: conn, timeout: n.rpcTimeout}
 	if n.rdata == nil {
 		w.Write(handoff.EncodeError("replication disabled"))
 		return

@@ -24,6 +24,7 @@ package partition
 // that acquired a lease must release it before acquiring another.)
 
 import (
+	"slices"
 	"sync"
 
 	"condisc/internal/continuous"
@@ -110,7 +111,7 @@ func (ls *Leases) Acquire(spans ...interval.Segment) *Lease {
 	}
 	for i, w := range ls.waiting {
 		if w == l {
-			ls.waiting = append(ls.waiting[:i], ls.waiting[i+1:]...)
+			ls.waiting = slices.Delete(ls.waiting, i, i+1)
 			break
 		}
 	}

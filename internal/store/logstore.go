@@ -63,8 +63,9 @@ type Log struct {
 	activeID  uint32
 	activeOff int64
 	readers   map[uint32]*os.File
-	liveBytes int64 // record bytes still reachable through the index
-	deadBytes int64 // record bytes overwritten, deleted, or tombstoned
+	liveBytes int64  // record bytes still reachable through the index
+	deadBytes int64  // record bytes overwritten, deleted, or tombstoned
+	wbuf      []byte // record buffer reused by every append (see recordBuf)
 	closed    bool
 }
 
@@ -107,6 +108,7 @@ const (
 	frameHeaderLen = 8         // u32 bodyLen + u32 crc
 	putHeaderLen   = 1 + 8 + 4 // op + point + klen
 	maxBodyLen     = 1 << 30   // sanity bound for replay
+	maxKeptBuf     = 1 << 20   // records beyond this bypass the reused buffer
 	segPrefix      = "wal-"    // segment file name: wal-NNNNNN.log
 	segSuffix      = ".log"
 )
@@ -314,29 +316,44 @@ func (s *Log) indexDropRange(seg interval.Segment) {
 
 // --- write path ---
 
-// appendRecord frames and appends one record body, returning the segment
-// and offset it landed at. Callers hold mu. Bodies beyond the replay
-// bound are rejected up front: acknowledging a record that recovery would
-// discard as tail damage (or whose length field would wrap) would break
-// the zero-lost-acknowledged-writes guarantee.
-func (s *Log) appendRecord(body []byte) (seg uint32, off int64, err error) {
-	if len(body) > maxBodyLen {
-		return 0, 0, fmt.Errorf("store: record too large (%d bytes, max %d)", len(body), maxBodyLen)
+// recordBuf returns the store's record buffer sized for a frame header
+// plus a body of bodyLen bytes; the caller fills rec[frameHeaderLen:] and
+// hands rec to appendRecord, so a record is built once, in place. Callers
+// hold mu. Bodies beyond the replay bound are rejected up front:
+// acknowledging a record that recovery would discard as tail damage (or
+// whose length field would wrap) would break the
+// zero-lost-acknowledged-writes guarantee.
+func (s *Log) recordBuf(bodyLen int) ([]byte, error) {
+	if bodyLen > maxBodyLen {
+		return nil, fmt.Errorf("store: record too large (%d bytes, max %d)", bodyLen, maxBodyLen)
 	}
+	n := frameHeaderLen + bodyLen
+	if n > maxKeptBuf {
+		return make([]byte, n), nil // a rare huge value must not pin its buffer for the store's life
+	}
+	if cap(s.wbuf) < n {
+		s.wbuf = make([]byte, n)
+	}
+	return s.wbuf[:n], nil
+}
+
+// appendRecord stamps the frame header over rec (a recordBuf buffer with
+// its body filled in) and appends it with one write, returning the segment
+// and offset it landed at. Callers hold mu.
+func (s *Log) appendRecord(rec []byte) (seg uint32, off int64, err error) {
 	if s.activeOff >= s.opts.SegmentBytes {
 		if err := s.rotate(); err != nil {
 			return 0, 0, err
 		}
 	}
-	buf := make([]byte, frameHeaderLen+len(body))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
-	copy(buf[frameHeaderLen:], body)
+	body := rec[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
 	seg, off = s.activeID, s.activeOff
-	if _, err := s.active.WriteAt(buf, s.activeOff); err != nil {
+	if _, err := s.active.WriteAt(rec, s.activeOff); err != nil {
 		return 0, 0, fmt.Errorf("store: append to %s: %w", segName(s.activeID), err)
 	}
-	s.activeOff += int64(len(buf))
+	s.activeOff += int64(len(rec))
 	if s.opts.Fsync {
 		if err := s.active.Sync(); err != nil {
 			return 0, 0, err
@@ -356,14 +373,25 @@ func (s *Log) rotate() error {
 	return nil
 }
 
-func putBody(p interval.Point, key string, value []byte) []byte {
-	body := make([]byte, putHeaderLen+len(key)+len(value))
-	body[0] = logOpPut
+// appendKeyed frames and appends one put record — or, with op logOpDelete
+// and no value, the tombstone that shares its layout — returning the
+// location of the value. Callers hold mu.
+func (s *Log) appendKeyed(op byte, p interval.Point, key string, value []byte) (lloc, error) {
+	rec, err := s.recordBuf(putHeaderLen + len(key) + len(value))
+	if err != nil {
+		return lloc{}, err
+	}
+	body := rec[frameHeaderLen:]
+	body[0] = op
 	binary.LittleEndian.PutUint64(body[1:9], uint64(p))
 	binary.LittleEndian.PutUint32(body[9:13], uint32(len(key)))
 	copy(body[putHeaderLen:], key)
 	copy(body[putHeaderLen+len(key):], value)
-	return body
+	seg, off, err := s.appendRecord(rec)
+	if err != nil {
+		return lloc{}, err
+	}
+	return lloc{seg: seg, off: off + frameHeaderLen + putHeaderLen + int64(len(key)), vlen: uint32(len(value))}, nil
 }
 
 // Put appends a put record and indexes its value location. When Put
@@ -375,11 +403,10 @@ func (s *Log) Put(p interval.Point, key string, value []byte) error {
 	if s.closed {
 		return errClosed
 	}
-	seg, off, err := s.appendRecord(putBody(p, key, value))
+	loc, err := s.appendKeyed(logOpPut, p, key, value)
 	if err != nil {
 		return err
 	}
-	loc := lloc{seg: seg, off: off + frameHeaderLen + putHeaderLen + int64(len(key)), vlen: uint32(len(value))}
 	s.indexPut(p, key, loc)
 	return s.maybeCompact()
 }
@@ -395,11 +422,10 @@ func (s *Log) putIfAbsent(p interval.Point, key string, value []byte) (bool, err
 	if _, ok := s.idx.get(p, key); ok {
 		return false, nil
 	}
-	seg, off, err := s.appendRecord(putBody(p, key, value))
+	loc, err := s.appendKeyed(logOpPut, p, key, value)
 	if err != nil {
 		return false, err
 	}
-	loc := lloc{seg: seg, off: off + frameHeaderLen + putHeaderLen + int64(len(key)), vlen: uint32(len(value))}
 	s.indexPut(p, key, loc)
 	return true, s.maybeCompact()
 }
@@ -446,16 +472,11 @@ func (s *Log) Delete(p interval.Point, key string) error {
 	if _, ok := s.idx.get(p, key); !ok {
 		return nil
 	}
-	body := make([]byte, putHeaderLen+len(key))
-	body[0] = logOpDelete
-	binary.LittleEndian.PutUint64(body[1:9], uint64(p))
-	binary.LittleEndian.PutUint32(body[9:13], uint32(len(key)))
-	copy(body[putHeaderLen:], key)
-	if _, _, err := s.appendRecord(body); err != nil {
+	if _, err := s.appendKeyed(logOpDelete, p, key, nil); err != nil {
 		return err
 	}
 	s.indexDelete(p, key)
-	s.deadBytes += frameHeaderLen + int64(len(body))
+	s.deadBytes += frameBytes(len(key), 0) // the tombstone itself
 	return s.maybeCompact()
 }
 
@@ -541,14 +562,18 @@ func (s *Log) SplitRange(seg interval.Segment) (Store, error) {
 // from the index, in that (replay) order: an append failure leaves the
 // store untouched. Callers hold mu.
 func (s *Log) dropRangeLocked(seg interval.Segment) error {
-	body := make([]byte, 17)
+	rec, err := s.recordBuf(17)
+	if err != nil {
+		return err
+	}
+	body := rec[frameHeaderLen:]
 	body[0] = logOpDelRange
 	binary.LittleEndian.PutUint64(body[1:9], uint64(seg.Start))
 	binary.LittleEndian.PutUint64(body[9:17], seg.Len)
-	if _, _, err := s.appendRecord(body); err != nil {
+	if _, _, err := s.appendRecord(rec); err != nil {
 		return err
 	}
-	s.deadBytes += frameHeaderLen + int64(len(body))
+	s.deadBytes += int64(len(rec))
 	s.indexDropRange(seg)
 	return nil
 }
@@ -740,12 +765,12 @@ func (s *Log) maybeCompact() error {
 			werr = err
 			return
 		}
-		seg, off, err := s.appendRecord(putBody(e.p, e.key, v))
+		loc, err := s.appendKeyed(logOpPut, e.p, e.key, v)
 		if err != nil {
 			werr = err
 			return
 		}
-		e.val = lloc{seg: seg, off: off + frameHeaderLen + putHeaderLen + int64(len(e.key)), vlen: e.val.vlen}
+		e.val = loc
 	})
 	if werr != nil {
 		return werr

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -346,5 +348,64 @@ func TestLogstoreFsync(t *testing.T) {
 	mustPut(t, s, 1, "k", "v")
 	if v, ok, _ := s.Get(1, "k"); !ok || string(v) != "v" {
 		t.Fatal("fsync put lost")
+	}
+}
+
+// TestLogstoreRecordBytes pins the on-disk format against records framed
+// independently here, with sizes ordered so that a reused record buffer
+// carrying a previous record's bytes, or one kept past maxKeptBuf, shows.
+func TestLogstoreRecordBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 30, CompactAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	frame := func(body []byte) []byte {
+		rec := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+		rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
+		return append(rec, body...)
+	}
+	keyed := func(op byte, p interval.Point, key string, value []byte) []byte {
+		body := binary.LittleEndian.AppendUint64([]byte{op}, uint64(p))
+		body = binary.LittleEndian.AppendUint32(body, uint32(len(key)))
+		return frame(append(append(body, key...), value...))
+	}
+	var want []byte
+	put := func(p interval.Point, key string, value []byte) {
+		t.Helper()
+		if err := s.Put(p, key, value); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, keyed(logOpPut, p, key, value)...)
+	}
+	put(7, "long-key-000", bytes.Repeat([]byte{0xAB}, 4096))
+	put(9, "k", []byte("v")) // shorter than what the buffer last held
+	put(11, "huge", bytes.Repeat([]byte{0xCD}, maxKeptBuf+1))
+	if cap(s.wbuf) > maxKeptBuf {
+		t.Fatalf("store kept a %d-byte record buffer, bound %d", cap(s.wbuf), maxKeptBuf)
+	}
+	put(13, "after-huge", []byte("small"))
+	if err := s.Delete(9, "k"); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, keyed(logOpDelete, 9, "k", nil)...)
+	seg := interval.Segment{Start: 10, Len: 2}
+	if err := s.DeleteRange(seg); err != nil {
+		t.Fatal(err)
+	}
+	body := binary.LittleEndian.AppendUint64([]byte{logOpDelRange}, uint64(seg.Start))
+	want = append(want, frame(binary.LittleEndian.AppendUint64(body, seg.Len))...)
+
+	got, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL holds %d bytes, independently framed records are %d bytes (or differ in content)", len(got), len(want))
+	}
+	if v, ok, err := s.Get(13, "after-huge"); err != nil || !ok || string(v) != "small" {
+		t.Fatalf("get after-huge = %q %v %v", v, ok, err)
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 
 	"condisc/internal/interval"
@@ -276,7 +277,11 @@ func (l *list[V]) extractRange(r prange) ([]*chunk[V], int) {
 			out = append(out, &chunk[V]{es: mv})
 			moved += len(mv)
 		}
-		l.chunks = append(l.chunks[:startWhole], l.chunks[c1:]...)
+		// slices.Delete zeroes the vacated tail slots: a plain append-splice
+		// would leave them pointing at the moved chunks, and when the run is
+		// the tail of the list (a join takes the upper part of the segment)
+		// nothing overwrites them, pinning every handed-off value.
+		l.chunks = slices.Delete(l.chunks, startWhole, c1)
 		c0 = startWhole // boundary position after the splice
 	}
 	l.n -= moved
@@ -346,7 +351,7 @@ func (l *list[V]) splitChunk(ci int) {
 }
 
 func (l *list[V]) dropChunk(ci int) {
-	l.chunks = append(l.chunks[:ci], l.chunks[ci+1:]...)
+	l.chunks = slices.Delete(l.chunks, ci, ci+1) // zeroes the vacated slot
 }
 
 // fixupAt repairs chunk ci after a range extraction: drops it if empty,

@@ -49,7 +49,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{name: name}
+		c = newCounter(name, counterShards)
 		r.counters[name] = c
 	}
 	return c

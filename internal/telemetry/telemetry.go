@@ -27,6 +27,7 @@ package telemetry
 
 import (
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -67,11 +68,26 @@ func SetClock(f func() time.Time) {
 
 func now() time.Time { return (*clockPtr.Load())() }
 
-// counterShards is the fan-out of one Counter. Each shard sits on its
-// own cache line so concurrent writers on different shards never false-
-// share; 64 shards keep a counter at 4 KiB — registries hold few enough
-// counters that the spread is worth the contention it removes.
-const counterShards = 64
+// maxCounterShards caps a Counter's fan-out, and so its size at 4 KiB,
+// however many processors the machine has.
+const maxCounterShards = 64
+
+// counterShards is the fan-out of every Counter the registries hand out,
+// fixed once at package init: the power of two at or above 4 x GOMAXPROCS,
+// capped at maxCounterShards. Each shard sits on its own cache line so
+// concurrent writers on different shards never false-share; at most
+// GOMAXPROCS goroutines write at once, so a wider counter buys nothing
+// and a p2p node registers 34 of them — at 8 shards (2 cores) that is
+// 17 KB of an empty node's heap, at 64 it is 140 KB.
+var counterShards = shardCount(runtime.GOMAXPROCS(0))
+
+func shardCount(procs int) int {
+	n := 1
+	for n < 4*procs && n < maxCounterShards {
+		n <<= 1
+	}
+	return n
+}
 
 type counterShard struct {
 	v atomic.Int64
@@ -82,10 +98,16 @@ type counterShard struct {
 // Concurrent Adds land on (probabilistically) distinct shards, chosen
 // from the caller's stack address — goroutine stacks live in distinct
 // allocations, so concurrent goroutines disperse across shards without
-// any per-goroutine state, hashing, or allocation.
+// any per-goroutine state or allocation.
 type Counter struct {
 	name   string
-	shards [counterShards]counterShard
+	shards []counterShard // power-of-two length, so Add indexes with a mask
+}
+
+// newCounter allocates a counter with the given power-of-two fan-out.
+// Registry.Counter passes counterShards; tests pass other widths.
+func newCounter(name string, shards int) *Counter {
+	return &Counter{name: name, shards: make([]counterShard, shards)}
 }
 
 // Add increments the counter by n.
@@ -96,8 +118,12 @@ func (c *Counter) Add(n int64) {
 		return
 	}
 	var probe byte
-	i := (uintptr(unsafe.Pointer(&probe)) >> 9) % counterShards
-	c.shards[i].v.Add(n)
+	// Stacks sit at multiples of their power-of-two size, so the address
+	// bits just above the 512 B frame granule repeat from goroutine to
+	// goroutine; a Fibonacci multiply moves the distinguishing bits to the
+	// top, where the (at most 6-bit) shard index is taken.
+	h := uint64(uintptr(unsafe.Pointer(&probe))>>9) * 0x9E3779B97F4A7C15
+	c.shards[(h>>58)&uint64(len(c.shards)-1)].v.Add(n)
 }
 
 // Inc increments the counter by one.

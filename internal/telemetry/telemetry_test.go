@@ -7,26 +7,43 @@ import (
 	"time"
 )
 
+// TestCounterConcurrentSum checks that no Add is lost or double-counted
+// at any fan-out, from the single shard every goroutine contends on up to
+// the 64-shard cap (run under -race in CI).
 func TestCounterConcurrentSum(t *testing.T) {
+	const goroutines, per = 16, 10_000
+	for _, shards := range []int{1, 8, maxCounterShards} {
+		c := newCounter("x_total", shards)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					c.Inc()
+				}
+			}()
+		}
+		wg.Wait()
+		if got := c.Value(); got != goroutines*per {
+			t.Fatalf("%d shards: Counter sum = %d, want %d", shards, got, goroutines*per)
+		}
+	}
 	r := NewRegistry()
 	c := r.Counter("x_total")
-	const goroutines, per = 16, 10_000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != goroutines*per {
-		t.Fatalf("Counter sum = %d, want %d", got, goroutines*per)
+	if len(c.shards) != counterShards {
+		t.Fatalf("registry counter has %d shards, want %d", len(c.shards), counterShards)
 	}
 	if r.Counter("x_total") != c {
 		t.Fatal("re-registering a name must return the same counter")
+	}
+}
+
+func TestShardCount(t *testing.T) {
+	for procs, want := range map[int]int{1: 4, 2: 8, 3: 16, 4: 16, 8: 32, 16: 64, 17: 64, 256: 64} {
+		if got := shardCount(procs); got != want {
+			t.Errorf("shardCount(%d) = %d, want %d", procs, got, want)
+		}
 	}
 }
 
