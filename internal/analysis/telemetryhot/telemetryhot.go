@@ -4,17 +4,23 @@
 // a handful of atomic writes — no allocation, no locking, no map or
 // channel touch, no dynamic dispatch — or the observability layer starts
 // perturbing the very path it observes (CI gates the instrumented
-// BenchmarkReadUnderChurn at >= 0.9x the telemetry-off baseline).
+// BenchmarkReadUnderChurn at >= 0.9x the telemetry-off baseline). The
+// same restriction binds the live wire's codec (internal/p2p: every RPC
+// is encoded and decoded at every hop), whose only sanctioned
+// allocations are the strings and values it copies out of a pooled
+// buffer.
 //
 // The contract is carried by //condisc:hot marker comments:
 //
 //  1. Every //condisc:hot function body is restricted to: atomic
-//     operations (sync/atomic), math/bits, calls to other //condisc:hot
-//     functions of the same package, allocation-free builtins, and plain
-//     arithmetic/array indexing. Allocation (make, new, append, composite
-//     literals, closures, interface conversions), locking (any other
-//     call: sync.Mutex.Lock is just a non-atomic call), map access,
-//     channel operations, defer, go, and select are all flagged.
+//     operations (sync/atomic), math/bits, the fixed-width loads and
+//     stores of encoding/binary's byte orders, calls to other
+//     //condisc:hot functions of the same package, allocation-free
+//     builtins, and plain arithmetic/array indexing. Allocation (make,
+//     new, append, composite literals, closures, interface conversions),
+//     locking (any other call: sync.Mutex.Lock is just a non-atomic
+//     call), map access, channel operations, defer, go, and select are
+//     all flagged.
 //  2. The known record entry points — Counter.Add, Counter.Inc,
 //     Gauge.Set, Gauge.Add, Histogram.Observe, and the flight
 //     recorder's Journal.Record — must carry the marker, so the
@@ -35,19 +41,22 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "telemetryhot",
-	Doc: "telemetry //condisc:hot record functions may not allocate, lock, or touch " +
-		"maps/channels — atomics, math/bits, and other hot functions only — and the known " +
-		"record entry points must carry the marker (read-path overhead contract)",
+	Doc: "//condisc:hot functions (telemetry records, the wire codec) may not allocate, lock, or " +
+		"touch maps/channels — atomics, math/bits, fixed-width byte-order loads and stores, and " +
+		"other hot functions only — and the known record entry points must carry the marker " +
+		"(read-path overhead contract)",
 	Run: run,
 }
 
 // scopePaths are the packages the contract binds: the telemetry metric
 // primitives (testdata exemplars sit under
 // condisc/internal/telemetry/telemetryhotdata) and the flight-recorder
-// ring, whose Record sits on the same instrumented mutation paths.
+// ring, whose Record sits on the same instrumented mutation paths, and
+// the live node, for its wire codec.
 var scopePaths = []string{
 	"condisc/internal/telemetry",
 	"condisc/internal/journal",
+	"condisc/internal/p2p",
 }
 
 func inScope(path string) bool {
@@ -219,6 +228,7 @@ func checkHotCall(pass *analysis.Pass, name string, call *ast.CallExpr, hotObjs 
 	switch {
 	case fn.Pkg() == nil: // error.Error and other universe methods
 	case fn.Pkg().Path() == "sync/atomic", fn.Pkg().Path() == "math/bits":
+	case isByteOrderAccess(fn):
 	case fn.Pkg() == pass.Pkg && hotObjs[fn]:
 	default:
 		pass.Reportf(call.Pos(),
@@ -226,4 +236,14 @@ func checkHotCall(pass *analysis.Pass, name string, call *ast.CallExpr, hotObjs 
 				"//condisc:hot functions are allowed (anything else may allocate or lock)",
 			name, fn.Pkg().Name(), fn.Name())
 	}
+}
+
+// isByteOrderAccess recognizes binary.LittleEndian.Uint32, PutUint64 and
+// their kin: methods of encoding/binary that load or store one fixed-
+// width integer in a caller's slice. The Append forms can grow the slice
+// and binary.Read/Write reflect, so neither passes.
+func isByteOrderAccess(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && fn.Pkg().Path() == "encoding/binary" &&
+		(strings.HasPrefix(fn.Name(), "Uint") || strings.HasPrefix(fn.Name(), "PutUint"))
 }

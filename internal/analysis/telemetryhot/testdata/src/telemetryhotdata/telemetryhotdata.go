@@ -5,6 +5,7 @@
 package telemetryhotdata
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -109,6 +110,22 @@ func (c *Counter) observeBoxed(n int64) any {
 //condisc:hot
 func (c *Counter) observeIndirect(record func(int64), n int64) {
 	record(n) // want `observeIndirect is //condisc:hot and may not call through a function value`
+}
+
+// putHeader is the sanctioned codec shape: fixed-width byte-order stores
+// and loads into a caller's buffer.
+//
+//condisc:hot
+func putHeader(b []byte, n uint32) uint32 {
+	binary.LittleEndian.PutUint32(b, n)
+	return binary.LittleEndian.Uint32(b)
+}
+
+// appendHeader can grow the slice, which the store forms cannot.
+//
+//condisc:hot
+func appendHeader(b []byte, n uint32) []byte {
+	return binary.LittleEndian.AppendUint32(b, n) // want `appendHeader is //condisc:hot and calls binary\.AppendUint32`
 }
 
 // snapshot is unmarked: cold-path code may allocate and lock freely.

@@ -4,20 +4,15 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"condisc/internal/frame"
 	"condisc/internal/interval"
 	"condisc/internal/store"
 )
 
-// Wire format of a handoff stream: a sequence of CRC-framed chunks,
-// mirroring the WAL record framing of internal/store so the same
-// torn/corrupt-tail reasoning applies:
-//
-//	u32 bodyLen | u32 crc32(body) | body
-//
-// bodies:
+// Wire format of a handoff stream: a sequence of internal/frame frames
+// (the framing the WAL and the control RPCs also use) with bodies:
 //
 //	ftItems: u8 ft | u32 count | count × (u64 point | u32 klen | key | u32 vlen | value)
 //	ftEOF:   u8 ft | u64 count | u64 sum     (items and checksum of this connection)
@@ -31,8 +26,6 @@ const (
 	ftItems byte = 1
 	ftEOF   byte = 2
 	ftErr   byte = 3
-
-	frameHeader = 8 // u32 bodyLen + u32 crc
 
 	// MaxFrameBody bounds a decoded frame body. The decoder rejects
 	// larger claims before allocating, so a corrupt length field cannot
@@ -77,13 +70,11 @@ func sumItems(sum uint64, items []store.Item) uint64 {
 	return sum
 }
 
-// frame wraps a body in the length+CRC header.
-func frame(body []byte) []byte {
-	buf := make([]byte, frameHeader+len(body))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
-	copy(buf[frameHeader:], body)
-	return buf
+// newFrame returns a frame buffer for a body of bodyLen bytes and the
+// body within it; the caller fills the body and seals the buffer.
+func newFrame(bodyLen int) (buf, body []byte) {
+	buf = make([]byte, frame.HeaderLen+bodyLen)
+	return buf, buf[frame.HeaderLen:]
 }
 
 // encodeItems encodes one ftItems frame.
@@ -92,7 +83,7 @@ func encodeItems(items []store.Item) []byte {
 	for _, it := range items {
 		n += 8 + 4 + len(it.Key) + 4 + len(it.Value)
 	}
-	body := make([]byte, n)
+	buf, body := newFrame(n)
 	body[0] = ftItems
 	binary.LittleEndian.PutUint32(body[1:5], uint32(len(items)))
 	off := 5
@@ -105,25 +96,28 @@ func encodeItems(items []store.Item) []byte {
 		off += 4
 		off += copy(body[off:], it.Value)
 	}
-	return frame(body)
+	frame.Seal(buf)
+	return buf
 }
 
 // encodeEOF encodes the ftEOF frame.
 func encodeEOF(count, sum uint64) []byte {
-	body := make([]byte, 17)
+	buf, body := newFrame(17)
 	body[0] = ftEOF
 	binary.LittleEndian.PutUint64(body[1:9], count)
 	binary.LittleEndian.PutUint64(body[9:17], sum)
-	return frame(body)
+	frame.Seal(buf)
+	return buf
 }
 
 // EncodeError encodes an ftErr frame (a remote refusal the receiver
 // surfaces as a non-retryable error).
 func EncodeError(msg string) []byte {
-	body := make([]byte, 1+len(msg))
+	buf, body := newFrame(1 + len(msg))
 	body[0] = ftErr
 	copy(body[1:], msg)
-	return frame(body)
+	frame.Seal(buf)
+	return buf
 }
 
 // ReadFrame decodes one frame. It returns io.EOF only at a clean frame
@@ -131,24 +125,13 @@ func EncodeError(msg string) []byte {
 // claim, or a malformed body all return a descriptive error. Item keys
 // and values alias the decoded body buffer.
 func ReadFrame(br *bufio.Reader) (Frame, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	var buf []byte // fresh per frame: the decoded items keep it alive
+	body, err := frame.Read(br, &buf, MaxFrameBody)
+	if err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
-		return Frame{}, fmt.Errorf("handoff: torn frame header: %w", err)
-	}
-	bodyLen := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if bodyLen == 0 || bodyLen > MaxFrameBody {
-		return Frame{}, fmt.Errorf("handoff: frame length %d out of range", bodyLen)
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return Frame{}, fmt.Errorf("handoff: torn frame body: %w", err)
-	}
-	if crc32.ChecksumIEEE(body) != crc {
-		return Frame{}, fmt.Errorf("handoff: frame CRC mismatch")
+		return Frame{}, fmt.Errorf("handoff: %w", err)
 	}
 	return decodeBody(body)
 }

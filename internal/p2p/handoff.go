@@ -37,7 +37,6 @@ package p2p
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -137,7 +136,7 @@ func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 			return nil
 		}
 		z := interval.Point(rng.Uint64())
-		owner, err := lookupVia(bootstrap, z)
+		owner, err := n.wire.lookup(bootstrap, z)
 		if err != nil {
 			if rerr := retriable(err); rerr != nil {
 				return rerr
@@ -150,7 +149,7 @@ func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 		}
 		if uint64(p) == owner.Point { // degenerate tiny segment; fall back
 			p = interval.Point(rng.Uint64())
-			owner, err = lookupVia(bootstrap, p)
+			owner, err = n.wire.lookup(bootstrap, p)
 			if err != nil {
 				if rerr := retriable(err); rerr != nil {
 					return rerr
@@ -316,7 +315,7 @@ func (n *Node) adoptFromReceiver(rec *handoff.Receiver) {
 func (n *Node) afterJoin() {
 	succ := n.succInfo()
 	if succ.Addr != n.addr {
-		sendPatch(succ.Addr, request{Op: opSetPred, NewPoint: uint64(n.Point()), NewAddr: n.addr, NewID: n.id})
+		n.sendPatch(succ.Addr, request{Op: opSetPred, NewPoint: uint64(n.Point()), NewAddr: n.addr, NewID: n.id})
 	}
 	// Incrementally announce the join to the nodes whose backward tables
 	// must now contain us: the covers of our segment's forward images.
@@ -353,15 +352,11 @@ func (n *Node) pullOnce(rec *handoff.Receiver) error {
 	} else if ok {
 		req.FromPoint, req.FromKey, req.HasFrom = uint64(p), key, true
 	}
-	conn, err := net.DialTimeout("tcp", rec.Sender, n.rpcTimeout)
+	conn, err := n.wire.openStream(rec.Sender, &req)
 	if err != nil {
-		return fmt.Errorf("p2p: dial %s: %w", rec.Sender, err)
+		return err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(n.rpcTimeout))
-	if err := gob.NewEncoder(conn).Encode(req); err != nil {
-		return fmt.Errorf("p2p: encode stream request: %w", err)
-	}
 	chunk := 0
 	count, err := handoff.ReadStream(bufio.NewReaderSize(conn, 64<<10), func(items []store.Item) error {
 		if n.handoffChunkHook != nil {
@@ -379,7 +374,7 @@ func (n *Node) pullOnce(rec *handoff.Receiver) error {
 		// the RPC deadline) so a sender merely slow under load is never
 		// falsely abandoned; on expiry the read errors, the connection
 		// drops, and pullStream retries or rolls the session back.
-		conn.SetReadDeadline(time.Now().Add(streamIdleTimeout(n.rpcTimeout)))
+		conn.SetReadDeadline(time.Now().Add(streamIdleTimeout(n.wire.timeout)))
 	})
 	n.met.handItemsIn.Add(int64(count))
 	return err
@@ -533,7 +528,7 @@ func (n *Node) handleHandPrepare(req request) response {
 // the receiver's last staged position) in O(chunk) memory, extending the
 // write deadline and the session TTL per frame.
 func (n *Node) handleStream(req request, conn net.Conn) {
-	writeDeadline := func() { conn.SetWriteDeadline(time.Now().Add(n.rpcTimeout)) }
+	writeDeadline := func() { conn.SetWriteDeadline(time.Now().Add(n.wire.timeout)) }
 	sess, ok := n.sessions.Get(req.Session)
 	if !ok {
 		writeDeadline()
@@ -545,7 +540,7 @@ func (n *Node) handleStream(req request, conn net.Conn) {
 	if req.HasFrom {
 		cur.Seek(interval.Point(req.FromPoint), req.FromKey)
 	}
-	w := &deadlineWriter{conn: conn, timeout: n.rpcTimeout}
+	w := &deadlineWriter{conn: conn, timeout: n.wire.timeout}
 	// A failed write just drops the connection: the receiver reconnects
 	// and resumes; the session stays alive until commit or TTL expiry.
 	count, sum, _ := handoff.Stream(w, cur, n.chunkBytes, func() { n.sessions.Touch(sess) })
@@ -823,7 +818,7 @@ func (n *Node) Leave() error {
 	// stale, which is only a stabilization hint and is rewritten by the
 	// next join in that gap.
 	if succ.Addr != n.addr {
-		sendPatch(succ.Addr, request{Op: opSetPred, NewPoint: pred.Point, NewAddr: pred.Addr, NewID: pred.ID})
+		n.sendPatch(succ.Addr, request{Op: opSetPred, NewPoint: pred.Point, NewAddr: pred.Addr, NewID: pred.ID})
 	}
 	n.Close()
 	return nil

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -113,10 +112,11 @@ type Node struct {
 	// E31 staleness-vs-stabilization experiment.
 	noPatches bool
 
-	// rpcTimeout is this node's request/response deadline (default the
-	// package rpcTimeout). The failure detector needs tighter bounds than
-	// bulk handoff, so it is per-node instead of a package constant.
-	rpcTimeout time.Duration
+	// wire is how this node dials its peers; wire.timeout is its
+	// request/response deadline (default the package rpcTimeout). The
+	// failure detector needs tighter bounds than bulk handoff, so it is
+	// per-node instead of a package constant.
+	wire dialer
 	// repl is the node's replication policy (disabled unless
 	// WithReplication turned it on); rdata is the replica-payload store —
 	// items this node holds FOR ITS PREDECESSORS, strictly separate from
@@ -238,7 +238,7 @@ func WithJournal(j *journal.Journal) NodeOption {
 func WithRPCTimeout(d time.Duration) NodeOption {
 	return func(n *Node) {
 		if d > 0 {
-			n.rpcTimeout = d
+			n.wire.timeout = d
 		}
 	}
 }
@@ -327,9 +327,7 @@ func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 		repairBytes:    reg.Counter("condisc_p2p_repair_bytes_total"),
 		fdSuspicion:    reg.Gauge("condisc_p2p_fd_suspicion"),
 	}
-	for _, op := range []string{opState, opLookup, opGet, opPut, opSetPred, opPatchBack,
-		opLeave, opHandPrepare, opHandStream, opHandCommit, opHandStatus, opHandAbort,
-		opReplPut, opReplGet, opReplStream} {
+	for _, op := range wireOps {
 		m.rpc[op] = reg.Counter(fmt.Sprintf("condisc_p2p_rpc_total{op=%q}", op))
 	}
 	return m
@@ -359,11 +357,12 @@ func NewNode(addr string, seed uint64, opts ...NodeOption) (*Node, error) {
 		n.tel = telemetry.Default
 	}
 	n.met = newNodeMetrics(n.tel)
+	n.wire.errs = newWireErrors(n.tel)
 	if n.data == nil {
 		n.data = store.NewMem()
 	}
-	if n.rpcTimeout <= 0 {
-		n.rpcTimeout = rpcTimeout
+	if n.wire.timeout <= 0 {
+		n.wire.timeout = rpcTimeout
 	}
 	if err := n.repl.Validate(); err != nil {
 		ln.Close()
@@ -626,47 +625,64 @@ func (n *Node) serve() {
 	n.started = true
 	n.mu.Unlock()
 	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			conn, err := n.ln.Accept()
-			if err != nil {
-				select {
-				case <-n.closed:
-					return
-				default:
-					continue
-				}
+	go n.acceptLoop()
+}
+
+// A failing Accept is retried after a pause that doubles from acceptBackoffMin
+// to acceptBackoffMax and resets on the next success: a persistent failure
+// (EMFILE, say) must not spin a core, a transient one must not stall the
+// node for long.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
+func (n *Node) acceptLoop() {
+	defer n.wg.Done()
+	var backoff time.Duration
+	for {
+		conn, err := n.ln.Accept()
+		if err != nil {
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			select {
+			case <-n.closed:
+				return
+			case <-time.After(backoff):
+				continue
 			}
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				defer conn.Close()
-				// Bound the initial request read: a peer that dialed and
-				// then died (or never speaks) must not pin this goroutine
-				// forever. Generous — 10× the RPC deadline — because the
-				// same accept path serves multi-frame streams whose senders
-				// legitimately pause between chunks.
-				conn.SetReadDeadline(time.Now().Add(10 * n.rpcTimeout))
-				var req request
-				if err := gob.NewDecoder(conn).Decode(&req); err != nil {
-					return
-				}
-				conn.SetReadDeadline(time.Time{})
-				switch req.Op {
-				case opHandStream:
-					// The response is a framed chunk stream on the same
-					// connection, not a gob message.
-					n.handleStream(req, conn)
-				case opReplStream:
-					n.handleReplStream(req, conn)
-				default:
-					resp := n.handle(req)
-					_ = gob.NewEncoder(conn).Encode(resp)
-				}
-			}()
 		}
-	}()
+		backoff = 0
+		n.wg.Add(1)
+		go n.serveConn(conn)
+	}
+}
+
+// serveConn reads one request off conn and answers it.
+func (n *Node) serveConn(conn net.Conn) {
+	defer n.wg.Done()
+	defer conn.Close()
+	// Bound the initial request read: a peer that dialed and then died (or
+	// never speaks) must not pin this goroutine forever. Generous — 10× the
+	// RPC deadline — because the same accept path serves multi-frame streams
+	// whose senders legitimately pause between chunks.
+	conn.SetReadDeadline(time.Now().Add(10 * n.wire.timeout))
+	var req request
+	if err := readRequest(conn, &req); err != nil {
+		n.wire.errs.note(err)
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	switch req.Op {
+	case opHandStream:
+		// The response is a chunk stream on the same connection, not a
+		// response message.
+		n.handleStream(req, conn)
+	case opReplStream:
+		n.handleReplStream(req, conn)
+	default:
+		resp := n.handle(req)
+		_ = writeResponse(conn, &resp)
+	}
 }
 
 // Close shuts the node down (without the graceful Leave handoff).
@@ -759,12 +775,12 @@ const (
 
 // sendPatch delivers one acknowledged patch with bounded retry, reporting
 // whether any attempt succeeded.
-func sendPatch(addr string, req request) bool {
+func (n *Node) sendPatch(addr string, req request) bool {
 	for attempt := 0; attempt < patchAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(patchRetryDelay)
 		}
-		if _, err := call(addr, req); err == nil {
+		if _, err := n.rpc(addr, req); err == nil {
 			return true
 		}
 	}
@@ -793,7 +809,7 @@ func (n *Node) notifyImageCovers(remove bool) {
 			if c.Addr == n.addr {
 				continue
 			}
-			sendPatch(c.Addr, self)
+			n.sendPatch(c.Addr, self)
 		}
 	}
 }

@@ -11,22 +11,17 @@
 //     misses the next hop the node falls back to a ring hop, trading hops
 //     for progress (the standard correctness/efficiency split in DHTs).
 //   - Every control RPC is one request/response over a fresh TCP
-//     connection, encoded with encoding/gob. Recursive routing: each hop
+//     connection, each a single CRC-checked frame with a hand-written
+//     fixed binary layout (wire.go; the framing is internal/frame, shared
+//     with the WAL and the handoff streams). Recursive routing: each hop
 //     dials the next node and relays the response back.
 //   - Item transfer during churn is NOT a control RPC: Join and Leave run
 //     prepare→stream→commit handoff sessions (internal/handoff), where
-//     the opHandStream response is a CRC-framed chunk stream on the same
-//     connection — bounded memory however large the range, resumable
-//     after a disconnect, and ownership flips only at commit.
+//     the opHandStream response is a chunk stream of the same frames on
+//     the same connection — bounded memory however large the range,
+//     resumable after a disconnect, and ownership flips only at commit.
 //   - All nodes share the item-hash function, derived from a cluster seed.
 package p2p
-
-import (
-	"encoding/gob"
-	"fmt"
-	"net"
-	"time"
-)
 
 // op codes for the wire protocol.
 const (
@@ -40,7 +35,7 @@ const (
 
 	// Handoff session ops (two-phase churn transfer, internal/handoff).
 	opHandPrepare = "hprepare" // joiner opens a session at the segment owner
-	opHandStream  = "hstream"  // pull the chunk stream (framed bytes follow, no gob response)
+	opHandStream  = "hstream"  // pull the chunk stream (chunk frames follow, no response message)
 	opHandCommit  = "hcommit"  // flip ownership: sender deletes the range and repoints (idempotent)
 	opHandStatus  = "hstatus"  // receiver probe after a crash: streaming/committed/unknown
 	opHandAbort   = "habort"   // receiver resolves an ambiguous commit: abort unless already committed
@@ -158,39 +153,4 @@ type response struct {
 	// version at serve time — the terminal epoch of the lookup.
 	Trace   []Hop
 	RingVer uint64
-}
-
-// rpcTimeout is the package default request/response deadline. Nodes can
-// be built with a different one (WithRPCTimeout) — the failure detector
-// wants tighter bounds than bulk handoff — so node-context calls go
-// through Node.rpc, and only package-level helpers without a node (the
-// Client, sendPatch) use this default.
-const rpcTimeout = 5 * time.Second
-
-// call performs one RPC with the default timeout.
-func call(addr string, req request) (response, error) {
-	return callT(addr, req, rpcTimeout)
-}
-
-// callT performs one RPC with an explicit dial + I/O deadline.
-func callT(addr string, req request, timeout time.Duration) (response, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return response{}, fmt.Errorf("p2p: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return response{}, err
-	}
-	if err := gob.NewEncoder(conn).Encode(req); err != nil {
-		return response{}, fmt.Errorf("p2p: encode to %s: %w", addr, err)
-	}
-	var resp response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		return response{}, fmt.Errorf("p2p: decode from %s: %w", addr, err)
-	}
-	if !resp.OK {
-		return resp, fmt.Errorf("p2p: remote error from %s: %s", addr, resp.Err)
-	}
-	return resp, nil
 }

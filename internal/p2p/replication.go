@@ -32,7 +32,6 @@ package p2p
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"time"
@@ -53,11 +52,10 @@ const (
 	repairPause = 2 * time.Millisecond
 )
 
-// rpc performs one control RPC with this node's deadline (satellite of
-// the package-level call, which keeps the default for node-less
-// callers).
+// rpc performs one control RPC with this node's deadline (the package-
+// level call keeps the default, for callers without a node).
 func (n *Node) rpc(addr string, req request) (response, error) {
-	return callT(addr, req, n.rpcTimeout)
+	return n.wire.call(addr, &req)
 }
 
 // --- replica plane handlers ---
@@ -98,7 +96,7 @@ func (n *Node) handleReplGet(req request) response {
 // pass instead of per-key RPCs. Nothing is fenced or deleted: the
 // stream is a read.
 func (n *Node) handleReplStream(req request, conn net.Conn) {
-	w := &deadlineWriter{conn: conn, timeout: n.rpcTimeout}
+	w := &deadlineWriter{conn: conn, timeout: n.wire.timeout}
 	if n.rdata == nil {
 		w.Write(handoff.EncodeError("replication disabled"))
 		return
@@ -111,22 +109,17 @@ func (n *Node) handleReplStream(req request, conn net.Conn) {
 
 // pullReplStream collects a segment's replica payloads from one holder.
 func (n *Node) pullReplStream(addr string, seg interval.Segment) ([]store.Item, error) {
-	conn, err := net.DialTimeout("tcp", addr, n.rpcTimeout)
+	conn, err := n.wire.openStream(addr, &request{Op: opReplStream, SegStart: uint64(seg.Start), SegLen: seg.Len})
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(n.rpcTimeout))
-	req := request{Op: opReplStream, SegStart: uint64(seg.Start), SegLen: seg.Len}
-	if err := gob.NewEncoder(conn).Encode(req); err != nil {
-		return nil, err
-	}
 	var items []store.Item
 	_, err = handoff.ReadStream(bufio.NewReaderSize(conn, 64<<10), func(chunk []store.Item) error {
 		items = append(items, chunk...)
 		return nil
 	}, func() {
-		conn.SetReadDeadline(time.Now().Add(streamIdleTimeout(n.rpcTimeout)))
+		conn.SetReadDeadline(time.Now().Add(streamIdleTimeout(n.wire.timeout)))
 	})
 	return items, err
 }
@@ -336,7 +329,7 @@ func (n *Node) crashAbsorb(dead NodeInfo) error {
 	n.tel.Emitf("crash.absorb", "successor %s silent for %d probes; absorbed [%v,+%d), new successor %s",
 		dead.Addr, misses, deadSeg.Start, deadSeg.Len, next.Addr)
 	if next.ID != n.id {
-		sendPatch(next.Addr, request{Op: opSetPred, NewPoint: uint64(self.Point), NewAddr: n.addr, NewID: n.id})
+		n.sendPatch(next.Addr, request{Op: opSetPred, NewPoint: uint64(self.Point), NewAddr: n.addr, NewID: n.id})
 	}
 	n.notifyImageCovers(false)
 	return nil

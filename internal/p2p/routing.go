@@ -79,7 +79,7 @@ func (n *Node) route(req request) response {
 		}
 		next := n.ringStepLocked(target)
 		n.mu.Unlock()
-		return forward(next, req)
+		return n.forward(next, req)
 	}
 
 	// Advance the backward walk: pos' = b(pos). If we also cover pos',
@@ -93,7 +93,7 @@ func (n *Node) route(req request) response {
 			next := n.nextHopLocked(pos)
 			ring := n.ringStepLocked(pos)
 			n.mu.Unlock()
-			resp, delivered := tryForward(next, req)
+			resp, delivered := n.tryForward(next, req)
 			if !delivered && ring.Addr != next.Addr {
 				// Stale backward-table entry (e.g. a departed node): the
 				// ring pointers are maintained synchronously and always
@@ -104,7 +104,7 @@ func (n *Node) route(req request) response {
 				n.met.staleRepairs.Inc()
 				n.jrn.Record(journal.KindStaleRepair, n.ringVer.Load(), 0,
 					req.Target, uint64(req.Hops), 0)
-				resp, _ = tryForward(ring, req)
+				resp, _ = n.tryForward(ring, req)
 			}
 			return resp
 		}
@@ -115,7 +115,7 @@ func (n *Node) route(req request) response {
 	}
 	next := n.ringStepLocked(target)
 	n.mu.Unlock()
-	return forward(next, req)
+	return n.forward(next, req)
 }
 
 // serveLocalUnlock serves the data operation under mu, releases it, and
@@ -206,21 +206,21 @@ func (n *Node) ringStepLocked(p interval.Point) NodeInfo {
 }
 
 // forward relays the request to the next node, incrementing the hop count.
-func forward(next NodeInfo, req request) response {
-	resp, _ := tryForward(next, req)
+func (n *Node) forward(next NodeInfo, req request) response {
+	resp, _ := n.tryForward(next, req)
 	return resp
 }
 
 // tryForward relays the request; delivered is false when the next node was
 // unreachable (as opposed to a remote application error).
-func tryForward(next NodeInfo, req request) (response, bool) {
+func (n *Node) tryForward(next NodeInfo, req request) (response, bool) {
 	req.Hops++
 	if req.Hops > 4096 {
 		return response{Err: "hop limit exceeded"}, true
 	}
-	resp, err := call(next.Addr, req)
+	resp, err := n.rpc(next.Addr, req)
 	if err != nil && resp.Err == "" {
-		// Transport failure (dial/encode/decode), not a remote refusal:
+		// Transport failure (dial/send/read), not a remote refusal:
 		// the key's presence is unknown, which is what Unreachable means.
 		return response{Err: err.Error(), Hops: req.Hops, Unreachable: true}, false
 	}
@@ -318,7 +318,7 @@ func sortByPoint(entries []NodeInfo) {
 // coversOfArc finds all nodes whose segments intersect the arc, by looking
 // up the arc start's owner and walking successor pointers.
 func (n *Node) coversOfArc(arc interval.Segment) ([]NodeInfo, error) {
-	first, err := lookupVia(n.addr, arc.Start)
+	first, err := n.wire.lookup(n.addr, arc.Start)
 	if err != nil {
 		return nil, err
 	}
@@ -342,9 +342,9 @@ func (n *Node) coversOfArc(arc interval.Segment) ([]NodeInfo, error) {
 	return covers, nil
 }
 
-// lookupVia resolves the owner of point p through any live node.
-func lookupVia(addr string, p interval.Point) (response, error) {
-	resp, err := call(addr, request{Op: opLookup, Target: uint64(p)})
+// lookup resolves the owner of point p through any live node.
+func (d dialer) lookup(addr string, p interval.Point) (response, error) {
+	resp, err := d.call(addr, &request{Op: opLookup, Target: uint64(p)})
 	if err != nil {
 		return response{}, err
 	}
@@ -413,7 +413,7 @@ func (c *Client) recordLookup(resp response, err error) {
 
 // Lookup returns the owner of a key's hash point along with the hop count.
 func (c *Client) Lookup(p interval.Point) (owner string, hops int, err error) {
-	resp, err := lookupVia(c.Bootstrap, p)
+	resp, err := defaultWire.lookup(c.Bootstrap, p)
 	c.recordLookup(resp, err)
 	if err != nil {
 		return "", 0, err
@@ -425,7 +425,7 @@ func (c *Client) Lookup(p interval.Point) (owner string, hops int, err error) {
 // backward-table entries the route hit (each one a failed dial repaired
 // by a ring-hop fallback) — the E31 staleness probe.
 func (c *Client) LookupStats(p interval.Point) (owner string, hops, stale int, err error) {
-	resp, err := lookupVia(c.Bootstrap, p)
+	resp, err := defaultWire.lookup(c.Bootstrap, p)
 	c.recordLookup(resp, err)
 	if err != nil {
 		return "", 0, 0, err

@@ -8,7 +8,6 @@ package p2p
 // staged range.
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -82,7 +81,9 @@ func silentSender(t *testing.T, firstFrame []byte) string {
 			go func(c net.Conn) {
 				defer c.Close()
 				var req request
-				_ = gob.NewDecoder(c).Decode(&req)
+				if err := readRequest(c, &req); err != nil {
+					t.Errorf("fake sender: %v", err)
+				}
 				if firstFrame != nil && first.CompareAndSwap(true, false) {
 					_, _ = c.Write(firstFrame)
 				}

@@ -3,16 +3,19 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
+	"condisc/internal/frame"
 	"condisc/internal/interval"
 	"condisc/internal/telemetry"
 )
@@ -25,6 +28,7 @@ var (
 	walRotations   = telemetry.Default.Counter("condisc_store_wal_rotations_total")
 	walCompactions = telemetry.Default.Counter("condisc_store_wal_compactions_total")
 	walCompactedBy = telemetry.Default.Counter("condisc_store_wal_compacted_bytes_total")
+	walCompactTime = telemetry.Default.Histogram("condisc_store_wal_compaction_nanos")
 )
 
 // Log is the disk-backed engine: every mutation is one CRC-framed record
@@ -35,14 +39,11 @@ var (
 //
 // WAL layout: dir/wal-NNNNNN.log segment files, appended in id order. A
 // segment rotates at SegmentBytes; when dead bytes (overwritten, deleted,
-// or split-away records) pass CompactAt and outweigh live bytes, the live
-// records are rewritten into fresh segments and the old files deleted.
+// or split-away records) pass CompactAt and outweigh live bytes, a
+// background compactor copies the live records into one fresh segment and
+// deletes the old files (see the compaction section below).
 //
-// Record framing (little-endian):
-//
-//	u32 bodyLen | u32 crc32(body) | body
-//
-// bodies:
+// Records are internal/frame frames (little-endian) with bodies:
 //
 //	opPut:      u8 op | u64 point | u32 klen | key | value
 //	opDelete:   u8 op | u64 point | u32 klen | key
@@ -67,6 +68,16 @@ type Log struct {
 	deadBytes int64  // record bytes overwritten, deleted, or tombstoned
 	wbuf      []byte // record buffer reused by every append (see recordBuf)
 	closed    bool
+	// compactID is the segment id reserved for the running compactor's
+	// copies and compactDone is closed when it exits; both are zero while
+	// no compactor runs, and at most one runs per store.
+	compactID   uint32
+	compactDone chan struct{}
+	// compactHook, when set by a test, runs on the compactor's goroutine
+	// (mu not held) as it passes each named stage, so a test can stop it
+	// there, race mutations against it, or copy the directory as a crash
+	// at that point would leave it.
+	compactHook func(stage string)
 }
 
 // LogOptions tunes the WAL engine; the zero value selects the defaults.
@@ -105,12 +116,13 @@ const (
 	logOpDelete   = 2
 	logOpDelRange = 3
 
-	frameHeaderLen = 8         // u32 bodyLen + u32 crc
+	frameHeaderLen = frame.HeaderLen
 	putHeaderLen   = 1 + 8 + 4 // op + point + klen
 	maxBodyLen     = 1 << 30   // sanity bound for replay
 	maxKeptBuf     = 1 << 20   // records beyond this bypass the reused buffer
 	segPrefix      = "wal-"    // segment file name: wal-NNNNNN.log
 	segSuffix      = ".log"
+	tmpSuffix      = ".tmp" // a compactor's unpublished copies: wal-NNNNNN.log.tmp
 )
 
 // frameBytes is the on-disk footprint of a put record.
@@ -129,6 +141,17 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 	}
 	s := &Log{dir: dir, opts: opts, readers: map[uint32]*os.File{}}
 
+	// A compactor that died before its rename published nothing: every
+	// record it copied is still in the segments it was copying from.
+	stale, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix+tmpSuffix))
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range stale {
+		if err := os.Remove(name); err != nil {
+			return nil, fmt.Errorf("store: remove stale %s: %w", name, err)
+		}
+	}
 	ids, err := s.segmentIDs()
 	if err != nil {
 		return nil, err
@@ -209,30 +232,18 @@ func (s *Log) replaySegment(id uint32, last bool) error {
 		}
 		return f.Truncate(off)
 	}
-	var hdr [frameHeaderLen]byte
+	var buf []byte // reused across records: applyRecord copies the key out
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return truncate() // torn frame header
+		body, err := frame.Read(br, &buf, maxBodyLen)
+		if err == io.EOF {
+			return nil
 		}
-		bodyLen := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if bodyLen == 0 || bodyLen > maxBodyLen {
+		// Torn, out-of-range or corrupt — and malformed but checksummed:
+		// all treated as tail damage.
+		if err != nil || !s.applyRecord(id, off, body) {
 			return truncate()
 		}
-		body := make([]byte, bodyLen)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return truncate() // torn body
-		}
-		if crc32.ChecksumIEEE(body) != crc {
-			return truncate() // corrupt body
-		}
-		if !s.applyRecord(id, off, body) {
-			return truncate() // malformed but checksummed: treat as tail damage
-		}
-		off += frameHeaderLen + int64(bodyLen)
+		off += frameHeaderLen + int64(len(body))
 	}
 }
 
@@ -346,9 +357,7 @@ func (s *Log) appendRecord(rec []byte) (seg uint32, off int64, err error) {
 			return 0, 0, err
 		}
 	}
-	body := rec[frameHeaderLen:]
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
+	frame.Seal(rec)
 	seg, off = s.activeID, s.activeOff
 	if _, err := s.active.WriteAt(rec, s.activeOff); err != nil {
 		return 0, 0, fmt.Errorf("store: append to %s: %w", segName(s.activeID), err)
@@ -363,14 +372,28 @@ func (s *Log) appendRecord(rec []byte) (seg uint32, off int64, err error) {
 	return seg, off, nil
 }
 
-// rotate closes the active segment for writing and starts the next one.
+// rotate closes the active segment for writing and starts the next one,
+// stepping over the id a running compactor reserved for its copies.
 func (s *Log) rotate() error {
-	if err := s.openActive(s.activeID + 1); err != nil {
+	next := s.activeID + 1
+	if next == s.compactID {
+		next++
+	}
+	if err := s.openActive(next); err != nil {
 		return err
 	}
 	walRotations.Inc()
 	telemetry.Default.Emitf("wal.rotate", "%s: segment %d opened", s.dir, s.activeID)
 	return nil
+}
+
+// putKeyedHeader fills in the op, point and key of a put or tombstone body
+// and returns the offset at which the value starts.
+func putKeyedHeader(body []byte, op byte, p interval.Point, key string) int {
+	body[0] = op
+	binary.LittleEndian.PutUint64(body[1:9], uint64(p))
+	binary.LittleEndian.PutUint32(body[9:13], uint32(len(key)))
+	return putHeaderLen + copy(body[putHeaderLen:], key)
 }
 
 // appendKeyed frames and appends one put record — or, with op logOpDelete
@@ -382,11 +405,7 @@ func (s *Log) appendKeyed(op byte, p interval.Point, key string, value []byte) (
 		return lloc{}, err
 	}
 	body := rec[frameHeaderLen:]
-	body[0] = op
-	binary.LittleEndian.PutUint64(body[1:9], uint64(p))
-	binary.LittleEndian.PutUint32(body[9:13], uint32(len(key)))
-	copy(body[putHeaderLen:], key)
-	copy(body[putHeaderLen+len(key):], value)
+	copy(body[putKeyedHeader(body, op, p, key):], value)
 	seg, off, err := s.appendRecord(rec)
 	if err != nil {
 		return lloc{}, err
@@ -408,7 +427,8 @@ func (s *Log) Put(p interval.Point, key string, value []byte) error {
 		return err
 	}
 	s.indexPut(p, key, loc)
-	return s.maybeCompact()
+	s.maybeCompact()
+	return nil
 }
 
 // putIfAbsent appends a put record only when (p, key) is unindexed; the
@@ -427,7 +447,8 @@ func (s *Log) putIfAbsent(p interval.Point, key string, value []byte) (bool, err
 		return false, err
 	}
 	s.indexPut(p, key, loc)
-	return true, s.maybeCompact()
+	s.maybeCompact()
+	return true, nil
 }
 
 // Get reads the value under (p, key) from its WAL segment.
@@ -477,7 +498,8 @@ func (s *Log) Delete(p interval.Point, key string) error {
 	}
 	s.indexDelete(p, key)
 	s.deadBytes += frameBytes(len(key), 0) // the tombstone itself
-	return s.maybeCompact()
+	s.maybeCompact()
+	return nil
 }
 
 // Len returns the number of live items.
@@ -521,7 +543,7 @@ func (s *Log) Ascend(seg interval.Segment, fn func(item Item) bool) error {
 // index drops the range (matching replay order) — so an error leaves this
 // store exactly as it was, and a crash in between replays to either the
 // pre-split state or the post-split state, never a mix. Reclaiming the
-// tombstoned bytes is left to the next Put/Delete-triggered compaction.
+// tombstoned bytes is left to the compaction the next Put/Delete starts.
 func (s *Log) SplitRange(seg interval.Segment) (Store, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -582,9 +604,8 @@ func (s *Log) dropRangeLocked(seg interval.Segment) error {
 // the handoff-commit / Clear fast path (one WAL append instead of one
 // tombstone per item). A bulk drop is where dead bytes spike the most (a
 // post-handoff commit kills the whole live set), and no later Put/Delete
-// may ever arrive to trigger reclamation, so compaction runs here
-// directly; SplitRange deliberately skips it (a compaction error there
-// would masquerade as a failed split).
+// may ever arrive to trigger reclamation, so compaction is started here
+// too.
 func (s *Log) DeleteRange(seg interval.Segment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -594,10 +615,7 @@ func (s *Log) DeleteRange(seg interval.Segment) error {
 	if err := s.dropRangeLocked(seg); err != nil {
 		return err
 	}
-	// Best-effort: the drop is already durable; a compaction failure only
-	// leaves dead bytes for a later pass, and reporting it here would
-	// make a succeeded drop look failed.
-	_ = s.maybeCompact()
+	s.maybeCompact()
 	return nil
 }
 
@@ -658,7 +676,7 @@ func (s *Log) drainItems(seg interval.Segment) ([]Item, error) {
 	if err := s.dropRangeLocked(seg); err != nil {
 		return nil, err
 	}
-	_ = s.maybeCompact() // best-effort, as in dropRange
+	s.maybeCompact()
 	return items, nil
 }
 
@@ -740,85 +758,303 @@ func (c *logCursor) Next(max int) ([]Item, error) {
 func (c *logCursor) Close() error { return nil }
 
 // --- compaction ---
+//
+// Compaction never runs on the path of a mutation: the mutation that finds
+// it due reserves a segment id and starts the store's compactor goroutine,
+// which copies the live records of every older segment into that one
+// segment and then deletes the older files. With c the reserved id:
+//
+//   - Appends move to segment c+1 before the first record is copied, so
+//     every write that races the compactor lands in a segment after c.
+//     Replay order is then originals < copies in c < racing writes, and a
+//     replay that sees any mix of them (crash before the old files were
+//     removed) converges to the same state: a copy never outranks an
+//     overwrite, Delete or DeleteRange that raced it.
+//   - The segments below c are immutable from then on, so their records
+//     are read without mu. mu is held only to pick the next few index
+//     entries that still point below c, and to swing each entry to its
+//     copy if it still points at the record that was copied; a copy whose
+//     entry moved or vanished meanwhile is just dead bytes in c.
+//   - The copies reach their final name by Sync then rename, and the old
+//     files go only after that, so until the rename the directory replays
+//     as if no compactor had run (OpenLog deletes the leftover .tmp).
+//
+// Accounting: every copy adds its size to deadBytes (the original, or the
+// superseded copy, is now garbage), and the bytes of the deleted segments
+// come off at the end; live + dead stays the total size of the segment
+// files throughout.
 
-// maybeCompact rewrites the live records into fresh segments once the dead
-// volume passes CompactAt and outweighs the live volume. Callers hold mu.
-// Crash safety: the compacted copies land in segments with higher ids than
-// every record they replace, so a replay that sees both (crash before the
-// old files were removed) converges to the same state.
-func (s *Log) maybeCompact() error {
-	if s.opts.CompactAt < 0 || s.deadBytes < s.opts.CompactAt || s.deadBytes < s.liveBytes {
-		return nil
+// The compactor yields between batches so that it never holds a processor
+// (or mu) for more than a few records' worth of work: copying flat out
+// showed up as the p99 of a replicated Put on a two-core box.
+const (
+	compactBatch = 8                      // records copied per lock hold
+	compactScan  = 512                    // index entries visited per lock hold
+	compactPause = 100 * time.Microsecond // sleep between batches
+)
+
+// maybeCompact starts the compactor once the dead volume passes CompactAt
+// and outweighs the live volume, unless one is already running. It only
+// reserves the segment id for the copies; the work, the file creates
+// included, happens on the compactor's goroutine. Callers hold mu.
+func (s *Log) maybeCompact() {
+	if s.compactDone != nil || s.closed ||
+		s.opts.CompactAt < 0 || s.deadBytes < s.opts.CompactAt || s.deadBytes < s.liveBytes {
+		return
 	}
-	reclaiming := s.deadBytes
-	firstNew := s.activeID + 1
-	if err := s.openActive(firstNew); err != nil {
-		return err
-	}
-	var werr error
-	s.idx.scanMut(func(e *entry[lloc]) {
-		if werr != nil || e.val.seg >= firstNew {
-			return
-		}
-		v, err := s.readValue(e.val)
-		if err != nil {
-			werr = err
-			return
-		}
-		loc, err := s.appendKeyed(logOpPut, e.p, e.key, v)
-		if err != nil {
-			werr = err
-			return
-		}
-		e.val = loc
-	})
-	if werr != nil {
-		return werr
-	}
-	if err := s.active.Sync(); err != nil { // the copies must be durable before the originals go
-		return err
-	}
-	// Remove the obsolete segments in ascending id order: a tombstone
-	// always lives in a later-or-equal segment than the put it kills, so
-	// a crash mid-removal can never leave a put on disk without its
-	// tombstone (which would resurrect a deleted item on replay).
-	var old []uint32
-	for id := range s.readers {
-		if id < firstNew {
-			old = append(old, id)
-		}
-	}
-	sort.Slice(old, func(a, b int) bool { return old[a] < old[b] })
-	for _, id := range old {
-		s.readers[id].Close()
-		delete(s.readers, id)
-		if err := os.Remove(filepath.Join(s.dir, segName(id))); err != nil {
-			return err
-		}
-	}
-	s.deadBytes = 0
-	walCompactions.Inc()
-	walCompactedBy.Add(reclaiming)
-	telemetry.Default.Emitf("wal.compact", "%s: reclaimed %d dead bytes into segment %d+",
-		s.dir, reclaiming, firstNew)
-	return nil
+	s.compactID = s.activeID + 1
+	s.compactDone = make(chan struct{})
+	go s.compact(s.compactID)
 }
 
-// Close releases the store's files.
+// waitCompaction runs compaction to quiescence: it returns once no
+// compactor is running and none is due.
+func (s *Log) waitCompaction() {
+	for {
+		s.mu.Lock()
+		s.maybeCompact()
+		done := s.compactDone
+		s.mu.Unlock()
+		if done == nil {
+			return
+		}
+		<-done
+	}
+}
+
+func (s *Log) atCompactStage(stage string) {
+	if s.compactHook != nil {
+		s.compactHook(stage)
+	}
+}
+
+// errCompactAbandoned stops a compactor whose store was closed under it.
+var errCompactAbandoned = errors.New("store: compaction abandoned: store closed")
+
+// compact is the compactor goroutine for reserved segment id c.
+func (s *Log) compact(c uint32) {
+	t0 := telemetry.StartTimer()
+	reclaimed, err := s.compactInto(c)
+	switch {
+	case err == nil:
+		walCompactions.Inc()
+		walCompactedBy.Add(reclaimed)
+		t0.Observe(walCompactTime)
+		telemetry.Default.Emitf("wal.compact", "%s: reclaimed %d bytes into segment %d", s.dir, reclaimed, c)
+	case !errors.Is(err, errCompactAbandoned):
+		telemetry.Default.Emitf("wal.compact", "%s: compaction into segment %d failed: %v", s.dir, c, err)
+	}
+	s.mu.Lock()
+	s.compactID = 0
+	done := s.compactDone
+	s.compactDone = nil
+	s.mu.Unlock()
+	close(done)
+}
+
+// compactInto does one compaction into segment c and reports the bytes it
+// took off the disk. On an error nothing is lost: whatever was copied is
+// also still in the segments it was copied from, which are only deleted
+// after the copies are durable under their final name.
+func (s *Log) compactInto(c uint32) (reclaimed int64, err error) {
+	final := filepath.Join(s.dir, segName(c))
+	tmp, err := os.OpenFile(final+tmpSuffix, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	next, err := os.OpenFile(filepath.Join(s.dir, segName(c+1)), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return 0, err
+	}
+
+	// Seal everything below c: appends continue in c+1, unless a rotation
+	// already carried them past the reservation.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		tmp.Close()
+		next.Close()
+		os.Remove(tmp.Name())
+		return 0, errCompactAbandoned
+	}
+	// From here on tmp is registered as segment c. If the store closes
+	// under the compactor nothing references the copies any more and the
+	// file goes. On any other failure index entries may already point
+	// into it, so the handle stays registered (a later compaction copies
+	// out of it like out of any other segment) while every original is
+	// still on disk — which is what a reopen replays, deleting the file
+	// as a stale .tmp.
+	defer func() {
+		if errors.Is(err, errCompactAbandoned) {
+			os.Remove(final + tmpSuffix)
+		}
+	}()
+	if s.activeID < c {
+		s.readers[c+1] = next
+		s.active, s.activeID, s.activeOff = next, c+1, 0
+		next = nil
+	}
+	sealed := map[uint32]*os.File{}
+	for id, f := range s.readers {
+		if id < c {
+			sealed[id] = f
+		}
+	}
+	s.readers[c] = tmp // reads of a swung entry go through this handle, whatever the file is called
+	s.mu.Unlock()
+	if next != nil {
+		next.Close() // the rotation's own handle on wal-(c+1) is the one in use
+	}
+
+	var sealedBytes int64
+	for _, f := range sealed {
+		st, err := f.Stat()
+		if err != nil {
+			return 0, err
+		}
+		sealedBytes += st.Size()
+	}
+	copied, err := s.copyLive(c, tmp, sealed)
+	if err != nil {
+		return 0, err
+	}
+	s.atCompactStage("copied")
+	if err := os.Rename(final+tmpSuffix, final); err != nil {
+		return 0, err
+	}
+	s.atCompactStage("renamed")
+
+	// The copies are durable under their final name: forget the originals
+	// under mu, then close and unlink them outside it. Ascending id order:
+	// a tombstone always lives in a later-or-equal segment than the put it
+	// kills, so a crash mid-removal can never leave a put on disk without
+	// its tombstone (which would resurrect a deleted item on replay).
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return 0, errCompactAbandoned // Close owns every handle now; the originals just stay
+	}
+	ids := make([]uint32, 0, len(sealed))
+	for id := range sealed {
+		delete(s.readers, id)
+		ids = append(ids, id)
+	}
+	s.deadBytes = max(s.deadBytes-sealedBytes, 0)
+	s.mu.Unlock()
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	for _, id := range ids {
+		sealed[id].Close()
+		if rerr := os.Remove(filepath.Join(s.dir, segName(id))); rerr != nil && err == nil {
+			err = rerr
+		}
+		s.atCompactStage("unlinked")
+	}
+	return sealedBytes - copied, err
+}
+
+// copyLive copies every live record that sits in a sealed segment into
+// tmp, the file of segment c, swinging each index entry to its copy, and
+// returns the bytes written once they are synced.
+func (s *Log) copyLive(c uint32, tmp *os.File, sealed map[uint32]*os.File) (int64, error) {
+	type pick struct {
+		p   interval.Point
+		key string
+		loc lloc
+	}
+	var (
+		batch    []pick
+		recs     []byte // the batch's records, written with one WriteAt
+		off      int64  // next write offset in tmp
+		afterP   interval.Point
+		afterKey string // the scan resumes at (afterP, afterKey)
+	)
+	for done := false; !done; {
+		batch = batch[:0]
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return 0, errCompactAbandoned
+		}
+		visited := 0
+		done = s.idx.ascendFrom(prange{toTop: true}, afterP, afterKey, func(e entry[lloc]) bool {
+			if len(batch) == compactBatch || visited == compactScan {
+				afterP, afterKey = e.p, e.key
+				return false
+			}
+			visited++
+			if e.val.seg < c {
+				batch = append(batch, pick{e.p, e.key, e.val})
+			}
+			return true
+		})
+		s.mu.Unlock()
+
+		recs = recs[:0]
+		for _, k := range batch {
+			n := int(frameBytes(len(k.key), int(k.loc.vlen)))
+			recs = slices.Grow(recs, n)[:len(recs)+n]
+			rec := recs[len(recs)-n:]
+			body := rec[frameHeaderLen:]
+			voff := putKeyedHeader(body, logOpPut, k.p, k.key)
+			if _, err := sealed[k.loc.seg].ReadAt(body[voff:], k.loc.off); err != nil {
+				return 0, fmt.Errorf("store: compact read %s@%d: %w", segName(k.loc.seg), k.loc.off, err)
+			}
+			frame.Seal(rec)
+		}
+		if _, err := tmp.WriteAt(recs, off); err != nil {
+			return 0, fmt.Errorf("store: compact write %s: %w", segName(c), err)
+		}
+
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return 0, errCompactAbandoned
+		}
+		for _, k := range batch {
+			fb := frameBytes(len(k.key), int(k.loc.vlen))
+			if cur := s.idx.ref(k.p, k.key); cur != nil && *cur == k.loc {
+				*cur = lloc{seg: c, off: off + frameHeaderLen + putHeaderLen + int64(len(k.key)), vlen: k.loc.vlen}
+			}
+			s.deadBytes += fb // the original if the entry swung, else this copy
+			off += fb
+		}
+		s.mu.Unlock()
+		s.atCompactStage("batch")
+		if !done {
+			time.Sleep(compactPause)
+		}
+	}
+	// Nothing is published (renamed, or deleted) except through this Sync.
+	if err := tmp.Sync(); err != nil {
+		return 0, err
+	}
+	return off, nil
+}
+
+// Close releases the store's files, after the running compactor (if any)
+// has seen the store closed and stopped.
 func (s *Log) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
+	done := s.compactDone
+	s.mu.Unlock()
+	if done != nil {
+		<-done
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var err error
 	if s.opts.Fsync {
-		if err := s.active.Sync(); err != nil {
-			return err
-		}
+		err = s.active.Sync()
 	}
 	s.closeFiles()
-	return nil
+	return err
 }
 
 func (s *Log) closeFiles() {

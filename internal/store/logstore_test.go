@@ -81,7 +81,11 @@ func TestLogstoreKillAndReopen(t *testing.T) {
 			delete(model, dk)
 		}
 	}
-	// No Close: the *Log is simply abandoned, like a killed process.
+	// No Close: the *Log is simply abandoned, like a killed process — once
+	// its compactor is idle, so that the directory is not written under
+	// the reopened store (the compactor's own crash points are
+	// TestLogstoreCompactionCrashPoints).
+	s.waitCompaction()
 	r, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -194,6 +198,7 @@ func TestLogstoreCompaction(t *testing.T) {
 		k := fmt.Sprintf("k%d", round%keys)
 		mustPut(t, s, pointFor(round%keys), k, fmt.Sprintf("round-%d-padding-padding", round))
 	}
+	s.waitCompaction()
 	var disk int64
 	names, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
 	for _, n := range names {
@@ -283,6 +288,7 @@ func TestLogstoreClearReclaimsDisk(t *testing.T) {
 	if err := Clear(s); err != nil {
 		t.Fatal(err)
 	}
+	s.waitCompaction()
 	var disk int64
 	names, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
 	for _, n := range names {

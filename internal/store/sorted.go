@@ -209,15 +209,15 @@ func (l *list[V]) ascendFrom(r prange, p interval.Point, key string, fn func(e e
 	return true
 }
 
-// scanMut calls fn with a pointer to every entry in order, letting the
-// caller rewrite values in place (logstore compaction relocates entries
-// this way without rebuilding the list).
-func (l *list[V]) scanMut(fn func(e *entry[V])) {
-	for _, ck := range l.chunks {
-		for i := range ck.es {
-			fn(&ck.es[i])
-		}
+// ref returns a pointer to the value stored under (p, key), or nil, so the
+// caller can compare and replace it in place (logstore compaction swings
+// an entry to its copy this way). The pointer is good until the next
+// mutation of the list.
+func (l *list[V]) ref(p interval.Point, key string) *V {
+	if ci, i, ok := l.find(p, key); ok {
+		return &l.chunks[ci].es[i].val
 	}
+	return nil
 }
 
 // extractRange removes every entry in r and returns them as ordered chunks
