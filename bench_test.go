@@ -1,10 +1,10 @@
 package condisc
 
 // This file maps every table and figure of the paper (and each
-// theorem-level experiment indexed in DESIGN.md) to a benchmark target.
-// `go test -bench=BenchmarkTable1` regenerates Table 1; the other targets
-// follow the E-numbering of DESIGN.md. Each benchmark runs the shared
-// experiment driver (internal/experiments) at a reduced scale so a full
+// theorem-level experiment listed in experiments.Index) to a benchmark
+// target: `go test -bench=BenchmarkExperiments/E1$` regenerates Table 1,
+// and the other ids follow the Index. Each runs the shared experiment
+// driver (internal/experiments) at a reduced scale so a full
 // `go test -bench=.` completes in minutes; cmd/condisc-bench runs the same
 // drivers at paper scale and prints the tables.
 
@@ -21,135 +21,31 @@ import (
 	"condisc/internal/interval"
 	"condisc/internal/route"
 	"condisc/internal/store"
-	"condisc/internal/telemetry"
 )
 
 // benchCfg trades problem size for bench-loop friendliness.
 var benchCfg = experiments.Config{Seed: 42, Scale: 4}
 
-func run(b *testing.B, f func(experiments.Config) experiments.Result) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := f(benchCfg)
-		if r.Table == nil {
-			b.Fatal("experiment produced no table")
-		}
+// BenchmarkExperiments regenerates every experiment in experiments.Index,
+// one sub-benchmark per id, so a new experiment is benchmarked without an
+// edit here.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Index {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if r := e.Run(benchCfg); r.Table == nil {
+					b.Fatal("experiment produced no table")
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkTable1 regenerates Table 1 (E1): path length, congestion and
-// linkage for Chord, Tapestry-style, CAN, small worlds, butterfly and
-// Distance Halving.
-func BenchmarkTable1(b *testing.B) { run(b, experiments.Table1) }
-
-// BenchmarkFig1ContinuousMaps regenerates Figure 1 (E2).
-func BenchmarkFig1ContinuousMaps(b *testing.B) { run(b, experiments.Fig1ContinuousMaps) }
-
-// BenchmarkFig2PathTree regenerates Figure 2 (E3).
-func BenchmarkFig2PathTree(b *testing.B) { run(b, experiments.Fig2PathTree) }
-
-// BenchmarkFig3ActiveTreeMapping regenerates Figure 3 (E4).
-func BenchmarkFig3ActiveTreeMapping(b *testing.B) { run(b, experiments.Fig3ActiveTreeMapping) }
-
-// BenchmarkFig4FMRLookup regenerates Figure 4 (E5).
-func BenchmarkFig4FMRLookup(b *testing.B) { run(b, experiments.Fig4FMRLookup) }
-
-// BenchmarkThm21EdgeCount regenerates E6.
-func BenchmarkThm21EdgeCount(b *testing.B) { run(b, experiments.Thm21EdgeCount) }
-
-// BenchmarkThm22Degrees regenerates E7.
-func BenchmarkThm22Degrees(b *testing.B) { run(b, experiments.Thm22Degrees) }
-
-// BenchmarkCor25FastLookupPath regenerates E8.
-func BenchmarkCor25FastLookupPath(b *testing.B) { run(b, experiments.Cor25FastLookupPath) }
-
-// BenchmarkThm27Congestion regenerates E9.
-func BenchmarkThm27Congestion(b *testing.B) { run(b, experiments.Thm27Congestion) }
-
-// BenchmarkThm28DHLookupPath regenerates E10.
-func BenchmarkThm28DHLookupPath(b *testing.B) { run(b, experiments.Thm28DHLookupPath) }
-
-// BenchmarkThm210Permutation regenerates E11.
-func BenchmarkThm210Permutation(b *testing.B) { run(b, experiments.Thm210Permutation) }
-
-// BenchmarkThm213DegreeSweep regenerates E12 (Table 1's ∆ row family).
-func BenchmarkThm213DegreeSweep(b *testing.B) { run(b, experiments.Thm213DegreeSweep) }
-
-// BenchmarkLemma33ActiveTree regenerates E13.
-func BenchmarkLemma33ActiveTree(b *testing.B) { run(b, experiments.Lemma33ActiveTree) }
-
-// BenchmarkThm36SingleHotspot regenerates E14 (with the caching-off
-// ablation).
-func BenchmarkThm36SingleHotspot(b *testing.B) { run(b, experiments.Thm36SingleHotspot) }
-
-// BenchmarkThm38MultiHotspot regenerates E15.
-func BenchmarkThm38MultiHotspot(b *testing.B) { run(b, experiments.Thm38MultiHotspot) }
-
-// BenchmarkContentUpdate regenerates E16.
-func BenchmarkContentUpdate(b *testing.B) { run(b, experiments.ContentUpdate) }
-
-// BenchmarkLemma41SingleChoice regenerates E17.
-func BenchmarkLemma41SingleChoice(b *testing.B) { run(b, experiments.Lemma41SingleChoice) }
-
-// BenchmarkLemma42ImprovedChoice regenerates E18.
-func BenchmarkLemma42ImprovedChoice(b *testing.B) { run(b, experiments.Lemma42ImprovedChoice) }
-
-// BenchmarkLemma43MultipleChoice regenerates E19.
-func BenchmarkLemma43MultipleChoice(b *testing.B) { run(b, experiments.Lemma43MultipleChoice) }
-
-// BenchmarkThm44SelfCorrection regenerates E20a.
-func BenchmarkThm44SelfCorrection(b *testing.B) { run(b, experiments.Thm44SelfCorrection) }
-
-// BenchmarkBucketChurn regenerates E20.
-func BenchmarkBucketChurn(b *testing.B) { run(b, experiments.BucketChurn) }
-
-// BenchmarkLemma53Smoothness2D regenerates E21.
-func BenchmarkLemma53Smoothness2D(b *testing.B) { run(b, experiments.Lemma53Smoothness2D) }
-
-// BenchmarkCor52Expander regenerates E22.
-func BenchmarkCor52Expander(b *testing.B) { run(b, experiments.Cor52Expander) }
-
-// BenchmarkThm63SimpleLookup regenerates E23.
-func BenchmarkThm63SimpleLookup(b *testing.B) { run(b, experiments.Thm63SimpleLookup) }
-
-// BenchmarkThm64FailStop regenerates E24.
-func BenchmarkThm64FailStop(b *testing.B) { run(b, experiments.Thm64FailStop) }
-
-// BenchmarkThm66FMR regenerates E25.
-func BenchmarkThm66FMR(b *testing.B) { run(b, experiments.Thm66FMR) }
-
-// BenchmarkThm71Emulation regenerates E26.
-func BenchmarkThm71Emulation(b *testing.B) { run(b, experiments.Thm71Emulation) }
-
-// BenchmarkJoinLeaveCost regenerates E27.
-func BenchmarkJoinLeaveCost(b *testing.B) { run(b, experiments.JoinLeaveCost) }
-
-// BenchmarkErasureVsReplication regenerates E29 (the §6.2 storage
-// extension: erasure coding across an item's covers vs replication).
-func BenchmarkErasureVsReplication(b *testing.B) { run(b, experiments.ErasureVsReplication) }
-
-// BenchmarkChurnLocality regenerates E28 (incremental churn vs rebuild).
-func BenchmarkChurnLocality(b *testing.B) { run(b, experiments.ChurnLocality) }
-
-// BenchmarkStoreEngines regenerates E30 (the ordered item-store layer:
-// put/get cost per engine and split-cost flatness in resident items).
-func BenchmarkStoreEngines(b *testing.B) { run(b, experiments.StoreEngines) }
-
-// BenchmarkStalenessVsStabilization regenerates E31 (stale-route rate vs
-// stabilization period under churn, on the live TCP cluster).
-func BenchmarkStalenessVsStabilization(b *testing.B) {
-	run(b, experiments.StalenessVsStabilization)
-}
-
-// BenchmarkZipfLoadSkew regenerates E32 (per-node load skew under a Zipf
-// workload on a live cluster, measured entirely from scraped /statusz).
-func BenchmarkZipfLoadSkew(b *testing.B) { run(b, experiments.ZipfLoadSkew) }
-
 // BenchmarkCrashFaultTolerance regenerates the k=3 arm of E34 (mass
 // ungraceful crash on the live TCP cluster) and reports the availability
-// and loss numbers as custom metrics, so bench2json tracks the
-// fault-tolerance plane release over release. Zero lost acked writes is
-// a hard gate, not a trend.
+// and loss numbers as custom metrics. Zero lost acked writes is a hard
+// gate, not a trend.
 func BenchmarkCrashFaultTolerance(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -176,7 +72,7 @@ func BenchmarkCrashFaultTolerance(b *testing.B) {
 // 10 items per server. The acceptance bar for the handle-keyed state model
 // is that the per-op cost stays flat in n (within small-constant drift from
 // the O(log n) factors): nothing in the join/leave path may scan, shift, or
-// renumber Θ(n) state.
+// renumber Θ(n) state (TestGateChurnCostFlatInN, perfgate_test.go).
 
 const itemsPerServer = 10
 
@@ -211,43 +107,47 @@ var churnSizes = []struct {
 	n    int
 }{{"n=1k", 1_000}, {"n=10k", 10_000}, {"n=100k", 100_000}}
 
-// BenchmarkJoin measures one incremental Join per size (the paired Leave is
+// benchJoin measures one incremental Join at size n (the paired Leave is
 // untimed, keeping the network size stable).
-func BenchmarkJoin(b *testing.B) {
-	for _, sz := range churnSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			d := benchChurnDHT(b, sz.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := d.Join()
-				b.StopTimer()
-				if err := d.Leave(id); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
+func benchJoin(b *testing.B, n int) {
+	d := benchChurnDHT(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := d.Join()
+		b.StopTimer()
+		if err := d.Leave(id); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 
-// BenchmarkLeave measures one incremental Leave per size (the paired Join
-// is untimed).
+// benchLeave measures one incremental Leave at size n (the paired Join is
+// untimed).
+func benchLeave(b *testing.B, n int) {
+	d := benchChurnDHT(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		id := d.Join()
+		b.StartTimer()
+		if err := d.Leave(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkJoin(b *testing.B) {
+	for _, sz := range churnSizes {
+		b.Run(sz.name, func(b *testing.B) { benchJoin(b, sz.n) })
+	}
+}
+
 func BenchmarkLeave(b *testing.B) {
 	for _, sz := range churnSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			d := benchChurnDHT(b, sz.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				id := d.Join()
-				b.StartTimer()
-				if err := d.Leave(id); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(sz.name, func(b *testing.B) { benchLeave(b, sz.n) })
 	}
 }
 
@@ -255,11 +155,9 @@ func BenchmarkLeave(b *testing.B) {
 // n = 100k: each iteration joins `width` servers through JoinBatch and
 // removes them again through LeaveBatch, so the network size is stable
 // and every iteration processes 2·width churn events. The derived
-// "ns/event" metric is the per-event cost at that width; the CI gate
-// compares width=16 against width=1 (the serial baseline — Join/Leave
-// are the width-1 forms of the batch API) and requires the throughput
-// ratio the runner's core count makes possible, up to the 4× target.
-// "cpus" records GOMAXPROCS so the gate can scale its bar.
+// "ns/event" metric is the per-event cost at that width; width=1 is the
+// serial baseline (Join/Leave are the width-1 forms of the batch API).
+// "cpus" records GOMAXPROCS, which bounds the speed-up a width can show.
 func BenchmarkChurnConcurrent(b *testing.B) {
 	d := benchChurnDHT(b, 100_000)
 	for _, width := range []int{1, 2, 4, 8, 16, 32, 64} {
@@ -287,11 +185,9 @@ func BenchmarkChurnConcurrent(b *testing.B) {
 // the quiescent baseline on the same instance. The read path resolves
 // owners against epoch snapshots and never takes the churn lock, so
 // throughput during a wave must stay within a small constant of quiescent
-// — the CI gate requires width-16 reads at >= 0.7x quiescent (scaled to
-// the runner's core count: with one core the churn goroutine and the
-// reader share the CPU, which is scheduler fairness, not read-path
-// blocking). Caching is disabled: cache hits would measure the cache, not
-// the snapshot-resolving owner read.
+// — TestGateReadsWaitFreeUnderChurn (perfgate_test.go) requires width-16
+// reads at >= 0.7x quiescent. Caching is disabled: cache hits would
+// measure the cache, not the snapshot-resolving owner read.
 
 const readBenchKeys = 1024
 
@@ -357,25 +253,15 @@ func readUnderChurnLoop(b *testing.B, width int) {
 	<-done
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lookups/sec")
 	b.ReportMetric(float64(waves), "waves")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cpus")
 }
 
 // BenchmarkReadUnderChurn sweeps the in-flight wave width; "quiescent" is
-// the no-churn baseline the gate compares against. The "notel-width=16"
-// arm reruns the width-16 sweep point with the global telemetry kill
-// switch off: it is the overhead baseline for the observability gate,
-// which requires the instrumented read path to hold >= 0.9x of it.
+// the no-churn baseline.
 func BenchmarkReadUnderChurn(b *testing.B) {
 	b.Run("quiescent", func(b *testing.B) { readUnderChurnLoop(b, 0) })
 	for _, width := range []int{16, 64} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) { readUnderChurnLoop(b, width) })
 	}
-	b.Run("notel-width=16", func(b *testing.B) {
-		prev := telemetry.Enabled()
-		telemetry.SetEnabled(false)
-		defer telemetry.SetEnabled(prev)
-		readUnderChurnLoop(b, 16)
-	})
 }
 
 // fullRebuild reproduces the seed's per-churn work: rebuild the discrete

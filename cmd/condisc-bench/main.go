@@ -41,12 +41,13 @@ func main() {
 
 	start := time.Now()
 	count := 0
-	for _, r := range experiments.All(cfg) {
-		if len(want) > 0 && !want[r.ID] {
+	for _, e := range experiments.Index {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		count++
-		fmt.Printf("== %s: %s ==\n", r.ID, r.Title)
+		r := e.Run(cfg)
+		fmt.Printf("== %s: %s ==\n", e.ID, e.Title)
 		if *csv {
 			fmt.Print(r.Table.CSV())
 		} else {

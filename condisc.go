@@ -87,15 +87,6 @@ type Options struct {
 	// DataDir is the root directory for StorageLog stores; required when
 	// Storage == StorageLog.
 	DataDir string
-	// Replication, when >= 2, keeps every item on its owner plus
-	// Replication−1 ring successors: Put writes the extra copies into
-	// per-server replica stores, Get falls back to them on a primary
-	// miss, and Crash uses them to re-materialize a dead server's
-	// segment (condisc_crash.go). The replica stores are pure observers
-	// of the primary state — WriteState never includes them and no code
-	// path reads them except the miss fallback and crash repair — so the
-	// churntest digest-invariance arms hold with replication on or off.
-	Replication int
 	// Telemetry receives the instance's runtime metrics; nil selects the
 	// process-wide telemetry.Default. Metrics are pure observers — no code
 	// path reads one back into a decision — so two instances differing only
@@ -148,19 +139,13 @@ func newDHTMetrics(reg *telemetry.Registry) dhtMetrics {
 // the stable ServerID, so a churn event rewrites exactly the state of the
 // servers adjacent to the changed segment and nothing else.
 type DHT struct {
-	opts   Options
-	rng    *rand.Rand
-	ring   *partition.Ring
-	net    *route.Network
-	hash   *hashing.Func
-	cache  *cache.System
-	stores map[ServerID]store.Store
-	// rstores, non-nil when Options.Replication >= 2, holds each server's
-	// replica payloads — copies of OTHER servers' items, placed at Put
-	// time on the owner's ring successors. Guarded by storesMu alongside
-	// stores; always in-memory (replicas are a crash-repair source, not
-	// durable state — a crashed server's replicas die with it).
-	rstores  map[ServerID]store.Store
+	opts     Options
+	rng      *rand.Rand
+	ring     *partition.Ring
+	net      *route.Network
+	hash     *hashing.Func
+	cache    *cache.System
+	stores   map[ServerID]store.Store
 	newStore func() store.Store
 	storeSeq int
 	met      dhtMetrics
@@ -256,12 +241,6 @@ func New(n int, opts Options) *DHT {
 	for i := 0; i < n; i++ {
 		d.stores[d.ring.HandleAt(i)] = d.newStore()
 	}
-	if opts.Replication >= 2 {
-		d.rstores = make(map[ServerID]store.Store, n)
-		for i := 0; i < n; i++ {
-			d.rstores[d.ring.HandleAt(i)] = store.NewMem()
-		}
-	}
 	return d
 }
 
@@ -272,11 +251,6 @@ func (d *DHT) Close() error {
 	defer d.storesMu.Unlock()
 	var first error
 	for _, s := range d.stores {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, s := range d.rstores {
 		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -448,10 +422,7 @@ func (d *DHT) Put(src int, key string, value []byte) int {
 				_ = st.Delete(p, key)
 			} else if !d.pointMoving(p) {
 				// Settled: the write landed on the store the current epoch
-				// names as p's owner, with no handoff of p in flight. With
-				// replication on, the extra copies are placed now — against
-				// the same settled snapshot the write was validated by.
-				d.replicatePut(snap, p, key, value)
+				// names as p's owner, with no handoff of p in flight.
 				return len(path) - 1
 			}
 			// Owner unchanged but p's range is mid-handoff: the copy
@@ -504,12 +475,6 @@ func (d *DHT) Get(src int, key string) (value []byte, hops int, ok bool) {
 		}
 		if !live {
 			panic(fmt.Sprintf("condisc: epoch %d names server %d, which has no store", snap.Epoch(), owner))
-		}
-		if rv, rok := d.replicaGet(p, key); rok {
-			// Genuine primary miss with replication on: a crashed (not yet
-			// repaired) owner lost the copy, but a replica survives. Served
-			// with zero hops — the primary route never reached a value.
-			return rv, 0, true
 		}
 		return nil, 0, false
 	}

@@ -256,9 +256,6 @@ func (d *DHT) admitJoin(pj *pendingJoin) (*batchEvent, bool) {
 		dst := d.newStore()
 		d.storesMu.Lock()
 		d.stores[id] = dst
-		if d.rstores != nil {
-			d.rstores[id] = store.NewMem()
-		}
 		d.storesMu.Unlock()
 		// Flight recorder: the serial admit point. The stamp is the
 		// pre-wave epoch — the decomposition this admission was decided
@@ -387,18 +384,9 @@ func (d *DHT) cleanupWave(wave []*batchEvent) {
 		if err := store.Destroy(ev.src); err != nil {
 			panic(fmt.Sprintf("condisc: store destroy: %v", err))
 		}
-		// The leaver's replica store goes with it: its payloads were copies
-		// of other servers' items, so dropping them degrades redundancy for
-		// those items (restored by their next overwrite or crash repair)
-		// but never loses a primary.
 		d.storesMu.Lock()
 		delete(d.stores, ev.id)
-		rs := d.rstores[ev.id]
-		delete(d.rstores, ev.id)
 		d.storesMu.Unlock()
-		if rs != nil {
-			_ = rs.Close()
-		}
 	}
 }
 

@@ -135,12 +135,22 @@ func checkWrite(pass *analysis.Pass, fd *ast.FuncDecl, lhs ast.Expr, inPartition
 	if !ok || tv.Type == nil {
 		return
 	}
-	if !inPartition && namedIs(tv.Type, "Snapshot") && snapshotPkg(tv.Type) {
-		pass.Reportf(lhs.Pos(),
-			"%s writes field %s of a Snapshot: published snapshots are immutable; "+
-				"copy-on-write belongs in partition.Ring before the epoch flip (PR 7 contract)",
-			fd.Name.Name, sel.Sel.Name)
-		return
+	// A Snapshot anywhere on the selector chain owns the written field:
+	// s.view.ol = x reaches the snapshot's list through its embedded view.
+	for x := sel; !inPartition; {
+		if xt, ok := pass.TypesInfo.Types[x.X]; ok && xt.Type != nil &&
+			namedIs(xt.Type, "Snapshot") && snapshotPkg(xt.Type) {
+			pass.Reportf(lhs.Pos(),
+				"%s writes field %s of a Snapshot: published snapshots are immutable; "+
+					"copy-on-write belongs in partition.Ring before the epoch flip (PR 7 contract)",
+				fd.Name.Name, x.Sel.Name)
+			return
+		}
+		inner, ok := analysis.Unparen(x.X).(*ast.SelectorExpr)
+		if !ok {
+			break
+		}
+		x = inner
 	}
 	if (sel.Sel.Name == "end" || sel.Sel.Name == "succ") &&
 		namedIs(tv.Type, "Node") && fd.Name.Name != "setEndSuccLocked" {

@@ -3,12 +3,10 @@
 // operation (Counter.Add/Inc, Gauge.Set/Add, Histogram.Observe) must stay
 // a handful of atomic writes — no allocation, no locking, no map or
 // channel touch, no dynamic dispatch — or the observability layer starts
-// perturbing the very path it observes (CI gates the instrumented
-// BenchmarkReadUnderChurn at >= 0.9x the telemetry-off baseline). The
-// same restriction binds the live wire's codec (internal/p2p: every RPC
-// is encoded and decoded at every hop), whose only sanctioned
-// allocations are the strings and values it copies out of a pooled
-// buffer.
+// perturbing the very path it observes. The same restriction binds the
+// live wire's codec (internal/p2p: every RPC is encoded and decoded at
+// every hop), whose only sanctioned allocations are the strings and
+// values it copies out of a pooled buffer.
 //
 // The contract is carried by //condisc:hot marker comments:
 //

@@ -161,18 +161,12 @@ type Config struct {
 	// runs the same trace with and without one and requires byte-equal
 	// dumps.
 	Journal *journal.Journal
-	// Replication, when >= 2, enables k-successor replication
-	// (condisc.Options.Replication). Replica stores are pure observers of
-	// the primary state and placement consumes no RNG, so the digest must
-	// be byte-identical with replication on or off — a third invariance
-	// axis next to Width and SchedSeed.
-	Replication int
 }
 
 func (c Config) newDHT(tr Trace) *condisc.DHT {
 	return condisc.New(tr.Initial, condisc.Options{
 		Seed: tr.Seed, Storage: c.Storage, DataDir: c.DataDir,
-		Journal: c.Journal, Replication: c.Replication,
+		Journal: c.Journal,
 	})
 }
 

@@ -29,7 +29,7 @@ func Lemma41SingleChoice(cfg Config) Result {
 		minN, maxN, _ := segStats(r)
 		t.AddRow(n, maxN, math.Log2(float64(n)), minN, minN*float64(n))
 	}
-	return Result{ID: "E17", Title: "Lemma 4.1 — Single Choice segment extremes", Table: t,
+	return Result{Table: t,
 		Notes: []string{"max·n tracks log n; min·n² = Θ(1) reproduces the 1/n² shortest segment."}}
 }
 
@@ -43,7 +43,7 @@ func Lemma42ImprovedChoice(cfg Config) Result {
 		minN, maxN, _ := segStats(r)
 		t.AddRow(n, maxN, minN, 1/math.Log2(float64(n)))
 	}
-	return Result{ID: "E18", Title: "Lemma 4.2 — Improved Single Choice", Table: t}
+	return Result{Table: t}
 }
 
 // Lemma43MultipleChoice reproduces Lemma 4.3: t·log n probes keep the
@@ -58,7 +58,7 @@ func Lemma43MultipleChoice(cfg Config) Result {
 			t.AddRow(n, probes, minN, minN >= 0.25, maxN, rho)
 		}
 	}
-	return Result{ID: "E19", Title: "Lemma 4.3 — Multiple Choice smoothness", Table: t}
+	return Result{Table: t}
 }
 
 // Thm44SelfCorrection reproduces Theorem 4.4: from an adversarial initial
@@ -81,7 +81,7 @@ func Thm44SelfCorrection(cfg Config) Result {
 		_, maxN, rho := segStats(r)
 		t.AddRow(r.N(), maxN, rho)
 	}
-	return Result{ID: "E20a", Title: "Theorem 4.4 — self-correction from adversarial start", Table: t,
+	return Result{Table: t,
 		Notes: []string{"max·n collapses from Θ(m) to O(1) as Multiple Choice points arrive."}}
 }
 
@@ -117,6 +117,6 @@ func BucketChurn(cfg Config) Result {
 	t := metrics.NewTable("scheme", "final n", "max·n", "ρ")
 	t.AddRow("bucket scheme (§4.1)", b.N(), "—", b.Smoothness())
 	t.AddRow("naive absorption", naive.N(), naiveMax, naiveRho)
-	return Result{ID: "E20", Title: "§4.1 — bucket scheme under churn", Table: t,
+	return Result{Table: t,
 		Notes: []string{fmt.Sprintf("%d churn events (joins+leaves); bucket smoothness stays bounded.", len(events))}}
 }

@@ -34,7 +34,7 @@ func Lemma33ActiveTree(cfg Config) Result {
 		sys.EndEpoch()
 	}
 	after := sys.ActiveNodes(fmt.Sprintf("i%d", 2*n))
-	return Result{ID: "E13", Title: "Obs 3.1 + Lemma 3.3 — active tree growth/collapse", Table: t,
+	return Result{Table: t,
 		Notes: []string{fmt.Sprintf("after 64 cold epochs the hottest tree shrank %d -> %d (root only)", before, after)}}
 }
 
@@ -68,7 +68,7 @@ func Thm36SingleHotspot(cfg Config) Result {
 	t := metrics.NewTable("variant", "max supplies", "home supplies", "max messages", "log² n")
 	t.AddRow("caching ON (c=log n)", onSup, onHome, onLoad, logN*logN)
 	t.AddRow("caching OFF (baseline)", offSup, offHome, offLoad, "—")
-	return Result{ID: "E14", Title: "Theorem 3.6 — single hotspot relieved", Table: t,
+	return Result{Table: t,
 		Notes: []string{"the baseline home server absorbs every request; caching caps it at O(log² n)."}}
 }
 
@@ -103,7 +103,7 @@ func Thm38MultiHotspot(cfg Config) Result {
 	t.AddRow("total new copies", sys.TotalCopies(), "O(n/log n) = "+fmtF(float64(n)/logN))
 	t.AddRow("max supplies per server", maxSup, "O(log² n) = "+fmtF(logN*logN))
 	t.AddRow("max messages per server", sys.Net.MaxLoad(), "O(log² n)")
-	return Result{ID: "E15", Title: "Theorem 3.8 — multiple hotspots (Zipf batch)", Table: t}
+	return Result{Table: t}
 }
 
 // ContentUpdate reproduces §3.4: propagating an update along the active
@@ -123,5 +123,5 @@ func ContentUpdate(cfg Config) Result {
 		msgs, time := sys.UpdateItem(item)
 		t.AddRow(q, sys.ActiveNodes(item)-1, msgs, time, math.Log2(float64(q)/float64(c))+4)
 	}
-	return Result{ID: "E16", Title: "§3.4 — content update along the active tree", Table: t}
+	return Result{Table: t}
 }

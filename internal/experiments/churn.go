@@ -45,8 +45,6 @@ func ChurnLocality(cfg Config) Result {
 		t.AddRow(n, ring.Smoothness(), touched.Mean(), touched.Max(), incUS, rebuildUS, speedup)
 	}
 	return Result{
-		ID:    "E28",
-		Title: "§2.1 — churn locality: incremental join/leave vs full rebuild",
 		Table: t,
 		Notes: []string{
 			"touched = servers whose edge lists were recomputed; O(ρ·∆) by Thm 2.2, independent of n",

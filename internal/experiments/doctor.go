@@ -90,7 +90,7 @@ func DoctorAdversarialLeave(cfg Config) Result {
 		fmt.Sprintf("flight recorder cross-check: %d epoch publishes recorded, final published ring size %d (= the sick phase's n).",
 			publishes, lastN),
 	}
-	return Result{ID: "E33", Title: "live invariant doctor vs adversarial leaves (smoothness breach detection)", Table: t,
+	return Result{Table: t,
 		Notes: notes}
 }
 

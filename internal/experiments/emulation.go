@@ -28,6 +28,6 @@ func Thm71Emulation(cfg Config) Result {
 			e.Overlay().MaxDegree(), e.DegreeBound(), e.MaxEdgeMultiplicity(),
 			e.ConnectedActive(), unionDeg)
 	}
-	return Result{ID: "E26", Title: "Theorem 7.1 — emulating general graph families", Table: t,
+	return Result{Table: t,
 		Notes: []string{"families: hypercube, de Bruijn, 2D torus, cube-connected cycles, wrapped butterfly."}}
 }

@@ -9,26 +9,27 @@ import (
 var smokeCfg = Config{Seed: 7, Scale: 8}
 
 // TestAllExperimentsRun executes every driver at smoke scale and checks
-// each produces a non-empty table with a unique ID.
+// each produces a non-empty table under a unique id.
 func TestAllExperimentsRun(t *testing.T) {
 	results := All(smokeCfg)
 	if len(results) < 25 {
 		t.Fatalf("only %d experiments ran", len(results))
 	}
 	seen := map[string]bool{}
-	for _, r := range results {
-		if r.ID == "" || r.Title == "" {
-			t.Errorf("experiment missing ID/title: %+v", r.ID)
+	for i, r := range results {
+		e := Index[i]
+		if e.ID == "" || e.Title == "" {
+			t.Errorf("experiment %d missing ID/title: %+v", i, e.ID)
 		}
-		if seen[r.ID] {
-			t.Errorf("duplicate experiment ID %s", r.ID)
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment ID %s", e.ID)
 		}
-		seen[r.ID] = true
+		seen[e.ID] = true
 		if r.Table == nil || !strings.Contains(r.Table.String(), "-") {
-			t.Errorf("%s: empty table", r.ID)
+			t.Errorf("%s: empty table", e.ID)
 		}
 		if len(r.Table.String()) < 40 {
-			t.Errorf("%s: suspiciously small table", r.ID)
+			t.Errorf("%s: suspiciously small table", e.ID)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func Thm63SimpleLookup(cfg Config) Result {
 		t.AddRow(n, paths.Mean(), paths.Max(), logN+8, maxDeg,
 			float64(maxLoad)/float64(lookups/n)/logN)
 	}
-	return Result{ID: "E23", Title: "Theorem 6.3 — overlapping DHT Simple Lookup", Table: t}
+	return Result{Table: t}
 }
 
 // Thm64FailStop reproduces Theorem 6.4: under random fail-stop faults with
@@ -74,7 +74,7 @@ func Thm64FailStop(cfg Config) Result {
 		}
 		t.AddRow(row.p, row.mult, failed, float64(ok)/float64(total), paths.Mean())
 	}
-	return Result{ID: "E24", Title: "Theorem 6.4 — availability under random fail-stop", Table: t,
+	return Result{Table: t,
 		Notes: []string{"success = 1.0 at small p; at p=0.3–0.5 the mult knob (bigger q) restores it — the paper's 'adjust the q values' remark."}}
 }
 
@@ -122,5 +122,5 @@ func Thm66FMR(cfg Config) Result {
 		t.AddRow(p, float64(okFMR)/trials, float64(clean)/trials,
 			msgs.Mean(), logN*logN*logN, hops.Mean())
 	}
-	return Result{ID: "E25", Title: "Theorem 6.6 — false-message-resistant lookup", Table: t}
+	return Result{Table: t}
 }

@@ -36,7 +36,7 @@ func Fig1ContinuousMaps(cfg Config) Result {
 	t.AddRow("d(ℓ(y),ℓ(z)) = d(y,z)/2", trials, exactHalving, "Observation 2.3")
 	t.AddRow("|ℓ([x,z))| = ⌈|[x,z)|/2⌉", 1, boolInt(seg.Half().Len == seg.Len/2+seg.Len%2), "Figure 1 (interval halves)") //condisc:allow segarith this row ASSERTS the ceiling identity against Half(); the raw floor expression is the point of the check
 	t.AddRow("|r([x,z))| = ⌈|[x,z)|/2⌉", 1, boolInt(seg.HalfPlus().Len == seg.Len/2+seg.Len%2), "Figure 1")               //condisc:allow segarith same assertion for the right map r
-	return Result{ID: "E2", Title: "Figure 1 — continuous DH edges", Table: t}
+	return Result{Table: t}
 }
 
 func boolInt(b bool) int {
@@ -80,7 +80,7 @@ func Fig2PathTree(cfg Config) Result {
 		node := continuous.TreeNode{Depth: depth, Path: path}
 		t.AddRow(fmt.Sprintf("%03b", path), node.PointUnder(y), counts[path], expected)
 	}
-	return Result{ID: "E3", Title: "Figure 2 — path tree layers, uniform entry", Table: t,
+	return Result{Table: t,
 		Notes: []string{fmt.Sprintf("chi² over 7 dof = %.1f (uniform if ≲ 30)", chi2)}}
 }
 
@@ -118,7 +118,7 @@ func Fig3ActiveTreeMapping(cfg Config) Result {
 		t.AddRow(q, sys.ActiveNodes(item), 4*q/c, sys.MaxDepth(item),
 			math.Log2(float64(q)/float64(c))+4, maxSz, maxSup)
 	}
-	return Result{ID: "E4", Title: "Figure 3 — active tree mapped to servers", Table: t}
+	return Result{Table: t}
 }
 
 // Fig4FMRLookup reproduces Figure 4: the false-message-resistant lookup
@@ -146,5 +146,5 @@ func Fig4FMRLookup(cfg Config) Result {
 	t.AddRow("avg parallel hops", hops.Mean(), "log n = "+fmtF(logN))
 	t.AddRow("avg total messages", msgs.Mean(), "O(log³ n) = "+fmtF(logN*logN*logN))
 	t.AddRow("max messages", msgs.Max(), "O(log³ n)")
-	return Result{ID: "E5", Title: "Figure 4 — FMR flooded lookup", Table: t}
+	return Result{Table: t}
 }

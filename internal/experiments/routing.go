@@ -29,7 +29,7 @@ func Thm21EdgeCount(cfg Config) Result {
 				g.Undirected().AvgDegree())
 		}
 	}
-	return Result{ID: "E6", Title: "Theorem 2.1 — edge count ≤ 3n-1", Table: t}
+	return Result{Table: t}
 }
 
 // Thm22Degrees reproduces Theorem 2.2: out-degree ≤ ρ+4 and in-degree
@@ -43,7 +43,7 @@ func Thm22Degrees(cfg Config) Result {
 		rho := ring.Smoothness()
 		t.AddRow(n, rho, g.MaxOutNoRing(), rho+4, g.MaxInNoRing(), math.Ceil(2*rho)+1)
 	}
-	return Result{ID: "E7", Title: "Theorem 2.2 — degree bounds from smoothness", Table: t}
+	return Result{Table: t}
 }
 
 // Cor25FastLookupPath reproduces Corollary 2.5: Fast Lookup path length
@@ -57,7 +57,7 @@ func Cor25FastLookupPath(cfg Config) Result {
 		bound := math.Log2(float64(n)) + math.Log2(nw.G.Ring.Smoothness()) + 1
 		t.AddRow(n, float64(sum)/4000, max, bound)
 	}
-	return Result{ID: "E8", Title: "Corollary 2.5 — Fast Lookup path length", Table: t}
+	return Result{Table: t}
 }
 
 // Thm27Congestion reproduces Theorem 2.7: Fast Lookup congestion is
@@ -79,7 +79,7 @@ func Thm27Congestion(cfg Config) Result {
 		logN := math.Log2(float64(n))
 		t.AddRow(n, float64(nw.MaxLoad())/logN, float64(sum)/float64(n)/logN)
 	}
-	return Result{ID: "E9", Title: "Theorem 2.7 — Fast Lookup congestion Θ(log n/n)", Table: t,
+	return Result{Table: t,
 		Notes: []string{"O(1) normalized values reproduce the claim; n lookups ⇒ expected load Θ(log n)."}}
 }
 
@@ -93,7 +93,7 @@ func Thm28DHLookupPath(cfg Config) Result {
 		bound := 2*math.Log2(float64(n)) + 2*math.Log2(nw.G.Ring.Smoothness())
 		t.AddRow(n, float64(sum)/4000, max, bound)
 	}
-	return Result{ID: "E10", Title: "Theorem 2.8 — DH Lookup path length", Table: t}
+	return Result{Table: t}
 }
 
 // Thm210Permutation reproduces Theorems 2.10/2.11: permutation routing
@@ -123,7 +123,7 @@ func Thm210Permutation(cfg Config) Result {
 	t.AddRow("random permutation, DH Lookup", dhLoad, float64(dhLoad)/logN, "O(log n) whp (Thm 2.10)")
 	t.AddRow("random permutation, Fast Lookup", fastLoad, float64(fastLoad)/logN, "— (no guarantee)")
 	t.AddRow("log n-wise hashed targets, DH Lookup", hashLoad, float64(hashLoad)/logN, "O(log n) whp (Thm 2.11)")
-	return Result{ID: "E11", Title: "Theorems 2.10/2.11 — permutation routing load", Table: t}
+	return Result{Table: t}
 }
 
 // Thm213DegreeSweep reproduces Theorem 2.13: degree ∆ gives path length
@@ -142,7 +142,7 @@ func Thm213DegreeSweep(cfg Config) Result {
 		cong := float64(nw.MaxLoad()) / float64(lookups) * float64(n) / logD
 		t.AddRow(delta, float64(sum)/float64(lookups), logD, nw.G.MaxDegree(), cong)
 	}
-	return Result{ID: "E12", Title: "Theorem 2.13 — degree vs path-length tradeoff", Table: t}
+	return Result{Table: t}
 }
 
 // JoinLeaveCost reproduces the §2.1 claim that joins touch O(1) servers on
@@ -170,7 +170,7 @@ func JoinLeaveCost(cfg Config) Result {
 	t.AddRow("avg servers touched per join", touched.Mean(), "O(1) — constant degree")
 	t.AddRow("max servers touched", touched.Max(), "ρ+O(1)")
 	t.AddRow("lookup cost of join (hops)", math.Log2(float64(n)), "one lookup, O(log n)")
-	return Result{ID: "E27", Title: "§2.1 — cost of Join/Leave", Table: t}
+	return Result{Table: t}
 }
 
 var _ = route.Network{} // linked via smoothNet

@@ -53,7 +53,7 @@ func StalenessVsStabilization(cfg Config) Result {
 		bar := strings.Repeat("█", int(r.rate*40+0.5))
 		notes = append(notes, fmt.Sprintf("  S=%d %-3s |%-40s| %.3f", r.every, r.patches, bar, r.rate))
 	}
-	return Result{ID: "E31", Title: "staleness vs stabilization interval under churn (TCP cluster)", Table: t,
+	return Result{Table: t,
 		Notes: notes}
 }
 

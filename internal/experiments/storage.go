@@ -86,7 +86,7 @@ func ErasureVsReplication(cfg Config) Result {
 		t.AddRow(p, float64(repOK)/items, float64(rsOK)/items,
 			fmt.Sprintf("%d/%d", decodeOK, decodeTried), code.Overhead())
 	}
-	return Result{ID: "E29", Title: "§6.2 extension — erasure coding vs replication", Table: t,
+	return Result{Table: t,
 		Notes: []string{
 			"equal 3× storage: RS(4,12) tolerates any 8 of 12 holders failing;",
 			"3-way replication dies once its 3 holders fail — coding dominates at every p.",
@@ -183,7 +183,7 @@ func StoreEngines(cfg Config) Result {
 			s.Close()
 		}
 	}
-	return Result{ID: "E30", Title: "storage layer — ordered stores make item migration a range move", Table: t,
+	return Result{Table: t,
 		Notes: []string{
 			"split µs flat as resident grows 8×: migration cost is O(log S + moved), not O(resident);",
 			"log engine = append-only WAL + ordered index; put pays one WAL append, get one pread.",

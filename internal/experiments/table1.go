@@ -52,8 +52,6 @@ func Table1(cfg Config) Result {
 		t.AddRow(st.Scheme, st.N, st.AvgPath, st.MaxPath, st.NormCong, st.Linkage, p[0], p[1])
 	}
 	return Result{
-		ID:    "E1",
-		Title: "Table 1 — comparison of lookup schemes",
 		Table: t,
 		Notes: []string{
 			"congestion×n/log n ≈ 1 reproduces the (log n)/n column;",

@@ -22,7 +22,7 @@ func Lemma53Smoothness2D(cfg Config) Result {
 		}
 		t.AddRow(n, expander.CheckSmooth(mc, 2), expander.Smoothness(mc), expander.Smoothness(rnd))
 	}
-	return Result{ID: "E21", Title: "Lemma 5.3 — 2D Multiple Choice smoothness", Table: t}
+	return Result{Table: t}
 }
 
 // Cor52Expander reproduces Corollary 5.2: the Gabber–Galil discretization
@@ -42,7 +42,7 @@ func Cor52Expander(cfg Config) Result {
 		t.AddRow(n, net.Graph.MaxDegree(), net.Graph.AvgDegree(), gap,
 			spectral.CheegerLower(lambda2), vexp, ringGap)
 	}
-	return Result{ID: "E22", Title: "Corollary 5.2 — verified dynamic expander", Table: t,
+	return Result{Table: t,
 		Notes: []string{
 			"paper: expansion Ω((2-√3)/ρ) ≈ 0.134/ρ for ρ-smooth IDs;",
 			"the gap staying ~constant while the ring's gap vanishes is the expander signature.",

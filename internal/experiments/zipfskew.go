@@ -43,7 +43,7 @@ func ZipfLoadSkew(cfg Config) Result {
 		t.AddRow(r.s, r.requests, fmt.Sprintf("%.0f", r.maxL), fmt.Sprintf("%.1f", r.meanL),
 			fmt.Sprintf("%.2f", r.skew), fmt.Sprintf("%.2f", r.bound), fmt.Sprintf("%.2f", r.hopsMean))
 	}
-	return Result{ID: "E32", Title: "Zipf load skew on a live cluster, from scraped per-node metrics", Table: t,
+	return Result{Table: t,
 		Notes: notes}
 }
 

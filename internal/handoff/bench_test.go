@@ -12,8 +12,8 @@ import (
 
 // BenchmarkHandoff sweeps a full sender→receiver transfer from 1k to 1M
 // items at a fixed chunk budget, reporting the transfer path's peak
-// memory as "peakB". The acceptance property (CI-gated from
-// BENCH_join_leave.json) is that peakB stays ≤ 4× the chunk budget while
+// memory as "peakB". The acceptance property (asserted at 100k items by
+// TestStreamMemoryBounded) is that peakB stays ≤ 4× the chunk budget while
 // the transferred volume grows 1000× — churn transfers are O(chunk), not
 // O(range), so a handoff larger than RAM streams through a node without
 // capping at it.

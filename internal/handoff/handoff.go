@@ -30,7 +30,8 @@
 // Memory: the sender holds one cursor batch and one encoded frame at a
 // time; the receiver holds one decoded frame. Peak transfer memory is
 // O(chunk budget) however large the range is (BenchmarkHandoff sweeps
-// 1k → 1M items; CI gates the watermark at 4× the chunk budget).
+// 1k → 1M items; TestStreamMemoryBounded holds the watermark to 4× the
+// chunk budget).
 package handoff
 
 import (

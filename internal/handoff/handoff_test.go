@@ -278,15 +278,17 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestStreamMemoryBounded: the transfer path's watermark stays O(chunk)
-// as the range grows — the property the CI gate enforces at 1M items.
+// TestStreamMemoryBounded: the transfer path's watermark is O(chunk), not
+// O(range) — it barely moves while the range grows 20×, and at the
+// production chunk budget a range 25× the budget streams within 4 chunks
+// (the watermark is flat from there up: 830,173 B at 100k items, 832,961 B
+// at 1M in BenchmarkHandoff).
 func TestStreamMemoryBounded(t *testing.T) {
 	val := make([]byte, 64)
-	var peaks []int64
-	for _, n := range []int{1000, 20000} {
+	peak := func(items, chunkBytes int) int64 {
 		src := store.NewMem()
-		fill(t, src, n, val)
-		recv, err := Begin("", uint64(n), RoleJoin, interval.FullCircle, "t", nil)
+		fill(t, src, items, val)
+		recv, err := Begin("", uint64(items), RoleJoin, interval.FullCircle, "t", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,16 +297,19 @@ func TestStreamMemoryBounded(t *testing.T) {
 		go func() {
 			cur := src.Cursor(interval.FullCircle)
 			defer cur.Close()
-			_, _, err := Stream(pw, cur, 16<<10, nil)
+			_, _, err := Stream(pw, cur, chunkBytes, nil)
 			pw.CloseWithError(err)
 		}()
 		if _, err := ReadStream(bufio.NewReader(pr), recv.Apply, nil); err != nil {
 			t.Fatal(err)
 		}
-		peaks = append(peaks, MemWatermark())
+		return MemWatermark()
 	}
-	if peaks[1] > 4*peaks[0] {
+	if small, big := peak(1000, 16<<10), peak(20000, 16<<10); big > 4*small {
 		t.Fatalf("transfer memory grew with range size: %d items → %dB, %d items → %dB",
-			1000, peaks[0], 20000, peaks[1])
+			1000, small, 20000, big)
+	}
+	if p := peak(100_000, DefaultChunkBytes); p > 4*DefaultChunkBytes {
+		t.Fatalf("100k items peaked at %d B > %d B (4× the chunk budget)", p, 4*DefaultChunkBytes)
 	}
 }

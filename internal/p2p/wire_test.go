@@ -284,9 +284,7 @@ func FuzzDecodeResponse(f *testing.F) {
 }
 
 // BenchmarkWireRoundTrip is one opGet RPC end to end — dial, encode,
-// accept, decode, serve, and back — against a node that owns the key. CI
-// gates its allocs/op: under gob every RPC re-sent and re-compiled the
-// type descriptors and cost about 580.
+// accept, decode, serve, and back — against a node that owns the key.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	n, err := NewNode("127.0.0.1:0", 16, WithTelemetry(telemetry.NewRegistry()))
 	if err != nil {
@@ -304,5 +302,20 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		if _, err := call(n.Addr(), req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWireRoundTripAllocs keeps the codec off the allocator: one
+// dial-per-RPC opGet costs 34 allocations, most of them the dial and the
+// accept themselves; under gob, which re-sent and re-compiled its type
+// descriptors on every RPC, it cost about 580. A codec or frame buffer
+// that allocates per message again lands well above 45.
+func TestWireRoundTripAllocs(t *testing.T) {
+	r := testing.Benchmark(BenchmarkWireRoundTrip)
+	if r.N == 0 {
+		t.Fatal("BenchmarkWireRoundTrip failed")
+	}
+	if got := r.AllocsPerOp(); got > 45 {
+		t.Fatalf("one RPC costs %d allocations, want <= 45", got)
 	}
 }

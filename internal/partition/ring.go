@@ -37,6 +37,14 @@ import (
 // across arbitrary churn, so callers can hold on to it between operations.
 type Handle uint64
 
+// view is the ring-order query API over one ordered point list. Ring embeds
+// it over its live, owner-mutated list and Snapshot over a frozen
+// copy-on-write one, so every query has a single implementation that both
+// answer identically.
+type view struct {
+	ol olist
+}
+
 // Ring is a dynamic decomposition of I into segments. The zero value is an
 // empty ring ready for use.
 //
@@ -45,7 +53,7 @@ type Handle uint64
 // directly — they call Snapshot() and read the immutable epoch-stamped
 // view published by the last Publish() (see snapshot.go).
 type Ring struct {
-	ol    olist
+	view
 	byH   map[Handle]interval.Point
 	nextH Handle
 
@@ -81,10 +89,10 @@ func FromPoints(pts []interval.Point) *Ring {
 }
 
 // N returns the number of servers (segments).
-func (r *Ring) N() int { return r.ol.size() }
+func (v *view) N() int { return v.ol.size() }
 
 // Point returns the i-th server point in sorted order (O(log n)).
-func (r *Ring) Point(i int) interval.Point { return r.ol.pointAt(i) }
+func (v *view) Point(i int) interval.Point { return v.ol.pointAt(i) }
 
 // Points materializes the sorted point set as a fresh slice (O(n)).
 func (r *Ring) Points() []interval.Point {
@@ -98,7 +106,7 @@ func (r *Ring) Points() []interval.Point {
 // Clone returns a deep copy of the ring, handles included.
 func (r *Ring) Clone() *Ring {
 	c := &Ring{
-		ol:    r.ol.clone(),
+		view:  view{ol: r.ol.clone()},
 		nextH: r.nextH,
 	}
 	if r.byH != nil {
@@ -108,11 +116,6 @@ func (r *Ring) Clone() *Ring {
 		}
 	}
 	return c
-}
-
-// search returns the index of the first point > p (possibly N()).
-func (r *Ring) search(p interval.Point) int {
-	return r.ol.searchGT(p)
 }
 
 // Insert adds a new server point, implementing the segment split of
@@ -145,7 +148,7 @@ func (r *Ring) RemoveAt(i int) {
 
 // HandleAt returns the stable handle of the server currently at index i
 // (O(log n)).
-func (r *Ring) HandleAt(i int) Handle { return r.ol.handleAt(i) }
+func (v *view) HandleAt(i int) Handle { return v.ol.handleAt(i) }
 
 // IndexOfHandle returns the current sorted index of the server named by h,
 // or false if no such server exists (never joined, or already left).
@@ -178,7 +181,7 @@ func (r *Ring) RemoveHandle(h Handle) (int, bool) {
 // Remove deletes the server with the given point, reporting whether it was
 // present.
 func (r *Ring) Remove(p interval.Point) bool {
-	i := r.search(p)
+	i := r.ol.searchGT(p)
 	if i == 0 {
 		return false
 	}
@@ -209,64 +212,64 @@ func (r *Ring) checkHandles() bool {
 
 // Cover returns the index i of the server covering p, i.e. p ∈ s(x_i).
 // The ring must be non-empty.
-func (r *Ring) Cover(p interval.Point) int {
-	i := r.search(p)
+func (v *view) Cover(p interval.Point) int {
+	i := v.ol.searchGT(p)
 	if i == 0 {
-		return r.N() - 1 // p precedes all points: wrapping segment
+		return v.N() - 1 // p precedes all points: wrapping segment
 	}
 	return i - 1
 }
 
 // CoverHandle returns the stable handle of the server covering p.
-func (r *Ring) CoverHandle(p interval.Point) Handle {
-	return r.HandleAt(r.Cover(p))
+func (v *view) CoverHandle(p interval.Point) Handle {
+	return v.HandleAt(v.Cover(p))
 }
 
 // CoverSegment returns the index of the server covering p together with
 // its segment, in a single ordered-list descent — the probe primitive of
 // the §4 ID-selection algorithms, which sample Θ(log n) segments per join.
-func (r *Ring) CoverSegment(p interval.Point) (int, interval.Segment) {
-	if r.N() == 1 {
+func (v *view) CoverSegment(p interval.Point) (int, interval.Segment) {
+	if v.N() == 1 {
 		return 0, interval.FullCircle
 	}
-	i, x, next := r.ol.coverSeg(p)
+	i, x, next := v.ol.coverSeg(p)
 	return i, interval.Segment{Start: x, Len: uint64(next - x)}
 }
 
 // SegmentOf returns the segment of the server covering p without
 // computing its rank — the cheapest probe when the caller only needs the
 // segment shape.
-func (r *Ring) SegmentOf(p interval.Point) interval.Segment {
-	if r.N() == 1 {
+func (v *view) SegmentOf(p interval.Point) interval.Segment {
+	if v.N() == 1 {
 		return interval.FullCircle
 	}
-	x, next := r.ol.coverSegOnly(p)
+	x, next := v.ol.coverSegOnly(p)
 	return interval.Segment{Start: x, Len: uint64(next - x)}
 }
 
 // Successor returns the index after i on the ring.
-func (r *Ring) Successor(i int) int {
-	if i == r.N()-1 {
+func (v *view) Successor(i int) int {
+	if i == v.N()-1 {
 		return 0
 	}
 	return i + 1
 }
 
 // Predecessor returns the index before i on the ring.
-func (r *Ring) Predecessor(i int) int {
+func (v *view) Predecessor(i int) int {
 	if i == 0 {
-		return r.N() - 1
+		return v.N() - 1
 	}
 	return i - 1
 }
 
 // Segment returns s(x_i) = [x_i, x_{i+1}).
-func (r *Ring) Segment(i int) interval.Segment {
-	if r.N() == 1 {
+func (v *view) Segment(i int) interval.Segment {
+	if v.N() == 1 {
 		return interval.FullCircle
 	}
-	p := r.Point(i)
-	next := r.Point(r.Successor(i))
+	p := v.Point(i)
+	next := v.Point(v.Successor(i))
 	return interval.Segment{Start: p, Len: uint64(next - p)}
 }
 
@@ -361,21 +364,21 @@ func (r *Ring) CoversOfArc(arc interval.Segment) []int {
 // the ordered list chunk-wise — O(log n + covers), no per-step rank
 // computation — and is the primitive the incremental graph engine derives
 // edges with.
-func (r *Ring) CoverHandlesOfArc(arc interval.Segment) []Handle {
-	n := r.N()
+func (v *view) CoverHandlesOfArc(arc interval.Segment) []Handle {
+	n := v.N()
 	if n == 0 {
 		return nil
 	}
 	var out []Handle
 	if arc.Len == 0 { // full circle
 		out = make([]Handle, 0, n)
-		r.ol.scan(func(_ int, _ interval.Point, h Handle) {
+		v.ol.scan(func(_ int, _ interval.Point, h Handle) {
 			out = append(out, h)
 		})
 		return out
 	}
 	first := true
-	r.ol.scanRing(arc.Start, func(p interval.Point, h Handle) bool {
+	v.ol.scanRing(arc.Start, func(p interval.Point, h Handle) bool {
 		if !first && (uint64(p-arc.Start) >= arc.Len || p == arc.Start) {
 			return false
 		}

@@ -1,9 +1,6 @@
 package partition
 
-import (
-	"condisc/internal/interval"
-	"condisc/internal/journal"
-)
+import "condisc/internal/journal"
 
 // Snapshot is an immutable, epoch-stamped view of the ring. Readers that
 // must not block on churn (lookups, gets, puts) resolve covers and
@@ -16,8 +13,11 @@ import (
 // for m ≈ n/chunkTarget chunks) and marks chunks shared; the (point,
 // handle) payload is copied lazily, one chunk at a time, only when churn
 // actually mutates it.
+//
+// Its ring-order queries (N, Point, HandleAt, Cover, Segment, …) are the
+// embedded view's — the same code the live Ring answers with.
 type Snapshot struct {
-	ol    olist
+	view
 	epoch uint64
 }
 
@@ -29,7 +29,7 @@ type Snapshot struct {
 // its items. Cost: O(m) chunks, independent of n.
 func (r *Ring) Publish() *Snapshot {
 	r.epoch++
-	s := &Snapshot{ol: r.ol.publishCopy(), epoch: r.epoch}
+	s := &Snapshot{view: view{ol: r.ol.publishCopy()}, epoch: r.epoch}
 	r.snap.Store(s)
 	r.jrn.Record(journal.KindEpochPublish, r.epoch, r.epoch, uint64(s.N()), 0, 0)
 	return s
@@ -45,7 +45,7 @@ func (r *Ring) Snapshot() *Snapshot {
 	if s := r.snap.Load(); s != nil {
 		return s
 	}
-	s := &Snapshot{ol: r.ol.publishCopy(), epoch: r.epoch}
+	s := &Snapshot{view: view{ol: r.ol.publishCopy()}, epoch: r.epoch}
 	r.snap.CompareAndSwap(nil, s)
 	return r.snap.Load()
 }
@@ -55,106 +55,6 @@ func (r *Ring) Snapshot() *Snapshot {
 // compare the epochs of snapshots they hold instead.
 func (r *Ring) Epoch() uint64 { return r.epoch }
 
-// --- read-side mirror of the Ring query API ---
-
-// N returns the number of servers (segments) in the snapshot.
-func (s *Snapshot) N() int { return s.ol.size() }
-
 // Epoch returns the publish stamp this snapshot carries. Two reads that
 // observe equal epochs observed the identical decomposition.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
-
-// Point returns the i-th server point in sorted order (O(log n)).
-func (s *Snapshot) Point(i int) interval.Point { return s.ol.pointAt(i) }
-
-// HandleAt returns the stable handle of the server at index i (O(log n)).
-func (s *Snapshot) HandleAt(i int) Handle { return s.ol.handleAt(i) }
-
-// Cover returns the index of the server covering p. The snapshot must be
-// non-empty.
-func (s *Snapshot) Cover(p interval.Point) int {
-	i := s.ol.searchGT(p)
-	if i == 0 {
-		return s.N() - 1 // p precedes all points: wrapping segment
-	}
-	return i - 1
-}
-
-// CoverHandle returns the stable handle of the server covering p.
-func (s *Snapshot) CoverHandle(p interval.Point) Handle {
-	return s.HandleAt(s.Cover(p))
-}
-
-// CoverSegment returns the index of the server covering p together with
-// its segment, in a single ordered-list descent.
-func (s *Snapshot) CoverSegment(p interval.Point) (int, interval.Segment) {
-	if s.N() == 1 {
-		return 0, interval.FullCircle
-	}
-	i, x, next := s.ol.coverSeg(p)
-	return i, interval.Segment{Start: x, Len: uint64(next - x)}
-}
-
-// SegmentOf returns the segment of the server covering p without
-// computing its rank.
-func (s *Snapshot) SegmentOf(p interval.Point) interval.Segment {
-	if s.N() == 1 {
-		return interval.FullCircle
-	}
-	x, next := s.ol.coverSegOnly(p)
-	return interval.Segment{Start: x, Len: uint64(next - x)}
-}
-
-// Segment returns s(x_i) = [x_i, x_{i+1}).
-func (s *Snapshot) Segment(i int) interval.Segment {
-	if s.N() == 1 {
-		return interval.FullCircle
-	}
-	p := s.Point(i)
-	next := s.Point(s.Successor(i))
-	return interval.Segment{Start: p, Len: uint64(next - p)}
-}
-
-// Successor returns the index after i on the ring.
-func (s *Snapshot) Successor(i int) int {
-	if i == s.N()-1 {
-		return 0
-	}
-	return i + 1
-}
-
-// Predecessor returns the index before i on the ring.
-func (s *Snapshot) Predecessor(i int) int {
-	if i == 0 {
-		return s.N() - 1
-	}
-	return i - 1
-}
-
-// CoverHandlesOfArc returns the stable handles of all servers whose
-// segments intersect the arc, in ring order (the snapshot-side twin of
-// Ring.CoverHandlesOfArc).
-func (s *Snapshot) CoverHandlesOfArc(arc interval.Segment) []Handle {
-	n := s.N()
-	if n == 0 {
-		return nil
-	}
-	var out []Handle
-	if arc.Len == 0 { // full circle
-		out = make([]Handle, 0, n)
-		s.ol.scan(func(_ int, _ interval.Point, h Handle) {
-			out = append(out, h)
-		})
-		return out
-	}
-	first := true
-	s.ol.scanRing(arc.Start, func(p interval.Point, h Handle) bool {
-		if !first && (uint64(p-arc.Start) >= arc.Len || p == arc.Start) {
-			return false
-		}
-		first = false
-		out = append(out, h)
-		return true
-	})
-	return out
-}

@@ -1,0 +1,100 @@
+package route
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand/v2"
+	"testing"
+
+	"condisc/internal/interval"
+)
+
+// TestDHLookupPinned pins DHLookup, DHLookupTrace and DHLookupStoppable,
+// which share one walk, to recorded digests. The digest covers every
+// returned path, the full Trace, every (digits, depth, q) triple the stop
+// callback is shown, the stop depth, and the next rng.Uint64() after each
+// call — so a walk that visits a different server for one of the three,
+// hands the callback a different digit string, or draws one digit more or
+// fewer shifts it.
+func TestDHLookupPinned(t *testing.T) {
+	for _, tc := range []struct {
+		delta uint64
+		want  uint64
+	}{
+		{2, 0xd0f44f532cdad3d7},
+		{4, 0xd2889c4d87471820},
+	} {
+		nw, rng := smoothNetwork(1024, tc.delta, 91)
+		h := fnv.New64a()
+		put := func(vs ...uint64) {
+			var b [8]byte
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(b[:], v)
+				h.Write(b[:])
+			}
+		}
+		putPath := func(path []int) {
+			put(uint64(len(path)))
+			for _, v := range path {
+				put(uint64(v))
+			}
+		}
+		n := nw.G.N()
+		for i := 0; i < 10000; i++ {
+			putPath(nw.DHLookup(rng.IntN(n), interval.Point(rng.Uint64()), rng))
+			put(rng.Uint64())
+
+			path, tr := nw.DHLookupTrace(rng.IntN(n), interval.Point(rng.Uint64()), rng)
+			putPath(path)
+			put(uint64(len(tr.Digits)))
+			put(tr.Digits...)
+			put(uint64(tr.PhaseIEnd), uint64(len(tr.TargetWalk)))
+			for _, q := range tr.TargetWalk {
+				put(uint64(q))
+			}
+			put(rng.Uint64())
+
+			// Every third call runs unintercepted (nil stop); the others stop
+			// at a depth derived from the walk position, so truncation is
+			// exercised at many depths.
+			var stop func([]uint64, int, interval.Point) bool
+			if i%3 != 0 {
+				stop = func(digits []uint64, depth int, q interval.Point) bool {
+					put(uint64(len(digits)))
+					put(digits...)
+					put(uint64(depth), uint64(q))
+					return depth <= int(uint64(q)>>61)
+				}
+			}
+			path, depth := nw.DHLookupStoppable(rng.IntN(n), interval.Point(rng.Uint64()), rng, stop)
+			putPath(path)
+			put(uint64(depth), rng.Uint64())
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("∆=%d: DH lookup digest %#x, want %#x", tc.delta, got, tc.want)
+		}
+	}
+}
+
+// dhLookupAllocCeiling is what DHLookup allocates per call at n=4096 if it
+// builds a Trace and throws it away (38; it allocates 28 without). Every
+// simulator Get and Put pays this, so the trace must stay opt-in.
+const dhLookupAllocCeiling = 38
+
+func TestDHLookupAllocsBelowTraceBuildingWalk(t *testing.T) {
+	nw, _ := smoothNetwork(4096, 2, 92)
+	n := nw.G.N()
+	// Touch every server's load counter first so first-visit insertions into
+	// the load map are not counted.
+	warm := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 20000; i++ {
+		nw.DHLookup(warm.IntN(n), interval.Point(warm.Uint64()), warm)
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	got := testing.AllocsPerRun(2000, func() {
+		nw.DHLookup(rng.IntN(n), interval.Point(rng.Uint64()), rng)
+	})
+	if got >= dhLookupAllocCeiling {
+		t.Errorf("DHLookup allocates %.0f/op at n=4096, want < %d", got, dhLookupAllocCeiling)
+	}
+}

@@ -279,7 +279,7 @@ func (nw *Network) FastLookup(src int, y interval.Point) []int {
 // the two-phase Distance Halving Lookup of §2.2.2, consuming random digits
 // from rng. It returns the path of distinct servers visited.
 func (nw *Network) DHLookup(src int, y interval.Point, rng *rand.Rand) []int {
-	path, _ := nw.DHLookupTrace(src, y, rng)
+	path, _ := nw.dhWalk(src, y, rng, nil, nil)
 	return path
 }
 
@@ -297,48 +297,8 @@ type Trace struct {
 
 // DHLookupTrace is DHLookup returning the full trace.
 func (nw *Network) DHLookupTrace(src int, y interval.Point, rng *rand.Rand) ([]int, Trace) {
-	snap := nw.G.Ring.Snapshot()
-	delta := nw.G.Delta
 	var tr Trace
-
-	src = clampSrc(snap, src)
-	p := snap.Point(src) // the paper's header carries x_i
-	q := y
-	stack := []interval.Point{y} // q_0 .. q_t
-	cur := src
-	path := nw.visit(snap, nil, src)
-
-	maxT := nw.maxWalkSteps()
-	for t := uint(0); ; t++ {
-		cq := snap.Cover(q)
-		if cq == cur || nw.snapNeighbor(snap, cur, cq) {
-			// Phase I ends: move to the server covering w(τ_t, y).
-			path = nw.visit(snap, path, cq)
-			cur = cq
-			break
-		}
-		if t >= maxT {
-			// Cannot happen on a well-formed ring; guard against spins.
-			break
-		}
-		d := rng.Uint64N(delta)
-		tr.Digits = append(tr.Digits, d)
-		p = interval.DeltaStep(p, delta, d)
-		q = interval.DeltaStep(q, delta, d)
-		stack = append(stack, q)
-		next := snap.Cover(p)
-		path = nw.visit(snap, path, next)
-		cur = next
-	}
-	tr.PhaseIEnd = len(path)
-
-	// Phase II: retrace the target walk backwards, popping exact positions
-	// (each hop is a backward edge of the continuous graph).
-	for j := len(stack) - 1; j >= 0; j-- {
-		tr.TargetWalk = append(tr.TargetWalk, stack[j])
-		path = nw.visit(snap, path, snap.Cover(stack[j]))
-	}
-	nw.record(path)
+	path, _ := nw.dhWalk(src, y, rng, &tr, nil)
 	return path, tr
 }
 
@@ -354,31 +314,46 @@ func (nw *Network) DHLookupTrace(src int, y interval.Point, rng *rand.Rand) ([]i
 // (0 when it reached the target, i.e. was never intercepted).
 func (nw *Network) DHLookupStoppable(src int, y interval.Point, rng *rand.Rand,
 	stop func(digits []uint64, depth int, q interval.Point) bool) ([]int, int) {
+	return nw.dhWalk(src, y, rng, nil, stop)
+}
+
+// dhWalk is the one Distance Halving walk behind DHLookup, DHLookupTrace
+// and DHLookupStoppable. A non-nil tr receives the trace; a non-nil stop
+// is consulted after every phase-II hop and ends the walk at the returned
+// depth. The digit string is kept only when one of them will read it; the
+// draws from rng, and so the path, are the same either way.
+func (nw *Network) dhWalk(src int, y interval.Point, rng *rand.Rand, tr *Trace,
+	stop func(digits []uint64, depth int, q interval.Point) bool) (path []int, depth int) {
 
 	snap := nw.G.Ring.Snapshot()
 	delta := nw.G.Delta
+	keepDigits := tr != nil || stop != nil
 
 	src = clampSrc(snap, src)
-	p := snap.Point(src)
+	p := snap.Point(src) // the paper's header carries x_i
 	q := y
-	stack := []interval.Point{y}
+	stack := []interval.Point{y} // q_0 .. q_t
 	var digits []uint64
 	cur := src
-	path := nw.visit(snap, nil, src)
+	path = nw.visit(snap, nil, src)
 
 	maxT := nw.maxWalkSteps()
 	for t := uint(0); ; t++ {
 		cq := snap.Cover(q)
 		if cq == cur || nw.snapNeighbor(snap, cur, cq) {
+			// Phase I ends: move to the server covering w(τ_t, y).
 			path = nw.visit(snap, path, cq)
 			cur = cq
 			break
 		}
 		if t >= maxT {
+			// Cannot happen on a well-formed ring; guard against spins.
 			break
 		}
 		d := rng.Uint64N(delta)
-		digits = append(digits, d)
+		if keepDigits {
+			digits = append(digits, d)
+		}
 		p = interval.DeltaStep(p, delta, d)
 		q = interval.DeltaStep(q, delta, d)
 		stack = append(stack, q)
@@ -386,16 +361,25 @@ func (nw *Network) DHLookupStoppable(src int, y interval.Point, rng *rand.Rand,
 		path = nw.visit(snap, path, next)
 		cur = next
 	}
+	if tr != nil {
+		tr.Digits = digits
+		tr.PhaseIEnd = len(path)
+	}
 
+	// Phase II: retrace the target walk backwards, popping exact positions
+	// (each hop is a backward edge of the continuous graph).
 	for j := len(stack) - 1; j >= 0; j-- {
+		if tr != nil {
+			tr.TargetWalk = append(tr.TargetWalk, stack[j])
+		}
 		path = nw.visit(snap, path, snap.Cover(stack[j]))
 		if stop != nil && stop(digits, j, stack[j]) {
-			nw.record(path)
-			return path, j
+			depth = j
+			break
 		}
 	}
 	nw.record(path)
-	return path, 0
+	return path, depth
 }
 
 // RandomLookups performs count lookups from uniform random sources to

@@ -11,9 +11,9 @@ import (
 
 // The split benchmark is the acceptance gate for the ordered-store design:
 // the cost of moving a fixed-size range out of a store must not grow with
-// the items that stay behind. CI sweeps resident = 10k, 100k, 1M at a
-// fixed 1024-item moved range and fails if the cost grows more than 1.5×
-// (see .github/workflows/ci.yml).
+// the items that stay behind. The sweep is resident = 10k, 100k, 1M at a
+// fixed 1024-item moved range; TestGateStoreSplitFlat (perfgate_test.go)
+// fails if 1M costs more than 1.5× what 10k does.
 
 const splitMoved = 1024
 
@@ -52,30 +52,33 @@ var residentSizes = []struct {
 	n    int
 }{{"resident=10k", 10_000}, {"resident=100k", 100_000}, {"resident=1M", 1_000_000}}
 
-// BenchmarkStoreSplit measures one SplitRange of a fixed 1024-item range
-// per iteration (the merge restoring the store is untimed). Flat across
-// the resident sweep = item migration independent of store size.
+// benchStoreSplit measures one SplitRange of a fixed 1024-item range per
+// iteration (the merge restoring the store is untimed).
+func benchStoreSplit(b *testing.B, resident int) {
+	s, seg := splitStore(b, resident)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		moved, err := s.SplitRange(seg)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := moved.Len(); n != splitMoved {
+			b.Fatalf("split moved %d items, want %d", n, splitMoved)
+		}
+		if err := s.MergeFrom(moved); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkStoreSplit sweeps benchStoreSplit over the resident sizes. Flat
+// across the sweep = item migration independent of store size.
 func BenchmarkStoreSplit(b *testing.B) {
 	for _, sz := range residentSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			s, seg := splitStore(b, sz.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				moved, err := s.SplitRange(seg)
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n := moved.Len(); n != splitMoved {
-					b.Fatalf("split moved %d items, want %d", n, splitMoved)
-				}
-				if err := s.MergeFrom(moved); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
+		b.Run(sz.name, func(b *testing.B) { benchStoreSplit(b, sz.n) })
 	}
 }
 

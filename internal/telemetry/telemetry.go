@@ -11,8 +11,7 @@
 //     and the telemetryhot analyzer machine-checks that no allocation,
 //     locking, map access, or non-atomic call creeps into them — that is
 //     what lets the PR 7 wait-free read path carry instrumentation
-//     without perturbation (CI gates BenchmarkReadUnderChurn with
-//     telemetry on at >= 0.9x the disabled baseline).
+//     without perturbation.
 //
 //   - No package under the churntest determinism contract (condisc,
 //     partition, handoff, dhgraph) ever reads a clock: every timestamp is
