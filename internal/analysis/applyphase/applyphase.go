@@ -47,7 +47,7 @@ var admitOnlyFields = map[string]string{
 // decomposition; calling one through an admit-only ring field from the
 // apply phase is a write in disguise.
 var ringMutators = map[string]bool{
-	"Insert": true, "Remove": true, "RemoveAt": true, "RemoveHandle": true,
+	"Insert": true, "Remove": true, "RemoveAt": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -131,7 +131,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, fd *ast.FuncDecl, srvAll
 	if !ok {
 		return
 	}
-	// x.ring.Insert(...) / x.Ring.RemoveHandle(...) — ring mutation.
+	// x.ring.Insert(...) / x.Ring.RemoveAt(...) — ring mutation.
 	if ringMutators[sel.Sel.Name] {
 		if base, ok := analysis.Unparen(sel.X).(*ast.SelectorExpr); ok {
 			if base.Sel.Name == "ring" || base.Sel.Name == "Ring" {

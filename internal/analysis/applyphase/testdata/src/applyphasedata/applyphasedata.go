@@ -11,8 +11,8 @@ type rec struct {
 
 type ringT struct{}
 
-func (r *ringT) Insert(p uint64)       {}
-func (r *ringT) RemoveHandle(h uint64) {}
+func (r *ringT) Insert(p uint64) {}
+func (r *ringT) RemoveAt(i int)  {}
 
 type graph struct {
 	srv   map[uint64]*rec
@@ -33,12 +33,12 @@ func (g *graph) JoinAdmit(p uint64) {
 // concurrently for lease-disjoint patches yet writes the srv map, the
 // handle counter, the ring, and the shared RNG stream.
 func (g *graph) badApply(h uint64) {
-	g.srv[h] = &rec{}      // want `badApply writes the dhgraph srv map`
-	g.nextH++              // want `badApply writes the handle counter`
-	delete(g.srv, h)       // want `badApply deletes from the dhgraph srv map`
-	g.ring.RemoveHandle(h) // want `badApply mutates the ring structure`
-	_ = g.rng.Uint64()     // want `badApply draws from the shared RNG`
-	g.JoinAdmit(h)         // want `badApply calls admit-phase API JoinAdmit`
+	g.srv[h] = &rec{}  // want `badApply writes the dhgraph srv map`
+	g.nextH++          // want `badApply writes the handle counter`
+	delete(g.srv, h)   // want `badApply deletes from the dhgraph srv map`
+	g.ring.RemoveAt(0) // want `badApply mutates the ring structure`
+	_ = g.rng.Uint64() // want `badApply draws from the shared RNG`
+	g.JoinAdmit(h)     // want `badApply calls admit-phase API JoinAdmit`
 }
 
 // goodApply performs the sanctioned apply-phase mutation: records

@@ -73,7 +73,7 @@ type GenOptions struct {
 	LeaveFrac float64
 	PutFrac   float64
 	// Adjacent biases join points into tight clusters so consecutive
-	// events overlap: the wave-draining (queued leases) path is exercised
+	// events overlap: the wave-draining (refused leases) path is exercised
 	// instead of pure disjoint parallelism.
 	Adjacent bool
 }

@@ -62,8 +62,8 @@ func TestDifferentialWidthSweep(t *testing.T) {
 }
 
 // TestDifferentialOverlapHeavy drives clustered join points so most
-// events of a batch conflict: the wave-draining path (queued leases) must
-// still commit the exact serial state — queued events observe the ring
+// events of a batch conflict: the wave-draining path (refused leases) must
+// still commit the exact serial state — deferred events observe the ring
 // state their conflicting predecessors committed, not the state at batch
 // entry.
 func TestDifferentialOverlapHeavy(t *testing.T) {

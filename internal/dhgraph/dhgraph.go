@@ -438,17 +438,6 @@ func (g *Graph) remergeAdj(dirty map[Handle]struct{}) {
 	}
 }
 
-// RemoveHandle is Remove addressed by the ring's stable handle, reporting
-// the index the server occupied (false if the handle is unknown).
-func (g *Graph) RemoveHandle(h Handle) (int, bool) {
-	idx, ok := g.Ring.IndexOfHandle(h)
-	if !ok {
-		return 0, false
-	}
-	g.Remove(idx)
-	return idx, true
-}
-
 // LastTouched returns how many servers had their edge lists recomputed by
 // the most recent Insert or Remove — the churn blast radius the §2.1
 // locality claim bounds by O(ρ·∆). Since the edge lists are handle-keyed,

@@ -159,15 +159,16 @@ func TestIncrementalLocality(t *testing.T) {
 	}
 }
 
-// TestRemoveHandle: handle-addressed removal survives index shifts from
-// unrelated churn.
+// TestRemoveHandle: a handle keeps naming its server across index shifts
+// from unrelated churn, so resolving it at removal time (IndexOfHandle,
+// then Remove — what DHT.LeaveBatch does) removes the right server.
 func TestRemoveHandle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 23))
 	ring := partition.Grow(partition.New(), 64, partition.MultipleChooser(2), rng)
 	g := Build(ring, 2)
 	idx, _ := g.Insert(partition.MultipleChoice(ring, rng, 2))
 	h := ring.HandleAt(idx)
-	p, _ := ring.PointOfHandle(h)
+	p := ring.Point(idx)
 	// Shift indices around with unrelated churn.
 	for i := 0; i < 20; i++ {
 		g.Insert(partition.SingleChoice(rng))
@@ -176,19 +177,16 @@ func TestRemoveHandle(t *testing.T) {
 			g.Remove(j)
 		}
 	}
-	if _, ok := ring.PointOfHandle(h); !ok {
-		t.Fatal("handle lost without RemoveHandle")
+	idx, ok := ring.IndexOfHandle(h)
+	if !ok || ring.Point(idx) != p {
+		t.Fatalf("handle lost or renamed by unrelated churn (ok=%v)", ok)
 	}
-	if _, ok := g.RemoveHandle(h); !ok {
-		t.Fatal("RemoveHandle failed")
+	g.Remove(idx)
+	if _, ok := ring.IndexOfHandle(h); ok {
+		t.Fatal("handle still present after removal")
 	}
-	if ring.Cover(p) >= 0 { // point must now belong to someone else's segment
-		if pp, ok := ring.PointOfHandle(h); ok {
-			t.Fatalf("handle still present at %v", pp)
-		}
-	}
-	if _, ok := g.RemoveHandle(h); ok {
-		t.Fatal("double RemoveHandle succeeded")
+	if ring.Point(ring.Cover(p)) == p {
+		t.Fatal("the removed server's point is still on the ring")
 	}
 	equalGraphs(t, g, Build(ring, 2))
 }

@@ -244,8 +244,14 @@ func DeltaWalkPrefix(y, z Point, delta uint64, t uint) Point {
 	if t == 0 {
 		return z
 	}
-	// Extract the first t digits of y, most significant first.
-	digits := make([]uint64, t)
+	// Extract the first t digits of y, most significant first. 66 digits
+	// is the longest walk any lookup plans (route.FastPlan's bound at
+	// ∆=2), so the common case stays on the stack.
+	var buf [66]uint64
+	digits := buf[:]
+	if t > uint(len(buf)) {
+		digits = make([]uint64, t)
+	}
 	v := y
 	for i := uint(0); i < t; i++ {
 		digits[i] = DeltaDigit(v, delta)

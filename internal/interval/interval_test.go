@@ -274,6 +274,28 @@ func TestDeltaWalkPrefixApproach(t *testing.T) {
 	}
 }
 
+// TestDeltaWalkPrefixBinaryIdentity: at ∆=2 the digit walk is the bit
+// splice, for every depth a lookup can plan — the identity that lets the
+// live node (∆=2) share route.FastPlan with the ∆-ary simulator — and it
+// stays off the heap there.
+func TestDeltaWalkPrefixBinaryIdentity(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 14))
+	for trial := 0; trial < 10000; trial++ {
+		y, z := Point(rng.Uint64()), Point(rng.Uint64())
+		for tt := uint(0); tt <= 66; tt++ {
+			if got, want := DeltaWalkPrefix(y, z, 2, tt), WalkPrefix(y, z, tt); got != want {
+				t.Fatalf("t=%d: DeltaWalkPrefix(%#x, %#x, 2) = %#x, WalkPrefix = %#x",
+					tt, uint64(y), uint64(z), uint64(got), uint64(want))
+			}
+		}
+	}
+	var sink Point
+	if a := testing.AllocsPerRun(100, func() { sink += DeltaWalkPrefix(1<<63|12345, 99, 3, 66) }); a != 0 {
+		t.Errorf("DeltaWalkPrefix allocates %.0f times at t=66", a)
+	}
+	_ = sink
+}
+
 func TestLog2Inv(t *testing.T) {
 	if got := Log2Inv(uint64(FromFloat(0.25))); math.Abs(got-2) > 1e-9 {
 		t.Errorf("Log2Inv(0.25) = %v, want 2", got)

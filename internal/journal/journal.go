@@ -1,5 +1,5 @@
 // Package journal is the bounded, wait-free structured flight recorder:
-// a fixed-capacity ring of binary-framed records capturing the events
+// a fixed-capacity ring of fixed-width records capturing the events
 // that mutate routing state — churn admit/apply/retire, epoch Publish,
 // handoff prepare/stream/commit/abort, stale-route repair, end/succ
 // flips. Each record is stamped with the emitting node's ring version
@@ -13,9 +13,9 @@
 // (machine-checked): slot reservation is one atomic add, the slot write
 // is seven atomic stores guarded by a seqlock sequence number, and
 // nothing on the path allocates, locks, or dispatches dynamically.
-// Readers (Records, EncodeBinary — cold paths) validate the sequence
-// number around each slot copy and discard torn or overwritten slots,
-// so a dump taken mid-churn is always a consistent sample.
+// The reader (Records — a cold path) validates the sequence number
+// around each slot copy and discards torn or overwritten slots, so a
+// dump taken mid-churn is always a consistent sample.
 //
 // The journal is a pure observer: nothing reads it back into a
 // decision, so attaching one cannot change externally visible state
@@ -24,7 +24,6 @@
 package journal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 )
@@ -130,43 +129,6 @@ type Record struct {
 	A       uint64 `json:"a"`
 	B       uint64 `json:"b"`
 	C       uint64 `json:"c"`
-}
-
-// FrameSize is the fixed length of one binary-framed record: seven
-// little-endian uint64 words (seq, kind, ringVer, epoch, a, b, c).
-const FrameSize = 7 * 8
-
-// AppendBinary appends the record's fixed-width frame to b.
-func (r Record) AppendBinary(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, r.Seq)
-	b = binary.LittleEndian.AppendUint64(b, uint64(r.Kind))
-	b = binary.LittleEndian.AppendUint64(b, r.RingVer)
-	b = binary.LittleEndian.AppendUint64(b, r.Epoch)
-	b = binary.LittleEndian.AppendUint64(b, r.A)
-	b = binary.LittleEndian.AppendUint64(b, r.B)
-	return binary.LittleEndian.AppendUint64(b, r.C)
-}
-
-// DecodeBinary parses a stream of fixed-width frames (the inverse of
-// AppendBinary applied record after record).
-func DecodeBinary(data []byte) ([]Record, error) {
-	if len(data)%FrameSize != 0 {
-		return nil, fmt.Errorf("journal: binary dump length %d is not a multiple of %d", len(data), FrameSize)
-	}
-	out := make([]Record, 0, len(data)/FrameSize)
-	for off := 0; off < len(data); off += FrameSize {
-		f := data[off : off+FrameSize]
-		out = append(out, Record{
-			Seq:     binary.LittleEndian.Uint64(f[0:]),
-			Kind:    Kind(binary.LittleEndian.Uint64(f[8:])),
-			RingVer: binary.LittleEndian.Uint64(f[16:]),
-			Epoch:   binary.LittleEndian.Uint64(f[24:]),
-			A:       binary.LittleEndian.Uint64(f[32:]),
-			B:       binary.LittleEndian.Uint64(f[40:]),
-			C:       binary.LittleEndian.Uint64(f[48:]),
-		})
-	}
-	return out, nil
 }
 
 // slot is one seqlock-guarded ring cell. seq cycles through
@@ -303,17 +265,6 @@ func (j *Journal) Records() []Record {
 			continue // torn, overwritten, or still being written
 		}
 		out = append(out, r)
-	}
-	return out
-}
-
-// EncodeBinary renders the current consistent sample as fixed-width
-// binary frames (FrameSize bytes per record, oldest first).
-func (j *Journal) EncodeBinary() []byte {
-	recs := j.Records()
-	out := make([]byte, 0, len(recs)*FrameSize)
-	for _, r := range recs {
-		out = r.AppendBinary(out)
 	}
 	return out
 }

@@ -122,26 +122,6 @@ func TestConcurrentRecordNoTorn(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	j := New(32)
-	rng := rand.New(rand.NewPCG(7, 11))
-	for i := 0; i < 20; i++ {
-		j.Record(Kind(1+rng.IntN(int(kindCount)-1)), rng.Uint64(), rng.Uint64(),
-			rng.Uint64(), rng.Uint64(), rng.Uint64())
-	}
-	want := j.Records()
-	got, err := DecodeBinary(j.EncodeBinary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("binary round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	if _, err := DecodeBinary(make([]byte, FrameSize+1)); err == nil {
-		t.Fatal("DecodeBinary accepted a truncated dump")
-	}
-}
-
 func TestKindTextRoundTrip(t *testing.T) {
 	for k := KindUnknown; k < kindCount; k++ {
 		b, err := k.MarshalText()

@@ -352,13 +352,8 @@ func (n *Node) pullOnce(rec *handoff.Receiver) error {
 	} else if ok {
 		req.FromPoint, req.FromKey, req.HasFrom = uint64(p), key, true
 	}
-	conn, err := n.wire.openStream(rec.Sender, &req)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
 	chunk := 0
-	count, err := handoff.ReadStream(bufio.NewReaderSize(conn, 64<<10), func(items []store.Item) error {
+	count, err := n.readStream(rec.Sender, &req, func(items []store.Item) error {
 		if n.handoffChunkHook != nil {
 			if herr := n.handoffChunkHook(chunk); herr != nil {
 				return fmt.Errorf("%w: %v", errHookKill, herr)
@@ -366,18 +361,29 @@ func (n *Node) pullOnce(rec *handoff.Receiver) error {
 		}
 		chunk++
 		return rec.Apply(items)
-	}, func() {
+	})
+	n.met.handItemsIn.Add(int64(count))
+	return err
+}
+
+// readStream opens the chunk stream req asks addr for and hands each chunk
+// to apply, returning how many items arrived.
+func (n *Node) readStream(addr string, req *request, apply func([]store.Item) error) (uint64, error) {
+	conn, err := n.wire.openStream(addr, req)
+	if err != nil {
+		return 0, err
+	}
+	defer conn.Close()
+	return handoff.ReadStream(bufio.NewReaderSize(conn, 64<<10), apply, func() {
 		// Per-frame idle deadline, extended before every frame read: a
 		// live stream can take arbitrarily long in total, but a sender
 		// that goes silent mid-stream (crash, partition) must not pin
 		// this receiver — and its staged range — forever. Generous (10×
 		// the RPC deadline) so a sender merely slow under load is never
 		// falsely abandoned; on expiry the read errors, the connection
-		// drops, and pullStream retries or rolls the session back.
+		// drops, and the caller retries or rolls back.
 		conn.SetReadDeadline(time.Now().Add(streamIdleTimeout(n.wire.timeout)))
 	})
-	n.met.handItemsIn.Add(int64(count))
-	return err
 }
 
 // streamIdleTimeout is the receiver's bound on sender silence BETWEEN
@@ -728,7 +734,7 @@ func (n *Node) handleHandStatus(req request) response {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.sessions.Status(req.Session)
-	if st == handoff.StateUnknown && n.commits != nil && n.commits.Contains(req.Session) {
+	if n.committedLocked(req.Session) {
 		st = handoff.StateCommitted
 	}
 	return response{OK: true, State: st.String()}

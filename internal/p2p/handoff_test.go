@@ -341,6 +341,11 @@ func TestHandoffTelemetryCountsBytesAndPrepares(t *testing.T) {
 	const itemBytes, frameBytes, eofBytes = 8 + 4 + 4 + 4 + 9, 8 + 5, 8 + 17
 	lo := moved*itemBytes + frameBytes + eofBytes
 	hi := moved*(itemBytes+frameBytes) + eofBytes
+	// The sender counts the stream once its last write returns, which the
+	// joiner can outrun: wait for the count to land before reading it.
+	for deadline := time.Now().Add(2 * time.Second); owner.met.handBytesOut.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := owner.met.handBytesOut.Value(); got < lo || got > hi {
 		t.Fatalf("stream_bytes_total = %d after streaming %d items, want within [%d, %d]", got, moved, lo, hi)
 	}

@@ -275,8 +275,7 @@ func WithFDThreshold(k int) NodeOption {
 // nodeMetrics holds the node's pre-resolved metric pointers: request
 // handlers record through these, never through registry lookups.
 type nodeMetrics struct {
-	rpc      map[string]*telemetry.Counter // per-op request counter
-	rpcOther *telemetry.Counter
+	rpc [len(wireOps) + 1]*telemetry.Counter // per-op request counter, indexed by op; [0] counts anything else
 	// routed counts every lookup/get/put request this node handled — the
 	// paper's Definition 3 "active in a routing" load, live.
 	routed       *telemetry.Counter
@@ -305,8 +304,6 @@ type nodeMetrics struct {
 
 func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 	m := nodeMetrics{
-		rpc:          map[string]*telemetry.Counter{},
-		rpcOther:     reg.Counter(`condisc_p2p_rpc_total{op="other"}`),
 		routed:       reg.Counter("condisc_p2p_msgs_routed_total"),
 		ownerServed:  reg.Counter("condisc_p2p_owner_served_total"),
 		hops:         reg.Histogram("condisc_p2p_lookup_hops"),
@@ -327,8 +324,9 @@ func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 		repairBytes:    reg.Counter("condisc_p2p_repair_bytes_total"),
 		fdSuspicion:    reg.Gauge("condisc_p2p_fd_suspicion"),
 	}
-	for _, op := range wireOps {
-		m.rpc[op] = reg.Counter(fmt.Sprintf("condisc_p2p_rpc_total{op=%q}", op))
+	m.rpc[0] = reg.Counter(`condisc_p2p_rpc_total{op="other"}`)
+	for i, name := range wireOps {
+		m.rpc[i+1] = reg.Counter(fmt.Sprintf("condisc_p2p_rpc_total{op=%q}", name))
 	}
 	return m
 }
@@ -706,11 +704,11 @@ func (n *Node) Close() {
 
 // handle dispatches one request.
 func (n *Node) handle(req request) response {
-	if c := n.met.rpc[req.Op]; c != nil {
-		c.Inc()
-	} else {
-		n.met.rpcOther.Inc()
+	code := int(req.Op)
+	if code >= len(n.met.rpc) {
+		code = 0
 	}
+	n.met.rpc[code].Inc()
 	n.mu.Lock()
 	ready := n.ready
 	n.mu.Unlock()
@@ -758,7 +756,7 @@ func (n *Node) handle(req request) response {
 	case opLookup, opGet, opPut:
 		return n.routeObserved(req)
 	default:
-		return response{Err: "unknown op: " + req.Op}
+		return response{Err: fmt.Sprintf("unknown op: %d", req.Op)}
 	}
 }
 

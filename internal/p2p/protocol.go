@@ -23,38 +23,46 @@
 //   - All nodes share the item-hash function, derived from a cluster seed.
 package p2p
 
-// op codes for the wire protocol.
+// op names a request's operation. Its value is the op's code on the wire
+// (wire.go), so the order below is part of the protocol: append, never
+// reorder. wireOps names them for metric labels.
+type op byte
+
 const (
-	opState     = "state"     // node status: id, point, end, ring pointers
-	opLookup    = "lookup"    // route to the owner of a point
-	opGet       = "get"       // route + read
-	opPut       = "put"       // route + write
-	opSetPred   = "setpred"   // update predecessor pointer
-	opPatchBack = "patchback" // incremental backward-table patch (add/remove one ID-keyed entry)
-	opLeave     = "leave"     // leave offer: the predecessor pulls a handoff session from the leaver
+	opState     op = iota + 1 // node status: id, point, end, ring pointers
+	opLookup                  // route to the owner of a point
+	opGet                     // route + read
+	opPut                     // route + write
+	opSetPred                 // update predecessor pointer
+	opPatchBack               // incremental backward-table patch (add/remove one ID-keyed entry)
+	opLeave                   // leave offer: the predecessor pulls a handoff session from the leaver
 
 	// Handoff session ops (two-phase churn transfer, internal/handoff).
-	opHandPrepare = "hprepare" // joiner opens a session at the segment owner
-	opHandStream  = "hstream"  // pull the chunk stream (chunk frames follow, no response message)
-	opHandCommit  = "hcommit"  // flip ownership: sender deletes the range and repoints (idempotent)
-	opHandStatus  = "hstatus"  // receiver probe after a crash: streaming/committed/unknown
-	opHandAbort   = "habort"   // receiver resolves an ambiguous commit: abort unless already committed
+	opHandPrepare // joiner opens a session at the segment owner
+	opHandStream  // pull the chunk stream (chunk frames follow, no response message)
+	opHandCommit  // flip ownership: sender deletes the range and repoints (idempotent)
+	opHandStatus  // receiver probe after a crash: streaming/committed/unknown
+	opHandAbort   // receiver resolves an ambiguous commit: abort unless already committed
 
 	// Replication ops (k-successor replica plane, internal/replicate).
 	// These address a node directly — they are never routed — and move
 	// opaque replica payloads, not live items, so the no-bulk-payload rule
 	// below still holds for the routed request types.
-	opReplPut    = "replput"    // owner pushes one replica payload to a successor
-	opReplGet    = "replget"    // read one replica payload (replica-fallback Get, repair gather)
-	opReplStream = "replstream" // pull a segment's replica payloads as a framed chunk stream
+	opReplPut    // owner pushes one replica payload to a successor
+	opReplGet    // read one replica payload (replica-fallback Get, repair gather)
+	opReplStream // pull a segment's replica payloads as a framed chunk stream
 )
+
+// wireOps is each op's name, indexed by its code minus one.
+var wireOps = [...]string{"state", "lookup", "get", "put", "setpred", "patchback", "leave",
+	"hprepare", "hstream", "hcommit", "hstatus", "habort", "replput", "replget", "replstream"}
 
 // request is the single wire request type. There is deliberately no bulk
 // item payload: since the handoff protocol replaced the single-RPC
 // join/leave transfer, no request or response can carry a range of items,
 // so the old unbounded-memory path cannot be reintroduced by accident.
 type request struct {
-	Op  string
+	Op  op
 	Key string
 	Val []byte
 	// Target is the lookup target point (fixed-point uint64).

@@ -31,7 +31,6 @@ package p2p
 // directly (replicaFallback).
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -109,18 +108,12 @@ func (n *Node) handleReplStream(req request, conn net.Conn) {
 
 // pullReplStream collects a segment's replica payloads from one holder.
 func (n *Node) pullReplStream(addr string, seg interval.Segment) ([]store.Item, error) {
-	conn, err := n.wire.openStream(addr, &request{Op: opReplStream, SegStart: uint64(seg.Start), SegLen: seg.Len})
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
 	var items []store.Item
-	_, err = handoff.ReadStream(bufio.NewReaderSize(conn, 64<<10), func(chunk []store.Item) error {
-		items = append(items, chunk...)
-		return nil
-	}, func() {
-		conn.SetReadDeadline(time.Now().Add(streamIdleTimeout(n.wire.timeout)))
-	})
+	_, err := n.readStream(addr, &request{Op: opReplStream, SegStart: uint64(seg.Start), SegLen: seg.Len},
+		func(chunk []store.Item) error {
+			items = append(items, chunk...)
+			return nil
+		})
 	return items, err
 }
 
@@ -133,24 +126,8 @@ func (n *Node) pullReplStream(addr string, seg interval.Segment) ([]store.Item, 
 // not yet crash-safe — the local copy stays, and repair converges the
 // replicas once the successors are reachable again.
 func (n *Node) replicatePut(req request, resp *response, succs []NodeInfo) {
-	payloads := replicate.Payloads(n.repl, req.Val)
-	acks := 1 // the owner's own durable write
-	failed := 0
-	for i, s := range succs {
-		if i >= len(payloads) {
-			break
-		}
-		if s.Addr == n.addr {
-			continue
-		}
-		r := request{Op: opReplPut, Key: req.Key, Val: payloads[i], Target: req.Target}
-		if _, err := n.rpc(s.Addr, r); err == nil {
-			acks++
-			n.met.replPuts.Inc()
-		} else {
-			failed++
-		}
-	}
+	acked, failed := n.pushReplicas(req.Target, req.Key, req.Val, succs)
+	acks := 1 + acked // the owner's own durable write counts
 	if failed > 0 {
 		// A transient push failure leaves the value under-replicated even
 		// when the quorum was met; mark the owned range dirty so the next
@@ -168,6 +145,30 @@ func (n *Node) replicatePut(req request, resp *response, succs []NodeInfo) {
 		*resp = response{Err: fmt.Sprintf("write quorum not reached (%d of %d acks)", acks, need),
 			Hops: resp.Hops, Stale: resp.Stale}
 	}
+}
+
+// pushReplicas sends the replica payloads of one item down the successor
+// chain, payload i to successor i, and reports how many pushes were
+// acknowledged and how many failed. Pushes are plain overwriting replica
+// puts, so repeating them is idempotent.
+func (n *Node) pushReplicas(point uint64, key string, val []byte, succs []NodeInfo) (acked, failed int) {
+	payloads := replicate.Payloads(n.repl, val)
+	for i, s := range succs {
+		if i >= len(payloads) {
+			break
+		}
+		if s.Addr == n.addr {
+			continue
+		}
+		r := request{Op: opReplPut, Key: key, Val: payloads[i], Target: point}
+		if _, err := n.rpc(s.Addr, r); err == nil {
+			acked++
+			n.met.replPuts.Inc()
+		} else {
+			failed++
+		}
+	}
+	return acked, failed
 }
 
 // --- replica-fallback reads ---
@@ -523,8 +524,7 @@ func (n *Node) repairAbsorbed(seg interval.Segment, succs []NodeInfo) bool {
 
 // repairOwned re-replicates the owned range to the current successor
 // chain. It walks the live store with a cursor (so concurrent writes
-// interleave freely) in rate-limited batches; pushes are plain replica
-// puts, so repeating them is idempotent.
+// interleave freely) in rate-limited batches.
 func (n *Node) repairOwned(seg interval.Segment, succs []NodeInfo) {
 	targets := 0
 	for _, s := range succs {
@@ -544,19 +544,7 @@ func (n *Node) repairOwned(seg interval.Segment, succs []NodeInfo) {
 			break
 		}
 		for _, it := range items {
-			payloads := replicate.Payloads(n.repl, it.Value)
-			for i, s := range succs {
-				if i >= len(payloads) {
-					break
-				}
-				if s.Addr == n.addr {
-					continue
-				}
-				r := request{Op: opReplPut, Key: it.Key, Val: payloads[i], Target: uint64(it.Point)}
-				if _, err := n.rpc(s.Addr, r); err == nil {
-					n.met.replPuts.Inc()
-				}
-			}
+			n.pushReplicas(uint64(it.Point), it.Key, it.Value, succs)
 			pushed++
 		}
 		time.Sleep(repairPause)

@@ -8,15 +8,12 @@ import (
 
 	"condisc/internal/interval"
 	"condisc/internal/journal"
+	"condisc/internal/route"
 	"condisc/internal/telemetry"
 )
 
 // This file implements Fast Lookup (§2.2.1) over the wire, plus the
 // stabilization pass that refreshes the backward-neighbour tables.
-
-// maxFastSteps caps the Fast Lookup walk (64 backward hops shrink any
-// distance below one fixed-point ulp).
-const maxFastSteps = 66
 
 // routeObserved wraps route with the node's observability: the routed-
 // message load counter, the entry-node hop histogram, and — for traced
@@ -51,29 +48,26 @@ func (n *Node) routeObserved(req request) response {
 
 // route handles lookup/get/put: if this node covers the target (or the
 // walk has finished), it serves locally; otherwise it advances the Fast
-// Lookup state one backward hop and forwards.
+// Lookup state one backward hop and forwards. The walk itself — the depth
+// chosen at the entry node, and which steps stay inside a segment — is
+// route.FastPlan/FastAdvance at ∆ = 2, shared with the simulator.
 func (n *Node) route(req request) response {
 	n.mu.Lock()
 	seg := n.segmentLocked()
 	target := interval.Point(req.Target)
 
 	if !req.Started {
-		// Fresh lookup entering at this node: compute the walk (the paper's
-		// step 1, with z the middle of our own segment).
-		z := seg.Mid()
-		t := 0
-		for ; t < maxFastSteps; t++ {
-			if seg.Contains(interval.WalkPrefix(z, target, uint(t))) {
-				break
-			}
-		}
-		req.Pos = uint64(interval.WalkPrefix(z, target, uint(t)))
-		req.StepsLeft = t
-		req.Started = true
+		// Fresh lookup entering at this node: the paper's step 1, with z
+		// the middle of our own segment.
+		pos, t := route.FastPlan(seg, target, 2)
+		req.Pos, req.StepsLeft, req.Started = uint64(pos), int(t), true
 	}
 
-	if req.StepsLeft == 0 {
+	// Backward steps that stay inside our segment cost no network hop.
+	pos, left := route.FastAdvance(seg, interval.Point(req.Pos), uint(req.StepsLeft), 2)
+	if left == 0 {
 		// Walk done: we should cover the target; otherwise ring-forward.
+		req.Pos, req.StepsLeft = uint64(pos), 0
 		if seg.Contains(target) {
 			return n.serveLocalUnlock(req)
 		}
@@ -82,40 +76,26 @@ func (n *Node) route(req request) response {
 		return n.forward(next, req)
 	}
 
-	// Advance the backward walk: pos' = b(pos). If we also cover pos',
-	// loop locally without a network hop.
-	pos := interval.Point(req.Pos)
-	for req.StepsLeft > 0 {
-		pos = pos.Back()
-		req.StepsLeft--
-		req.Pos = uint64(pos)
-		if !seg.Contains(pos) {
-			next := n.nextHopLocked(pos)
-			ring := n.ringStepLocked(pos)
-			n.mu.Unlock()
-			resp, delivered := n.tryForward(next, req)
-			if !delivered && ring.Addr != next.Addr {
-				// Stale backward-table entry (e.g. a departed node): the
-				// ring pointers are maintained synchronously and always
-				// name a live node, so fall back to a ring hop. The Stale
-				// counter records the repair — the staleness observable
-				// E31 sweeps against the stabilization interval.
-				req.Stale++
-				n.met.staleRepairs.Inc()
-				n.jrn.Record(journal.KindStaleRepair, n.ringVer.Load(), 0,
-					req.Target, uint64(req.Hops), 0)
-				resp, _ = n.tryForward(ring, req)
-			}
-			return resp
-		}
-	}
-	// Walk ended inside our own segment.
-	if seg.Contains(target) {
-		return n.serveLocalUnlock(req)
-	}
-	next := n.ringStepLocked(target)
+	// The next step pos' = b(pos) leaves our segment: forward to its cover.
+	pos = pos.Back()
+	req.Pos, req.StepsLeft = uint64(pos), int(left)-1
+	next := n.nextHopLocked(pos)
+	ring := n.ringStepLocked(pos)
 	n.mu.Unlock()
-	return n.forward(next, req)
+	resp, delivered := n.tryForward(next, req)
+	if !delivered && ring.Addr != next.Addr {
+		// Stale backward-table entry (e.g. a departed node): the ring
+		// pointers are maintained synchronously and always name a live
+		// node, so fall back to a ring hop. The Stale counter records the
+		// repair — the staleness observable E31 sweeps against the
+		// stabilization interval.
+		req.Stale++
+		n.met.staleRepairs.Inc()
+		n.jrn.Record(journal.KindStaleRepair, n.ringVer.Load(), 0,
+			req.Target, uint64(req.Hops), 0)
+		resp, _ = n.tryForward(ring, req)
+	}
+	return resp
 }
 
 // serveLocalUnlock serves the data operation under mu, releases it, and
@@ -413,12 +393,8 @@ func (c *Client) recordLookup(resp response, err error) {
 
 // Lookup returns the owner of a key's hash point along with the hop count.
 func (c *Client) Lookup(p interval.Point) (owner string, hops int, err error) {
-	resp, err := defaultWire.lookup(c.Bootstrap, p)
-	c.recordLookup(resp, err)
-	if err != nil {
-		return "", 0, err
-	}
-	return resp.Addr, resp.Hops, nil
+	owner, hops, _, err = c.LookupStats(p)
+	return owner, hops, err
 }
 
 // LookupStats resolves a point's owner and also reports how many stale

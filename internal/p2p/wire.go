@@ -23,7 +23,7 @@ import (
 // body, the framing of the WAL and of handoff streams) whose body is a
 // fixed-layout struct image, little-endian, str = u32 len | bytes:
 //
-//	request:  u8 wireVersion | u8 op code | u8 flags |
+//	request:  u8 wireVersion | u8 op | u8 flags |
 //	          u64 Target Pos NewPoint NewID Session SegStart SegLen FromPoint |
 //	          u32 StepsLeft Hops Stale |
 //	          str Key NewAddr SrcAddr FromKey Val
@@ -40,7 +40,7 @@ import (
 // anything is allocated for it.
 const (
 	wireVersion = 1
-	tagResponse = 0xff // where a request carries its op code
+	tagResponse = 0xff // where a request carries its op
 
 	reqFixedLen  = 3 + 8*8 + 3*4
 	respFixedLen = 3 + 5*8 + 3*4
@@ -74,11 +74,6 @@ const (
 	respFlagsEnd
 )
 
-// wireOps lists every op; an op's wire code is its index here plus one.
-var wireOps = [...]string{opState, opLookup, opGet, opPut, opSetPred, opPatchBack,
-	opLeave, opHandPrepare, opHandStream, opHandCommit, opHandStatus, opHandAbort,
-	opReplPut, opReplGet, opReplStream}
-
 // ErrTooLarge refuses, at the sender, a message that would not fit a wire
 // frame — in practice a Put whose value is over the frame bound.
 var ErrTooLarge = errors.New("p2p: message exceeds the wire frame bound")
@@ -86,7 +81,6 @@ var ErrTooLarge = errors.New("p2p: message exceeds the wire frame bound")
 var (
 	errWireLayout  = errors.New("p2p: wire body does not match its layout")
 	errWireVersion = errors.New("p2p: unknown wire version, tag or flag")
-	errUnknownOp   = errors.New("p2p: unknown op")
 )
 
 // --- encode ---
@@ -115,18 +109,6 @@ func putBytes(b, v []byte) []byte {
 	return b[copy(b, v):]
 }
 
-// opCode returns op's wire code, 0 if it has none.
-//
-//condisc:hot
-func opCode(op string) byte {
-	for i := range wireOps {
-		if wireOps[i] == op {
-			return byte(i + 1)
-		}
-	}
-	return 0
-}
-
 //condisc:hot
 func flag(on bool, bit byte) byte {
 	if on {
@@ -147,7 +129,7 @@ func requestSize(r *request) int {
 //
 //condisc:hot
 func encodeRequest(b []byte, r *request) {
-	b[0], b[1] = wireVersion, opCode(r.Op)
+	b[0], b[1] = wireVersion, byte(r.Op)
 	b[2] = flag(r.Started, reqStarted) | flag(r.Remove, reqRemove) | flag(r.HasFrom, reqHasFrom) |
 		flag(r.TraceOn, reqTraceOn) | flag(r.Val != nil, reqHasVal)
 	b = b[3:]
@@ -302,7 +284,7 @@ func decodeRequest(body []byte, req *request) error {
 	}
 	var r wireReader
 	r.b = body[3:]
-	req.Op = wireOps[code-1]
+	req.Op = op(code)
 	req.Started = flags&reqStarted != 0
 	req.Remove = flags&reqRemove != 0
 	req.HasFrom = flags&reqHasFrom != 0
@@ -411,9 +393,6 @@ func sendWireFrame(w io.Writer, bp *[]byte, rec []byte) error {
 }
 
 func writeRequest(w io.Writer, req *request) error {
-	if opCode(req.Op) == 0 {
-		return fmt.Errorf("%w: %q", errUnknownOp, req.Op)
-	}
 	bp, rec := newWireFrame(requestSize(req))
 	encodeRequest(rec[frame.HeaderLen:], req)
 	return sendWireFrame(w, bp, rec)

@@ -38,6 +38,8 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 			f.SetBool(rng.IntN(2) == 1)
 		case reflect.Uint64:
 			f.SetUint(rng.Uint64())
+		case reflect.Uint8: // request.Op, the one byte-typed field
+			f.SetUint(uint64(1 + rng.IntN(len(wireOps))))
 		case reflect.Int:
 			f.SetInt(int64(rng.Uint32() >> 1))
 		case reflect.Int64:
@@ -67,9 +69,6 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 		default:
 			panic("fillRandom: unhandled kind " + f.Kind().String())
 		}
-	}
-	if op := v.FieldByName("Op"); op.IsValid() {
-		op.SetString(wireOps[rng.IntN(len(wireOps))])
 	}
 }
 

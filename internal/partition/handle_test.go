@@ -34,21 +34,14 @@ func TestHandlesStableAcrossChurn(t *testing.T) {
 		if !ok || r.Point(idx) != interval.Point(1<<40) {
 			t.Fatalf("op %d: handle no longer names its point (ok=%v)", op, ok)
 		}
-		if p, ok := r.PointOfHandle(h); !ok || p != interval.Point(1<<40) {
-			t.Fatalf("op %d: PointOfHandle wrong", op)
-		}
 	}
-	if idx, ok := r.RemoveHandle(h); !ok || idx < 0 {
-		t.Fatal("RemoveHandle failed")
-	}
+	idx, _ := r.IndexOfHandle(h)
+	r.RemoveAt(idx)
 	if _, ok := r.IndexOfHandle(h); ok {
 		t.Fatal("handle survived removal")
 	}
-	if _, ok := r.RemoveHandle(h); ok {
-		t.Fatal("double removal succeeded")
-	}
 	if !r.checkHandles() {
-		t.Fatal("handle invariant broken after RemoveHandle")
+		t.Fatal("handle invariant broken after removal")
 	}
 }
 
@@ -60,7 +53,7 @@ func TestCloneCopiesHandles(t *testing.T) {
 	if ch := c.HandleAt(1); ch != h {
 		t.Fatalf("clone handle %d != original %d", ch, h)
 	}
-	c.RemoveHandle(h)
+	c.RemoveAt(1)
 	if _, ok := r.IndexOfHandle(h); !ok {
 		t.Fatal("removing from clone affected the original")
 	}

@@ -8,37 +8,29 @@ package partition
 // lease turns that theorem into a synchronization discipline: a churn
 // event acquires the set of arcs it may read or write (the changed region
 // plus its image/preimage span, LeaseSpan), and two events proceed
-// concurrently exactly when their span sets are disjoint. Overlapping
-// leases queue and are admitted in arrival order once every conflicting
-// earlier lease is released, so a queued event always observes the state
-// its conflicting predecessors committed.
+// concurrently exactly when their span sets are disjoint. Admission never
+// blocks: the batch executor probes with TryAcquire during its serial
+// admit phase and defers a refused event to the next wave, which starts
+// only after every lease of this wave is released — so a deferred event
+// always observes the state its conflicting predecessors committed, and
+// events of one batch are admitted in batch order.
 //
 // Deadlock freedom: a lease's whole span set is acquired atomically under
-// one registry lock — a caller never holds part of a lease while waiting
-// for the rest — so there is no hold-and-wait and no ordering discipline
-// (such as sorting spans by ring position) is required of callers. The
-// admission order among conflicting waiters is the total order of their
-// arrival tickets, which keeps the wait-for relation acyclic and
-// starvation-free: the earliest conflicting waiter is always the next one
-// admitted when the arcs it needs drain. (One lease per actor: an actor
-// that acquired a lease must release it before acquiring another.)
+// one registry lock and nothing ever waits while holding a lease, so there
+// is no hold-and-wait and no ordering discipline (such as sorting spans by
+// ring position) is required of callers.
 
 import (
-	"slices"
 	"sync"
 
 	"condisc/internal/continuous"
 	"condisc/internal/interval"
 )
 
-// Lease is a held (or queued) claim over a set of arcs of the ring.
+// Lease is a held claim over a set of arcs of the ring.
 type Lease struct {
-	spans  []interval.Segment
-	ticket uint64
+	spans []interval.Segment
 }
-
-// Spans returns the arcs the lease covers.
-func (l *Lease) Spans() []interval.Segment { return l.spans }
 
 // SpansOverlap reports whether any arc of a intersects any arc of b.
 func SpansOverlap(a, b []interval.Segment) bool {
@@ -55,18 +47,13 @@ func SpansOverlap(a, b []interval.Segment) bool {
 // Leases is a registry of arc leases over one ring. The zero value is not
 // usable; construct with NewLeases.
 type Leases struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	held    map[*Lease]struct{}
-	waiting []*Lease // queued Acquire calls in ticket (arrival) order
-	next    uint64
+	mu   sync.Mutex
+	held map[*Lease]struct{}
 }
 
 // NewLeases returns an empty lease registry.
 func NewLeases() *Leases {
-	ls := &Leases{held: make(map[*Lease]struct{})}
-	ls.cond = sync.NewCond(&ls.mu)
-	return ls
+	return &Leases{held: make(map[*Lease]struct{})}
 }
 
 // conflictsHeldLocked reports whether spans overlap any held lease.
@@ -80,78 +67,24 @@ func (ls *Leases) conflictsHeldLocked(spans []interval.Segment) bool {
 }
 
 // TryAcquire atomically acquires a lease over all spans if no held lease
-// overlaps any of them, reporting whether it succeeded. Queued waiters are
-// not consulted: TryAcquire is the non-blocking admission probe the batch
-// executor drains conflict waves with (a refused event is simply deferred
-// to the next wave rather than parked).
+// overlaps any of them, reporting whether it succeeded.
 func (ls *Leases) TryAcquire(spans ...interval.Segment) (*Lease, bool) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.conflictsHeldLocked(spans) {
 		return nil, false
 	}
-	l := &Lease{spans: append([]interval.Segment(nil), spans...), ticket: ls.next}
-	ls.next++
+	l := &Lease{spans: append([]interval.Segment(nil), spans...)}
 	ls.held[l] = struct{}{}
 	return l, true
 }
 
-// Acquire blocks until a lease over all spans can be held, then returns
-// it. Conflicting acquisitions are admitted in arrival order; by the time
-// Acquire returns, every earlier-queued conflicting lease has been
-// released, so the caller observes the ring state those events committed.
-func (ls *Leases) Acquire(spans ...interval.Segment) *Lease {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	l := &Lease{spans: append([]interval.Segment(nil), spans...), ticket: ls.next}
-	ls.next++
-	ls.waiting = append(ls.waiting, l)
-	for !ls.admissibleLocked(l) {
-		ls.cond.Wait()
-	}
-	for i, w := range ls.waiting {
-		if w == l {
-			ls.waiting = slices.Delete(ls.waiting, i, i+1)
-			break
-		}
-	}
-	ls.held[l] = struct{}{}
-	return l
-}
-
-// admissibleLocked reports whether l can be admitted now: no held lease
-// conflicts, and no earlier-ticketed waiter conflicts (the earlier waiter
-// goes first — arrival order is the total order that keeps admission fair
-// and the wait-for relation acyclic).
-func (ls *Leases) admissibleLocked(l *Lease) bool {
-	if ls.conflictsHeldLocked(l.spans) {
-		return false
-	}
-	for _, w := range ls.waiting {
-		if w.ticket < l.ticket && SpansOverlap(w.spans, l.spans) {
-			return false
-		}
-	}
-	return true
-}
-
-// Release returns the lease's arcs to the registry and wakes queued
-// waiters. Releasing a lease twice (or one never acquired) is a no-op.
+// Release returns the lease's arcs to the registry. Releasing a lease
+// twice (or one never acquired) is a no-op.
 func (ls *Leases) Release(l *Lease) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if _, ok := ls.held[l]; !ok {
-		return
-	}
 	delete(ls.held, l)
-	ls.cond.Broadcast()
-}
-
-// Held returns the number of currently held leases.
-func (ls *Leases) Held() int {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return len(ls.held)
 }
 
 // sourcePad mirrors the ulp padding the incremental graph engine applies

@@ -122,15 +122,6 @@ func (l *olist) searchGT(p interval.Point) int {
 	return l.fenPrefix(c) + in
 }
 
-// coverSeg returns the rank of the last point <= p (wrapping to the
-// global last point when p precedes every point), that point, and its
-// ring-successor point. The list must be non-empty.
-func (l *olist) coverSeg(p interval.Point) (int, interval.Point, interval.Point) {
-	c, j := l.coverPos(p)
-	cov, succ := l.pairAndSucc(c, j)
-	return l.fenPrefix(c) + j, cov, succ
-}
-
 // coverPos locates the chunk and offset of the last point <= p, wrapping
 // to the global last element when p precedes every point.
 func (l *olist) coverPos(p interval.Point) (int, int) {
@@ -163,8 +154,9 @@ func (l *olist) pairAndSucc(c, j int) (interval.Point, interval.Point) {
 	return ck.pts[j], l.chunks[0].pts[0]
 }
 
-// coverSegOnly is coverSeg without the rank computation (no Fenwick
-// descent): just the covering point and its ring successor.
+// coverSegOnly returns the last point <= p (wrapping) and its
+// ring-successor point, with no rank computation (no Fenwick descent). The
+// list must be non-empty.
 func (l *olist) coverSegOnly(p interval.Point) (interval.Point, interval.Point) {
 	c, j := l.coverPos(p)
 	return l.pairAndSucc(c, j)

@@ -105,24 +105,25 @@ func TestOlistDifferential(t *testing.T) {
 			if gp != ref.pts[i] || gh != ref.hs[i] {
 				t.Fatalf("op %d: at(%d) = (%v,%d), want (%v,%d)", op, i, gp, gh, ref.pts[i], ref.hs[i])
 			}
-			gi, gc, gs := l.coverSeg(p)
+			gc, gs := l.coverSegOnly(p)
 			wi := ref.searchGT(p) - 1
 			if wi < 0 {
 				wi = len(ref.pts) - 1
 			}
 			ws := ref.pts[(wi+1)%len(ref.pts)]
-			if gi != wi || gc != ref.pts[wi] || gs != ws {
-				t.Fatalf("op %d: coverSeg(%v) = (%d,%v,%v), want (%d,%v,%v)",
-					op, p, gi, gc, gs, wi, ref.pts[wi], ws)
+			if gc != ref.pts[wi] || gs != ws {
+				t.Fatalf("op %d: coverSegOnly(%v) = (%v,%v), want (%v,%v)",
+					op, p, gc, gs, ref.pts[wi], ws)
 			}
 		}
 	}
 	checkAgainstRef(t, -1, &l, &ref)
 }
 
-// TestCoverHandlesOfArc: the chunk-walking handle enumeration agrees with
-// the index-based CoversOfArc + HandleAt composition on random rings and
-// arcs, including wrap-around and full-circle arcs.
+// TestCoverHandlesOfArc: the chunk-walking handle enumeration lists, in
+// ring order from the cover of arc.Start, exactly the run of servers whose
+// segments overlap the arc — checked against a rank-by-rank walk on random
+// rings and arcs, including wrap-around and full-circle arcs.
 func TestCoverHandlesOfArc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	r := New()
@@ -132,8 +133,12 @@ func TestCoverHandlesOfArc(t *testing.T) {
 	check := func(arc interval.Segment) {
 		t.Helper()
 		want := make([]Handle, 0, 8)
-		for _, c := range r.CoversOfArc(arc) {
-			want = append(want, r.HandleAt(c))
+		i := r.Cover(arc.Start)
+		if arc.Len == 0 {
+			i = 0 // the full circle is listed in index order
+		}
+		for k := 0; k < r.N() && r.Segment(i).Overlaps(arc); k, i = k+1, r.Successor(i) {
+			want = append(want, r.HandleAt(i))
 		}
 		got := r.CoverHandlesOfArc(arc)
 		if len(got) != len(want) {

@@ -160,24 +160,6 @@ func (r *Ring) IndexOfHandle(h Handle) (int, bool) {
 	return r.ol.searchGT(p) - 1, true // p is present, so rank(p) = searchGT(p)-1
 }
 
-// PointOfHandle returns the point of the server named by h (O(1)).
-func (r *Ring) PointOfHandle(h Handle) (interval.Point, bool) {
-	p, ok := r.byH[h]
-	return p, ok
-}
-
-// RemoveHandle deletes the server named by h, reporting the index it
-// occupied. It is the churn-safe form of RemoveAt: the handle cannot be
-// invalidated by unrelated joins or leaves.
-func (r *Ring) RemoveHandle(h Handle) (int, bool) {
-	i, ok := r.IndexOfHandle(h)
-	if !ok {
-		return 0, false
-	}
-	r.RemoveAt(i)
-	return i, true
-}
-
 // Remove deletes the server with the given point, reporting whether it was
 // present.
 func (r *Ring) Remove(p interval.Point) bool {
@@ -223,17 +205,6 @@ func (v *view) Cover(p interval.Point) int {
 // CoverHandle returns the stable handle of the server covering p.
 func (v *view) CoverHandle(p interval.Point) Handle {
 	return v.HandleAt(v.Cover(p))
-}
-
-// CoverSegment returns the index of the server covering p together with
-// its segment, in a single ordered-list descent — the probe primitive of
-// the §4 ID-selection algorithms, which sample Θ(log n) segments per join.
-func (v *view) CoverSegment(p interval.Point) (int, interval.Segment) {
-	if v.N() == 1 {
-		return 0, interval.FullCircle
-	}
-	i, x, next := v.ol.coverSeg(p)
-	return i, interval.Segment{Start: x, Len: uint64(next - x)}
 }
 
 // SegmentOf returns the segment of the server covering p without
@@ -327,43 +298,13 @@ func (r *Ring) Smoothness() float64 {
 	return float64(max) / float64(min)
 }
 
-// CoversOfArc returns the indices of all servers whose segments intersect
-// the arc (in ring order starting at the server covering arc.Start). This
-// enumerates the discrete endpoints of a continuous edge image and is the
-// primitive behind edge derivation (§2.1: "two cells are connected if they
-// contain adjacent points in the continuous graph").
-func (r *Ring) CoversOfArc(arc interval.Segment) []int {
-	n := r.N()
-	if n == 0 {
-		return nil
-	}
-	if arc.Len == 0 { // full circle
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	out := []int{r.Cover(arc.Start)}
-	i := r.Successor(out[0])
-	for len(out) < n {
-		// x_i is the start of the next segment; it intersects the arc iff it
-		// lies strictly inside [arc.Start, arc.End).
-		p := r.Point(i)
-		if uint64(p-arc.Start) >= arc.Len || p == arc.Start {
-			break
-		}
-		out = append(out, i)
-		i = r.Successor(i)
-	}
-	return out
-}
-
-// CoverHandlesOfArc is the handle-native CoversOfArc: the stable handles
-// of all servers whose segments intersect the arc, in ring order. It walks
-// the ordered list chunk-wise — O(log n + covers), no per-step rank
-// computation — and is the primitive the incremental graph engine derives
-// edges with.
+// CoverHandlesOfArc returns the stable handles of all servers whose
+// segments intersect the arc, in ring order starting at the server
+// covering arc.Start. This enumerates the discrete endpoints of a
+// continuous edge image and is the primitive behind edge derivation (§2.1:
+// "two cells are connected if they contain adjacent points in the
+// continuous graph"). It walks the ordered list chunk-wise — O(log n +
+// covers), no per-step rank computation.
 func (v *view) CoverHandlesOfArc(arc interval.Segment) []Handle {
 	n := v.N()
 	if n == 0 {

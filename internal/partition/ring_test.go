@@ -122,31 +122,27 @@ func TestSmoothnessEquallySpaced(t *testing.T) {
 
 func TestCoversOfArc(t *testing.T) {
 	r := FromPoints([]interval.Point{pt(0.0), pt(0.25), pt(0.5), pt(0.75)})
-	got := r.CoversOfArc(interval.Segment{Start: pt(0.3), Len: uint64(pt(0.3))})
-	// Arc [0.3, 0.6) intersects segments of 0.25 and 0.5.
-	want := []int{1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("CoversOfArc = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("CoversOfArc = %v, want %v", got, want)
+	check := func(name string, arc interval.Segment, want ...int) {
+		t.Helper()
+		got := r.CoverHandlesOfArc(arc)
+		if len(got) != len(want) {
+			t.Fatalf("%s: CoverHandlesOfArc = %v, want the handles at %v", name, got, want)
+		}
+		for i := range got {
+			if got[i] != r.HandleAt(want[i]) {
+				t.Fatalf("%s: CoverHandlesOfArc = %v, want the handles at %v", name, got, want)
+			}
 		}
 	}
+	// Arc [0.3, 0.6) intersects segments of 0.25 and 0.5.
+	check("inner", interval.Segment{Start: pt(0.3), Len: uint64(pt(0.3))}, 1, 2)
 	// Wrapping arc [0.9, 0.1).
-	got = r.CoversOfArc(interval.Segment{Start: pt(0.9), Len: uint64(pt(0.2))})
-	want = []int{3, 0}
-	if len(got) != 2 || got[0] != 3 || got[1] != 0 {
-		t.Fatalf("wrapping CoversOfArc = %v, want %v", got, want)
-	}
-	// Full circle.
-	if got := r.CoversOfArc(interval.FullCircle); len(got) != 4 {
-		t.Fatalf("full-circle arc should cover all: %v", got)
-	}
+	check("wrapping", interval.Segment{Start: pt(0.9), Len: uint64(pt(0.2))}, 3, 0)
+	check("full circle", interval.FullCircle, 0, 1, 2, 3)
 }
 
-// TestCoversOfArcExhaustive cross-checks CoversOfArc against a brute-force
-// overlap scan on random rings.
+// TestCoversOfArcExhaustive cross-checks CoverHandlesOfArc against a
+// brute-force overlap scan on random rings.
 func TestCoversOfArcExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	for trial := 0; trial < 100; trial++ {
@@ -157,15 +153,15 @@ func TestCoversOfArcExhaustive(t *testing.T) {
 		}
 		r := FromPoints(pts)
 		arc := interval.Segment{Start: interval.Point(rng.Uint64()), Len: rng.Uint64N(1 << 62)}
-		got := map[int]bool{}
-		for _, i := range r.CoversOfArc(arc) {
-			got[i] = true
+		got := map[Handle]bool{}
+		for _, h := range r.CoverHandlesOfArc(arc) {
+			got[h] = true
 		}
 		for i := 0; i < r.N(); i++ {
 			want := r.Segment(i).Overlaps(arc)
-			if got[i] != want {
-				t.Fatalf("trial %d: server %d overlap=%v but CoversOfArc says %v (arc %v, seg %v)",
-					trial, i, want, got[i], arc, r.Segment(i))
+			if got[r.HandleAt(i)] != want {
+				t.Fatalf("trial %d: server %d overlap=%v but CoverHandlesOfArc says %v (arc %v, seg %v)",
+					trial, i, want, !want, arc, r.Segment(i))
 			}
 		}
 	}

@@ -94,11 +94,6 @@ func TestSnapshotQueriesMatchRing(t *testing.T) {
 			if s.SegmentOf(p) != r.SegmentOf(p) {
 				t.Fatalf("n=%d: SegmentOf(%d) differs", n, p)
 			}
-			i1, seg1 := s.CoverSegment(p)
-			i2, seg2 := r.CoverSegment(p)
-			if i1 != i2 || seg1 != seg2 {
-				t.Fatalf("n=%d: CoverSegment(%d) differs", n, p)
-			}
 			arc := interval.Segment{Start: p, Len: rng.Uint64() >> 40}
 			sh := s.CoverHandlesOfArc(arc)
 			rh := r.CoverHandlesOfArc(arc)

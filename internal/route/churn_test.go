@@ -33,7 +33,7 @@ func TestChurnPreservesLoadAndRouting(t *testing.T) {
 	if !ok {
 		t.Fatal("insert failed")
 	}
-	if nw.LoadAt(idx) != 0 || sum() != before {
+	if nw.LoadOf(ring.HandleAt(idx)) != 0 || sum() != before {
 		t.Fatalf("join corrupted load accounting (sum %d -> %d)", before, sum())
 	}
 

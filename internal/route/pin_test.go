@@ -76,6 +76,39 @@ func TestDHLookupPinned(t *testing.T) {
 	}
 }
 
+// TestFastLookupPinned pins Fast Lookup's paths (10⁴ lookups on a
+// Multiple-Choice ring of 1024 servers) to digests recorded before the
+// plan moved into FastPlan/FastAdvance: a different depth t, a skipped or
+// extra hop, or a different final ring hop shifts them.
+func TestFastLookupPinned(t *testing.T) {
+	for _, tc := range []struct {
+		delta uint64
+		want  uint64
+	}{
+		{2, 0xa63d4bfeec2ac791},
+		{4, 0x5225fd09331dc12a},
+	} {
+		nw, rng := smoothNetwork(1024, tc.delta, 93)
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		n := nw.G.N()
+		for i := 0; i < 10000; i++ {
+			path := nw.FastLookup(rng.IntN(n), interval.Point(rng.Uint64()))
+			put(uint64(len(path)))
+			for _, v := range path {
+				put(uint64(v))
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("∆=%d: Fast Lookup digest %#x, want %#x", tc.delta, got, tc.want)
+		}
+	}
+}
+
 // dhLookupAllocCeiling is what DHLookup allocates per call at n=4096 if it
 // builds a Trace and throws it away (38; it allocates 28 without). Every
 // simulator Get and Put pays this, so the trace must stay opt-in.

@@ -107,13 +107,6 @@ type Network struct {
 	// concurrent lookups.
 	load loadCounter
 
-	// loadIdx, when non-nil, redirects metering to a dense index-addressed
-	// vector instead of load. Only the worker shadows of
-	// ParallelRandomLookups use it: they route over a frozen graph, where
-	// indices are stable for the whole batch, so the per-hop handle
-	// resolution can be deferred to one index→handle pass at merge time.
-	loadIdx []int64
-
 	// lookups/hops are pre-resolved telemetry handles (see SetTelemetry);
 	// recording is a pure atomic write, so lookups stay wait-free. They
 	// observe only — no decision ever reads them back, which keeps every
@@ -163,10 +156,6 @@ func (nw *Network) LoadOf(h partition.Handle) int64 { return nw.load.get(h) }
 // LoadMap materializes the nonzero per-server loads as a fresh map.
 func (nw *Network) LoadMap() map[partition.Handle]int64 { return nw.load.snapshot() }
 
-// LoadAt returns the load of the server currently at ring index i (an
-// index-era convenience; the index is resolved to a handle at call time).
-func (nw *Network) LoadAt(i int) int64 { return nw.load.get(nw.G.Ring.HandleAt(i)) }
-
 // visit appends server v to the path if it differs from the current last
 // element, and counts its load against the server's stable handle, as
 // named by the lookup's snapshot.
@@ -174,18 +163,14 @@ func (nw *Network) visit(snap *partition.Snapshot, path []int, v int) []int {
 	if len(path) > 0 && path[len(path)-1] == v {
 		return path
 	}
-	if nw.loadIdx != nil {
-		nw.loadIdx[v]++
-	} else {
-		nw.load.add(snap.HandleAt(v), 1)
-	}
+	nw.load.add(snap.HandleAt(v), 1)
 	return append(path, v)
 }
 
 // maxWalkSteps bounds walk lengths: enough steps for the walk distance to
 // shrink below any segment (∆^steps >= 2^64), with slack.
-func (nw *Network) maxWalkSteps() uint {
-	return uint(math.Ceil(64/math.Log2(float64(nw.G.Delta)))) + 2
+func maxWalkSteps(delta uint64) uint {
+	return uint(math.Ceil(64/math.Log2(float64(delta)))) + 2
 }
 
 // clampSrc folds a caller-supplied source index into the snapshot's index
@@ -241,31 +226,55 @@ func (nw *Network) coversImage(snap *partition.Snapshot, i, j int) bool {
 	return false
 }
 
+// FastPlan is step 1 of the Fast Lookup of §2.2.1 at a server owning seg:
+// with z the middle of seg, it returns the minimal depth t at which the
+// walk w(σ(z)_t, y) enters seg — chosen in advance, as the paper requires
+// — and that walk's position. The lookup is then t backward steps from pos,
+// the last of which lands within ∆^-t of y. The simulator and the live
+// node both plan with it, so their hop sequences agree.
+func FastPlan(seg interval.Segment, y interval.Point, delta uint64) (pos interval.Point, t uint) {
+	z := seg.Mid()
+	for maxT := maxWalkSteps(delta); ; t++ {
+		pos = interval.DeltaWalkPrefix(z, y, delta, t)
+		if t >= maxT || seg.Contains(pos) {
+			return pos, t
+		}
+	}
+}
+
+// FastAdvance takes the backward steps of a planned walk that need no
+// message: it steps pos backward while steps remain and the next position
+// is still inside seg. With steps left over on return, the next backward
+// step leaves seg and is a network hop.
+func FastAdvance(seg interval.Segment, pos interval.Point, steps uint, delta uint64) (interval.Point, uint) {
+	for steps > 0 {
+		next := interval.DeltaBack(pos, delta)
+		if !seg.Contains(next) {
+			break
+		}
+		pos, steps = next, steps-1
+	}
+	return pos, steps
+}
+
 // FastLookup routes a lookup from server src to the server covering y using
 // the Fast Lookup of §2.2.1 and returns the path of distinct servers
-// visited (src first). The walk target z is the midpoint of src's segment;
-// t is the minimal depth at which the walk w(σ(z)_t, y) enters src's
-// segment, chosen in advance as the paper requires.
+// visited (src first).
 func (nw *Network) FastLookup(src int, y interval.Point) []int {
 	snap := nw.G.Ring.Snapshot()
 	delta := nw.G.Delta
 	src = clampSrc(snap, src)
 	seg := snap.Segment(src)
-	z := seg.Mid()
-
-	var t uint
-	maxT := nw.maxWalkSteps()
-	for t = 0; t <= maxT; t++ {
-		if seg.Contains(interval.DeltaWalkPrefix(z, y, delta, t)) {
+	path := nw.visit(snap, nil, src)
+	pos, steps := FastPlan(seg, y, delta)
+	for {
+		if pos, steps = FastAdvance(seg, pos, steps, delta); steps == 0 {
 			break
 		}
-	}
-
-	path := nw.visit(snap, nil, src)
-	h := interval.DeltaWalkPrefix(z, y, delta, t)
-	for step := t; step > 0; step-- {
-		h = interval.DeltaBack(h, delta)
-		path = nw.visit(snap, path, snap.Cover(h))
+		pos, steps = interval.DeltaBack(pos, delta), steps-1
+		cur := snap.Cover(pos)
+		path = nw.visit(snap, path, cur)
+		seg = snap.Segment(cur)
 	}
 	// The walk endpoint equals y truncated to its top bits; deliver to the
 	// exact cover of y (at most one extra ring hop, guarding the fixed-point
@@ -337,7 +346,7 @@ func (nw *Network) dhWalk(src int, y interval.Point, rng *rand.Rand, tr *Trace,
 	cur := src
 	path = nw.visit(snap, nil, src)
 
-	maxT := nw.maxWalkSteps()
+	maxT := maxWalkSteps(delta)
 	for t := uint(0); ; t++ {
 		cq := snap.Cover(q)
 		if cq == cur || nw.snapNeighbor(snap, cur, cq) {

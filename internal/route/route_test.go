@@ -277,7 +277,7 @@ func TestCongestionProportionalToSegment(t *testing.T) {
 	}
 	ps := make([]pair, n)
 	for i := 0; i < n; i++ {
-		ps[i] = pair{nw.G.Ring.Segment(i).Len, nw.LoadAt(i)}
+		ps[i] = pair{nw.G.Ring.Segment(i).Len, nw.LoadOf(nw.G.Ring.HandleAt(i))}
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].len < ps[j].len })
 	var lo, hi int64

@@ -645,41 +645,6 @@ func (s *Log) MergeFrom(src Store) error {
 	return Clear(src)
 }
 
-// drainItems atomically collects and removes every item in seg — the
-// collection and the range tombstone happen under one lock hold, so no
-// concurrent write can slip into the gap.
-func (s *Log) drainItems(seg interval.Segment) ([]Item, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errClosed
-	}
-	var items []Item
-	var rerr error
-	for _, r := range ranges(seg) {
-		s.idx.ascendRange(r, func(e entry[lloc]) bool {
-			v, err := s.readValue(e.val)
-			if err != nil {
-				rerr = err
-				return false
-			}
-			items = append(items, Item{Point: e.p, Key: e.key, Value: v})
-			return true
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-	}
-	if len(items) == 0 {
-		return nil, nil
-	}
-	if err := s.dropRangeLocked(seg); err != nil {
-		return nil, err
-	}
-	s.maybeCompact()
-	return items, nil
-}
-
 // Cursor returns a batched ring-order iterator over seg. Each Next preads
 // its batch's values from the WAL segments under one lock hold — the
 // memory high-water mark of a full-range walk is one batch, not the

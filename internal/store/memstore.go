@@ -200,23 +200,6 @@ func (c *memCursor) Next(max int) ([]Item, error) {
 
 func (c *memCursor) Close() error { return nil }
 
-// drainItems atomically collects and removes every item in seg (one lock
-// hold — no concurrent write can land in the gap).
-func (m *Mem) drainItems(seg interval.Segment) ([]Item, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var items []Item
-	for _, r := range ranges(seg) {
-		cs, _ := m.l.extractRange(r)
-		for _, c := range cs {
-			for _, e := range c.es {
-				items = append(items, Item{Point: e.p, Key: e.key, Value: e.val})
-			}
-		}
-	}
-	return items, nil
-}
-
 // Close is a no-op for the in-memory engine.
 func (m *Mem) Close() error { return nil }
 

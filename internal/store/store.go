@@ -136,39 +136,10 @@ func PutIfAbsent(s Store, p interval.Point, key string, value []byte) (bool, err
 	return true, s.Put(p, key, value)
 }
 
-// atomicDrainer is the engines' collect-and-remove fast path: both steps
-// happen under one lock hold, so no concurrent write lands in the gap.
-type atomicDrainer interface {
-	drainItems(seg interval.Segment) ([]Item, error)
-}
-
-// Drain removes and returns all items of s whose point lies in seg, in
-// (point, key) order — the wire-transfer form of a range move (the TCP
-// node serializes the result into a Join response). On the built-in
-// engines the collection and removal are one atomic step.
-func Drain(s Store, seg interval.Segment) ([]Item, error) {
-	if ad, ok := s.(atomicDrainer); ok {
-		return ad.drainItems(seg)
-	}
-	var items []Item
-	if err := s.Ascend(seg, func(it Item) bool {
-		items = append(items, it)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	for _, it := range items {
-		if err := s.Delete(it.Point, it.Key); err != nil {
-			return items, err
-		}
-	}
-	return items, nil
-}
-
 // Clear removes every item of s without reading any values: one range
 // tombstone (Log) or chunk drop (Mem). Use it when the items were already
-// transferred and only the removal is needed (the TCP node's post-handoff
-// drain).
+// transferred and only the removal is needed (the last step of a
+// cross-engine MergeFrom).
 func Clear(s Store) error {
 	return s.DeleteRange(interval.FullCircle)
 }

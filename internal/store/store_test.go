@@ -325,7 +325,9 @@ func TestStoreSameEngineIdentity(t *testing.T) {
 	})
 }
 
-// TestDrain: Drain returns seg's items in order and removes them.
+// TestDrain: draining a range the way a handoff does — stream it out
+// through a Cursor, then DeleteRange — yields exactly seg's items and
+// leaves none of them behind.
 func TestDrain(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, open func() Store) {
 		s := open()
@@ -334,9 +336,24 @@ func TestDrain(t *testing.T) {
 			mustPut(t, s, interval.Point(uint64(i)<<59), fmt.Sprintf("k%02d", i), "v")
 		}
 		seg := interval.Segment{Start: 1 << 62, Len: 1 << 62}
-		items, err := Drain(s, seg)
-		if err != nil {
+		var items []Item
+		cur := s.Cursor(seg)
+		for {
+			batch, err := cur.Next(5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			items = append(items, batch...)
+		}
+		cur.Close()
+		if err := s.DeleteRange(seg); err != nil {
 			t.Fatal(err)
+		}
+		if len(items) != 8 {
+			t.Fatalf("cursor yielded %d items of seg, want 8", len(items))
 		}
 		for _, it := range items {
 			if !seg.Contains(it.Point) {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -233,13 +232,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[h.name] = h.snapshot()
 	}
 	return s
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // family splits a series name into its metric family and label part

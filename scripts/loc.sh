@@ -1,0 +1,18 @@
+#!/usr/bin/env bash
+# loc.sh — the ROADMAP's code-size count: lines of non-test Go outside
+# benchmark/, per top-level package and in total. Report only.
+#
+# Usage: scripts/loc.sh   (from anywhere)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# count FIND-ARGS... — lines in the non-test .go files find selects.
+count() {
+  find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 -r cat | wc -l
+}
+
+printf '%7d  %s\n' "$(count . -maxdepth 1)" "(root package)"
+for dir in cmd/* examples/* internal/*; do
+  printf '%7d  %s\n' "$(count "./$dir")" "$dir"
+done
+printf '%7d  total\n' "$(count .)"
