@@ -18,7 +18,6 @@ import (
 	"condisc/internal/cache"
 	"condisc/internal/dhgraph"
 	"condisc/internal/experiments"
-	"condisc/internal/interval"
 	"condisc/internal/route"
 	"condisc/internal/store"
 )
@@ -267,7 +266,7 @@ func BenchmarkReadUnderChurn(b *testing.B) {
 // fullRebuild reproduces the seed's per-churn work: rebuild the discrete
 // graph and network from scratch, recreate the caching system (discarding
 // all §3 state), and rehash every stored item.
-func fullRebuild(d *DHT) {
+func fullRebuild(b *testing.B, d *DHT) {
 	old := d.stores
 	d.net = route.NewNetwork(dhgraph.Build(d.ring, d.opts.Delta))
 	if d.opts.Delta == 2 && d.opts.CacheThreshold >= 0 {
@@ -284,9 +283,8 @@ func fullRebuild(d *DHT) {
 		d.stores[d.ring.HandleAt(i)] = d.newStore()
 	}
 	for _, m := range old {
-		m.Ascend(interval.FullCircle, func(it store.Item) bool {
+		eachItem(b, m, func(it store.Item) {
 			d.stores[d.ring.CoverHandle(it.Point)].Put(it.Point, it.Key, it.Value)
-			return true
 		})
 	}
 }
@@ -300,7 +298,7 @@ func BenchmarkJoinFullRebuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := d.Join()
-		fullRebuild(d)
+		fullRebuild(b, d)
 		b.StopTimer()
 		if err := d.Leave(id); err != nil {
 			b.Fatal(err)
@@ -321,7 +319,7 @@ func BenchmarkLeaveFullRebuild(b *testing.B) {
 		if err := d.Leave(id); err != nil {
 			b.Fatal(err)
 		}
-		fullRebuild(d)
+		fullRebuild(b, d)
 	}
 }
 

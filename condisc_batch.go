@@ -477,9 +477,11 @@ func (d *DHT) WriteState(w io.Writer) error {
 		if !ok {
 			return fmt.Errorf("condisc: server %d has no store", h)
 		}
-		if err := s.Ascend(interval.FullCircle, func(it store.Item) bool {
-			fmt.Fprintf(w, "  item p=%d k=%q v=%q\n", uint64(it.Point), it.Key, it.Value)
-			return true
+		if err := store.Scan(s, interval.FullCircle, func(items []store.Item) error {
+			for _, it := range items {
+				fmt.Fprintf(w, "  item p=%d k=%q v=%q\n", uint64(it.Point), it.Key, it.Value)
+			}
+			return nil
 		}); err != nil {
 			return err
 		}

@@ -110,6 +110,20 @@ func TestStableServerIDs(t *testing.T) {
 	}
 }
 
+// eachItem calls fn for every item of s, in (point, key) order, through
+// store.Scan.
+func eachItem(t testing.TB, s store.Store, fn func(store.Item)) {
+	t.Helper()
+	if err := store.Scan(s, interval.FullCircle, func(items []store.Item) error {
+		for _, it := range items {
+			fn(it)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChurnItemConservation: across a long random churn trace every stored
 // item stays stored exactly once, at the server covering its hash point.
 func TestChurnItemConservation(t *testing.T) {
@@ -122,14 +136,13 @@ func TestChurnItemConservation(t *testing.T) {
 		total := 0
 		for id, s := range d.stores {
 			total += s.Len()
-			s.Ascend(interval.FullCircle, func(it store.Item) bool {
+			eachItem(t, s, func(it store.Item) {
 				if own := d.IDAt(d.Owner(it.Key)); own != id {
 					t.Fatalf("op %d: %q stored at %d, owned by %d", op, it.Key, id, own)
 				}
 				if d.hash.Point(it.Key) != it.Point {
 					t.Fatalf("op %d: %q stored under point %v, hashes to %v", op, it.Key, it.Point, d.hash.Point(it.Key))
 				}
-				return true
 			})
 		}
 		if total != items {

@@ -67,7 +67,7 @@ func BenchmarkHandoff(b *testing.B) {
 
 // BenchmarkMove measures the in-process path the simulator's Join/Leave
 // use: a fixed 1024-item range moved out of stores of growing resident
-// population — flat in residents, like the engines' SplitRange.
+// population — flat in residents, like (*Mem).SplitRange.
 func BenchmarkMove(b *testing.B) {
 	for _, resident := range []int{10_000, 1_000_000} {
 		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {

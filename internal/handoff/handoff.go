@@ -31,7 +31,11 @@
 // time; the receiver holds one decoded frame. Peak transfer memory is
 // O(chunk budget) however large the range is (BenchmarkHandoff sweeps
 // 1k → 1M items; TestStreamMemoryBounded holds the watermark to 4× the
-// chunk budget).
+// chunk budget). Promote keeps the same bound on the way from staging to
+// the live store: it is a MergeFrom, which copies one cursor batch
+// (batchItems) at a time and reads the next only once that one is in the
+// live store (TestPromoteMemoryBounded) — except Mem into Mem, which moves
+// chunk pointers and copies nothing.
 package handoff
 
 import (
@@ -46,8 +50,9 @@ const (
 	// sender flushes a frame once its encoded items pass this size.
 	DefaultChunkBytes = 256 << 10
 	// batchItems bounds one cursor batch (the inner fetch unit; several
-	// batches fill one frame when items are small).
-	batchItems = 256
+	// batches fill one frame when items are small) — the batch every
+	// store.Scan walk holds, too.
+	batchItems = store.ScanBatch
 )
 
 // transferMem is the package-wide accounting of bytes the transfer path
@@ -98,28 +103,20 @@ func itemBytes(items []store.Item) int64 {
 // against either the pre- or post-publish epoch finds every item at the
 // owner its epoch names. It returns the number of items copied.
 func Copy(src, dst store.Store, seg interval.Segment) (int, error) {
-	cur := src.Cursor(seg)
-	defer cur.Close()
 	copied := 0
-	for {
-		items, err := cur.Next(batchItems)
-		if err != nil {
-			return copied, err
-		}
-		if items == nil {
-			return copied, nil
-		}
+	err := store.Scan(src, seg, func(items []store.Item) error {
 		n := itemBytes(items)
 		transferMem.add(n)
+		defer transferMem.release(n)
 		for _, it := range items {
 			if err := dst.Put(it.Point, it.Key, it.Value); err != nil {
-				transferMem.release(n)
-				return copied, err
+				return err
 			}
 			copied++
 		}
-		transferMem.release(n)
-	}
+		return nil
+	})
+	return copied, err
 }
 
 // Move transfers seg's items from src to dst through the bounded-memory

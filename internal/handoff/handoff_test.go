@@ -21,6 +21,19 @@ func fill(t testing.TB, s store.Store, n int, val []byte) {
 	}
 }
 
+// scanItems collects seg's items through store.Scan.
+func scanItems(t testing.TB, s store.Store, seg interval.Segment) []store.Item {
+	t.Helper()
+	var got []store.Item
+	if err := store.Scan(s, seg, func(items []store.Item) error {
+		got = append(got, items...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestMove: the in-process transfer moves exactly the segment, leaves the
 // rest, and deletes the moved range at the source.
 func TestMove(t *testing.T) {
@@ -35,12 +48,11 @@ func TestMove(t *testing.T) {
 	if moved != 16 || dst.Len() != 16 || src.Len() != 112 {
 		t.Fatalf("moved %d, dst %d, src %d; want 16/16/112", moved, dst.Len(), src.Len())
 	}
-	dst.Ascend(interval.FullCircle, func(it store.Item) bool {
+	for _, it := range scanItems(t, dst, interval.FullCircle) {
 		if !seg.Contains(it.Point) {
 			t.Fatalf("item %s outside the moved segment", it.Key)
 		}
-		return true
-	})
+	}
 }
 
 // TestStreamRoundtrip: a full sender→receiver stream over an in-memory
@@ -311,5 +323,71 @@ func TestStreamMemoryBounded(t *testing.T) {
 	}
 	if p := peak(100_000, DefaultChunkBytes); p > 4*DefaultChunkBytes {
 		t.Fatalf("100k items peaked at %d B > %d B (4× the chunk budget)", p, 4*DefaultChunkBytes)
+	}
+}
+
+// recordingStore is a staging store whose cursors check, at every batch
+// request, that everything handed out so far already sits in dst.
+type recordingStore struct {
+	store.Store
+	t        *testing.T
+	dst      store.Store
+	handed   int // items handed out by Next so far
+	requests int
+}
+
+func (r *recordingStore) Cursor(seg interval.Segment) store.Cursor {
+	return &recordingCursor{Cursor: r.Store.Cursor(seg), r: r}
+}
+
+type recordingCursor struct {
+	store.Cursor
+	r *recordingStore
+}
+
+func (c *recordingCursor) Next(max int) ([]store.Item, error) {
+	r := c.r
+	r.requests++
+	if max > batchItems {
+		r.t.Errorf("request %d asks for %d items, more than one batch (%d)", r.requests, max, batchItems)
+	}
+	if in := r.dst.Len(); in != r.handed {
+		r.t.Errorf("request %d: %d items handed out but %d in the destination — a batch is outstanding", r.requests, r.handed, in)
+	}
+	items, err := c.Cursor.Next(max)
+	r.handed += len(items)
+	return items, err
+}
+
+// TestPromoteMemoryBounded: promoting a WAL staging store into a WAL live
+// store holds one cursor batch, not the staged range (82 MB here): every
+// batch is in the live store before the next is read from staging. A
+// promote that collects the range first never asks the cursor for a second
+// batch with the first one delivered, so it cannot pass.
+func TestPromoteMemoryBounded(t *testing.T) {
+	const n = 20_000
+	recv, err := Begin(t.TempDir(), 1, RoleJoin, interval.FullCircle, "t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, recv.staging, n, make([]byte, 4<<10))
+	live, err := store.OpenLog(t.TempDir(), store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	rec := &recordingStore{Store: recv.staging, t: t, dst: live}
+	recv.staging = rec
+	if err := recv.Promote(live); err != nil {
+		t.Fatal(err)
+	}
+	if want := n/batchItems + 1; rec.requests < want {
+		t.Fatalf("Promote read staging in %d cursor batches, want at least %d", rec.requests, want)
+	}
+	if live.Len() != n || recv.Staged() != 0 {
+		t.Fatalf("promoted %d of %d items, %d left staged", live.Len(), n, recv.Staged())
+	}
+	if err := recv.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -168,19 +168,15 @@ func (r *Receiver) Apply(items []store.Item) error {
 // connection asks the sender to continue strictly after this position.
 // ok is false when nothing is staged yet.
 func (r *Receiver) ResumeAfter() (p interval.Point, key string, ok bool, err error) {
-	cur := r.staging.Cursor(r.Seg)
-	defer cur.Close()
-	for {
-		items, err := cur.Next(batchItems)
-		if err != nil {
-			return 0, "", false, err
-		}
-		if items == nil {
-			return p, key, ok, nil
-		}
+	err = store.Scan(r.staging, r.Seg, func(items []store.Item) error {
 		last := items[len(items)-1]
 		p, key, ok = last.Point, last.Key, true
+		return nil
+	})
+	if err != nil {
+		return 0, "", false, err
 	}
+	return p, key, ok, nil
 }
 
 // MarkPromoting durably records that staged items may start reaching the

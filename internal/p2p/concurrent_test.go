@@ -23,7 +23,7 @@ import (
 // every key stays readable from every node.
 func TestConcurrentJoinsSameOwner(t *testing.T) {
 	const items = 200
-	owner, _ := handoffHarness(t, 140, items, WithHandoffTTL(30*time.Second))
+	owner, _ := handoffHarness(t, 140, items, withHandoffTTL(30*time.Second))
 	defer owner.Close()
 
 	aPaused := make(chan struct{})

@@ -2,12 +2,11 @@ package p2p
 
 // This file wires the internal/handoff session protocol into the node:
 // Join and Leave both move their segment's items as a streaming, two-phase
-// (prepare → stream → commit) transfer instead of a gob map inside one
-// RPC. Ownership — ring pointers on the sender plus the sender-side range
-// delete — flips only at commit, and the receiver promotes its durably
-// staged items into its live store BEFORE asking for that commit, so a
-// crash or disconnect at any point leaves exactly one owner and every
-// item in at least one durable store.
+// (prepare → stream → commit) transfer. Ownership — ring pointers on the
+// sender plus the sender-side range delete — flips only at commit, and the
+// receiver promotes its durably staged items into its live store BEFORE
+// asking for that commit, so a crash or disconnect at any point leaves
+// exactly one owner and every item in at least one durable store.
 //
 // Join (the joiner drives; the segment owner is the sender):
 //

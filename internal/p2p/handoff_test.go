@@ -12,6 +12,20 @@ import (
 	"condisc/internal/telemetry"
 )
 
+// withHandoffTTL shrinks the receiver-silence deadline after which the
+// node, as a handoff sender, aborts a streaming session and keeps its
+// range (handoff.DefaultTTL otherwise), to exercise the expiry paths.
+func withHandoffTTL(d time.Duration) NodeOption {
+	return func(n *Node) { n.handoffTTL = d }
+}
+
+// withChunkBytes shrinks the per-frame byte budget of the node's outgoing
+// handoff streams (handoff.DefaultChunkBytes otherwise), so a small range
+// spans many frames.
+func withChunkBytes(b int) NodeOption {
+	return func(n *Node) { n.chunkBytes = b }
+}
+
 // handoffHarness: a log-backed single-node network holding `items` keys,
 // with a tiny chunk budget so a join transfer spans many frames.
 func handoffHarness(t *testing.T, seed uint64, items int, ownerOpts ...NodeOption) (*Node, string) {
@@ -21,7 +35,7 @@ func handoffHarness(t *testing.T, seed uint64, items int, ownerOpts ...NodeOptio
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := append([]NodeOption{WithStore(st), WithChunkBytes(256)}, ownerOpts...)
+	opts := append([]NodeOption{WithStore(st), withChunkBytes(256)}, ownerOpts...)
 	owner, err := NewNode("127.0.0.1:0", seed, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +183,7 @@ func TestJoinerKilledMidStreamThenResumes(t *testing.T) {
 // staging back and joins fresh — still exactly one copy of every item.
 func TestJoinerKilledExpiredSessionAbortsCleanly(t *testing.T) {
 	const items = 200
-	owner, _ := handoffHarness(t, 91, items, WithHandoffTTL(100*time.Millisecond))
+	owner, _ := handoffHarness(t, 91, items, withHandoffTTL(100*time.Millisecond))
 	defer owner.Close()
 
 	joinerDir := filepath.Join(t.TempDir(), "joiner")
@@ -234,7 +248,7 @@ func TestLeaveStreamsThroughDiskStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := NewNode("127.0.0.1:0", 55, WithStore(predStore), WithChunkBytes(256), WithHandoffTTL(2*time.Second))
+	pred, err := NewNode("127.0.0.1:0", 55, WithStore(predStore), withChunkBytes(256), withHandoffTTL(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +260,7 @@ func TestLeaveStreamsThroughDiskStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaver, err := NewNode("127.0.0.1:0", 55, WithStore(leaverStore), WithChunkBytes(256), WithHandoffTTL(2*time.Second))
+	leaver, err := NewNode("127.0.0.1:0", 55, WithStore(leaverStore), withChunkBytes(256), withHandoffTTL(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

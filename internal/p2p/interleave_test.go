@@ -27,12 +27,12 @@ import (
 // closes over all three nodes and every key stays readable.
 func TestJoinPreparesAndCommitsDuringLeaveAbsorption(t *testing.T) {
 	const items = 200
-	pred, _ := handoffHarness(t, 510, items, WithHandoffTTL(30*time.Second))
+	pred, _ := handoffHarness(t, 510, items, withHandoffTTL(30*time.Second))
 	defer pred.Close()
 
 	// The leaver joins with a tiny chunk budget so its leave stream back
 	// to pred spans many frames — room to freeze the absorption mid-way.
-	leaver, err := NewNode("127.0.0.1:0", 510, WithChunkBytes(256))
+	leaver, err := NewNode("127.0.0.1:0", 510, withChunkBytes(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +83,19 @@ func TestJoinPreparesAndCommitsDuringLeaveAbsorption(t *testing.T) {
 	if err := <-leaveErr; err == nil {
 		t.Fatal("leave committed although a join took the absorbed boundary; the absorption should have aborted")
 	}
+	// Leave() returns when pred's abort reaches the leaver; pred rolls its
+	// promoted copies back only after that RPC, so wait for its absorber.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		pred.mu.Lock()
+		absorbing = pred.absorbing
+		pred.mu.Unlock()
+		if absorbing == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pred's absorption still running 2 s after the leave resolved")
+		}
+	}
 
 	for round := 0; round < 3; round++ {
 		for _, n := range []*Node{pred, joiner, leaver} {
@@ -127,7 +140,7 @@ func TestJoinPreparesAndCommitsDuringLeaveAbsorption(t *testing.T) {
 // joiner simply rejoins against the extended segment.
 func TestLeaveCompletesDuringJoinStream(t *testing.T) {
 	const items = 200
-	owner, _ := handoffHarness(t, 530, items, WithHandoffTTL(30*time.Second))
+	owner, _ := handoffHarness(t, 530, items, withHandoffTTL(30*time.Second))
 	defer owner.Close()
 
 	leaverDir := t.TempDir()

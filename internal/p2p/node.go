@@ -192,21 +192,6 @@ func WithStore(s store.Store) NodeOption {
 	return func(n *Node) { n.data = s }
 }
 
-// WithHandoffTTL sets the receiver-silence deadline after which this
-// node, as a handoff sender, unilaterally aborts a streaming session and
-// keeps its range (default handoff.DefaultTTL). Tests shrink it to
-// exercise the expiry paths.
-func WithHandoffTTL(d time.Duration) NodeOption {
-	return func(n *Node) { n.handoffTTL = d }
-}
-
-// WithChunkBytes sets the per-frame byte budget of outgoing handoff
-// streams (default handoff.DefaultChunkBytes). Peak transfer memory on
-// both ends is O(this budget), independent of the range size.
-func WithChunkBytes(b int) NodeOption {
-	return func(n *Node) { n.chunkBytes = b }
-}
-
 // WithoutPatches disables the incremental join/leave backward-table
 // announcements: tables are then repaired only by Stabilize, making table
 // staleness a pure function of the stabilization interval (E31).
@@ -347,6 +332,9 @@ func NewNode(addr string, seed uint64, opts ...NodeOption) (*Node, error) {
 		ln:     ln,
 		hash:   hashing.NewKWise(8, rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))),
 		closed: make(chan struct{}),
+
+		handoffTTL: handoff.DefaultTTL,
+		chunkBytes: handoff.DefaultChunkBytes,
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -373,12 +361,6 @@ func NewNode(addr string, seed uint64, opts ...NodeOption) (*Node, error) {
 	}
 	if n.repl.Enabled() && n.rdata == nil {
 		n.rdata = store.NewMem()
-	}
-	if n.handoffTTL <= 0 {
-		n.handoffTTL = handoff.DefaultTTL
-	}
-	if n.chunkBytes <= 0 {
-		n.chunkBytes = handoff.DefaultChunkBytes
 	}
 	n.sessions = handoff.NewSessions(n.handoffTTL)
 	if lg, ok := n.data.(*store.Log); ok {

@@ -453,24 +453,29 @@ func (n *Node) runRepairs() {
 // at this node after the absorb is fresher than any replica and must
 // win, which is exactly store.PutIfAbsent's contract.
 //
-// The return value reports whether the gather contacted at least a
-// reconstruction quorum of remote holders (replicate.ReconstructQuorum,
-// capped by how many the chain names): only such a pass may retire the
-// segment — a gather that reached fewer holders (say, a partition right
-// after the absorb) may simply have missed payloads that still exist,
-// so the caller re-queues the segment instead.
+// The return value reports whether the gather read the local replica
+// store to its end and contacted at least a reconstruction quorum of
+// remote holders (replicate.ReconstructQuorum, capped by how many the
+// chain names): only such a pass may retire the segment — a gather that
+// reached fewer holders (say, a partition right after the absorb) may
+// simply have missed payloads that still exist, so the caller re-queues
+// the segment instead.
 func (n *Node) repairAbsorbed(seg interval.Segment, succs []NodeInfo) bool {
 	type ik struct {
 		p   interval.Point
 		key string
 	}
 	gathered := make(map[ik][][]byte)
-	add := func(it store.Item) {
-		k := ik{it.Point, it.Key}
-		gathered[k] = append(gathered[k], it.Value)
+	add := func(items []store.Item) error {
+		for _, it := range items {
+			k := ik{it.Point, it.Key}
+			gathered[k] = append(gathered[k], it.Value)
+		}
+		return nil
 	}
+	var localErr error
 	if n.rdata != nil {
-		_ = n.rdata.Ascend(seg, func(it store.Item) bool { add(it); return true })
+		localErr = store.Scan(n.rdata, seg, add)
 	}
 	remote, reached := 0, 0
 	for _, s := range succs {
@@ -483,9 +488,7 @@ func (n *Node) repairAbsorbed(seg interval.Segment, succs []NodeInfo) bool {
 			continue // a still-dead holder; the others suffice at quorum
 		}
 		reached++
-		for _, it := range items {
-			add(it)
-		}
+		add(items)
 	}
 	var repaired, volume int
 	for k, payloads := range gathered {
@@ -511,10 +514,12 @@ func (n *Node) repairAbsorbed(seg interval.Segment, succs []NodeInfo) bool {
 		// of them is the best any pass can do.
 		need = remote
 	}
-	ok := reached >= need
-	if !ok {
-		n.tel.Emitf("repair.absorbed", "gather for [%v,+%d) reached %d of %d holders (quorum %d); re-queueing segment",
-			seg.Start, seg.Len, reached, remote, need)
+	// A failed local read hides payloads just as an unreached holder does,
+	// and the local store counts toward no quorum: what was gathered is
+	// repaired above, but the segment is retired on neither.
+	if localErr != nil || reached < need {
+		n.tel.Emitf("repair.absorbed", "gather for [%v,+%d) reached %d of %d holders (quorum %d), local read error %v; re-queueing segment",
+			seg.Start, seg.Len, reached, remote, need, localErr)
 		return false
 	}
 	n.tel.Emitf("repair.absorbed", "re-materialized %d items (%d bytes) of [%v,+%d) from %d replica sources",
@@ -523,8 +528,9 @@ func (n *Node) repairAbsorbed(seg interval.Segment, succs []NodeInfo) bool {
 }
 
 // repairOwned re-replicates the owned range to the current successor
-// chain. It walks the live store with a cursor (so concurrent writes
-// interleave freely) in rate-limited batches.
+// chain. It walks the live store by store.Scan (no store lock is held
+// while pushing, so concurrent writes interleave freely), pausing after
+// every repairBatch items.
 func (n *Node) repairOwned(seg interval.Segment, succs []NodeInfo) {
 	targets := 0
 	for _, s := range succs {
@@ -535,20 +541,17 @@ func (n *Node) repairOwned(seg interval.Segment, succs []NodeInfo) {
 	if targets == 0 {
 		return
 	}
-	cur := n.data.Cursor(seg)
-	defer cur.Close()
 	pushed := 0
-	for {
-		items, err := cur.Next(repairBatch)
-		if err != nil || len(items) == 0 {
-			break
-		}
+	// A read error just ends the pass early: the next dirty round pushes again.
+	_ = store.Scan(n.data, seg, func(items []store.Item) error {
 		for _, it := range items {
 			n.pushReplicas(uint64(it.Point), it.Key, it.Value, succs)
-			pushed++
+			if pushed++; pushed%repairBatch == 0 {
+				time.Sleep(repairPause)
+			}
 		}
-		time.Sleep(repairPause)
-	}
+		return nil
+	})
 	if pushed > 0 {
 		n.tel.Emitf("repair.owned", "re-replicated %d owned items to %d successors", pushed, targets)
 	}

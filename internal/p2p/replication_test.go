@@ -12,6 +12,7 @@ import (
 	"condisc/internal/interval"
 	"condisc/internal/journal"
 	"condisc/internal/replicate"
+	"condisc/internal/store"
 )
 
 // replCluster boots an n-node cluster with K-successor replication, a
@@ -432,5 +433,68 @@ func TestCrashRepairRestoresReplicationFactor(t *testing.T) {
 		if copies < 2 {
 			t.Fatalf("key %s has %d replica payloads after repair, want >= 2", key, copies)
 		}
+	}
+}
+
+// failOnceStore is a replica store whose first cursor batch fails.
+type failOnceStore struct {
+	store.Store
+	failed bool
+}
+
+func (s *failOnceStore) Cursor(seg interval.Segment) store.Cursor {
+	return &failOnceCursor{Cursor: s.Store.Cursor(seg), s: s}
+}
+
+type failOnceCursor struct {
+	store.Cursor
+	s *failOnceStore
+}
+
+func (c *failOnceCursor) Next(max int) ([]store.Item, error) {
+	if !c.s.failed {
+		c.s.failed = true
+		return nil, errors.New("replica store read failed")
+	}
+	return c.Cursor.Next(max)
+}
+
+func TestRepairRequeuesOnLocalReadError(t *testing.T) {
+	// The only surviving payload of a key sits in this node's own replica
+	// store. A pass whose walk of that store fails reaches every remote
+	// holder, but must not retire the segment: the key would stay missing
+	// for good. The next pass reads the store and repairs it.
+	c, _ := replCluster(t, 3, 102, 3)
+	defer c.Stop()
+	n := c.Nodes[0]
+	seg := interval.Segment{Start: 1, Len: 10}
+	rdata := &failOnceStore{Store: n.rdata}
+	if err := rdata.Put(5, "lost", replicate.EncodeCopy([]byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	n.rdata = rdata
+	n.repairPending = true
+	n.repairSegs = []interval.Segment{seg}
+	n.mu.Unlock()
+	n.runRepairs()
+	n.mu.Lock()
+	segs, pending := len(n.repairSegs), n.repairPending
+	n.mu.Unlock()
+	if !rdata.failed || segs != 1 || !pending {
+		t.Fatalf("local read error (injected=%v): segs=%d pending=%v, want segment re-queued and pending kept", rdata.failed, segs, pending)
+	}
+	if _, ok, _ := n.data.Get(5, "lost"); ok {
+		t.Fatal("key repaired by the pass whose local read failed")
+	}
+	n.runRepairs()
+	n.mu.Lock()
+	segs, pending = len(n.repairSegs), n.repairPending
+	n.mu.Unlock()
+	if segs != 0 || pending {
+		t.Fatalf("after a clean local read: segs=%d pending=%v, want repair retired", segs, pending)
+	}
+	if v, ok, _ := n.data.Get(5, "lost"); !ok || string(v) != "v" {
+		t.Fatalf("key not repaired from the local replica store: %q %v", v, ok)
 	}
 }

@@ -19,11 +19,8 @@ import (
 func contents(t *testing.T, s Store) map[string]string {
 	t.Helper()
 	got := map[string]string{}
-	if err := s.Ascend(interval.FullCircle, func(it Item) bool {
+	for _, it := range scanItems(t, s, interval.FullCircle) {
 		got[it.Key] = string(it.Value)
-		return true
-	}); err != nil {
-		t.Error(err)
 	}
 	return got
 }
@@ -64,7 +61,7 @@ func TestLogstoreCompactionCrashPoints(t *testing.T) {
 	// Points ascend with i, so the compactor's first batch is k00..k07.
 	point := func(i int) interval.Point { return interval.Point(uint64(i+1) << 50) }
 
-	s, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 10, CompactAt: -1})
+	s, err := OpenLog(dir, LogOptions{segmentBytes: 1 << 10, compactAt: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +81,7 @@ func TestLogstoreCompactionCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err = OpenLog(dir, LogOptions{SegmentBytes: 1 << 10, CompactAt: 1})
+	s, err = OpenLog(dir, LogOptions{segmentBytes: 1 << 10, compactAt: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +149,7 @@ func TestLogstoreCompactionCrashPoints(t *testing.T) {
 		t.Fatalf("captured %d crash points, want 3", len(crashes))
 	}
 	for _, c := range crashes {
-		r, err := OpenLog(c.dir, LogOptions{CompactAt: -1})
+		r, err := OpenLog(c.dir, LogOptions{compactAt: -1})
 		if err != nil {
 			t.Fatalf("reopen at %q: %v", c.stage, err)
 		}
@@ -167,14 +164,14 @@ func TestLogstoreCompactionCrashPoints(t *testing.T) {
 }
 
 // TestLogstoreCompactionConcurrent runs every operation of the store
-// against back-to-back compactions (CompactAt 1: one is due whenever dead
+// against back-to-back compactions (compactAt 1: one is due whenever dead
 // bytes outweigh live ones) from several goroutines, each owning a slice
 // of the point space and a model of it, and requires the store — live,
 // and again after a reopen — to hold exactly the union of the models.
 // Its teeth are the race detector and the -count the CI race job adds.
 func TestLogstoreCompactionConcurrent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "live")
-	opts := LogOptions{SegmentBytes: 1 << 12, CompactAt: 1}
+	opts := LogOptions{segmentBytes: 1 << 12, compactAt: 1}
 	s, err := OpenLog(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +244,11 @@ func TestLogstoreCompactionConcurrent(t *testing.T) {
 						return
 					}
 				default:
-					child, err := s.SplitRange(own)
+					// The range move: copy into a sibling WAL, then drop here.
+					child, err := OpenLog(filepath.Join(filepath.Dir(dir), fmt.Sprintf("child-%d-%d", w, op)), opts)
+					if err == nil {
+						err = moveRange(s, child, own)
+					}
 					if err != nil {
 						t.Error(err)
 						return
@@ -298,7 +299,7 @@ func TestLogstoreCloseDuringCompaction(t *testing.T) {
 	for _, destroy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("destroy=%v", destroy), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "live")
-			s, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 10, CompactAt: -1})
+			s, err := OpenLog(dir, LogOptions{segmentBytes: 1 << 10, compactAt: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +310,7 @@ func TestLogstoreCloseDuringCompaction(t *testing.T) {
 				want[k] = v
 			}
 			s.Close()
-			s, err = OpenLog(dir, LogOptions{SegmentBytes: 1 << 10, CompactAt: 1})
+			s, err = OpenLog(dir, LogOptions{segmentBytes: 1 << 10, compactAt: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +356,7 @@ func TestLogstoreCloseDuringCompaction(t *testing.T) {
 			if tmps, _ := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix)); len(tmps) != 0 {
 				t.Fatalf("abandoned compaction left %v", tmps)
 			}
-			r, err := OpenLog(dir, LogOptions{CompactAt: -1})
+			r, err := OpenLog(dir, LogOptions{compactAt: -1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -177,12 +177,11 @@ func TestDeleteRange(t *testing.T) {
 			if s.Len() != n-8 {
 				t.Fatalf("DeleteRange left %d items, want %d", s.Len(), n-8)
 			}
-			s.Ascend(interval.FullCircle, func(it Item) bool {
+			for _, it := range scanItems(t, s, interval.FullCircle) {
 				if seg.Contains(it.Point) {
 					t.Fatalf("item %s survived DeleteRange", it.Key)
 				}
-				return true
-			})
+			}
 		})
 	}
 	if err := ls.Close(); err != nil {

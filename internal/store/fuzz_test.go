@@ -22,7 +22,7 @@ func FuzzLogstoreRecovery(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 3, 1, 1, 0, 2}, uint16(300))
 	f.Fuzz(func(t *testing.T, script []byte, damage uint16) {
 		dir := t.TempDir()
-		opts := LogOptions{SegmentBytes: 256, CompactAt: 1 << 10}
+		opts := LogOptions{segmentBytes: 256, compactAt: 1 << 10}
 		s, err := OpenLog(dir, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -52,10 +52,7 @@ func FuzzLogstoreRecovery(f *testing.F) {
 				delete(model, kb)
 			case 3:
 				seg := interval.Segment{Start: pointFor(kb), Len: 1 << 62}
-				moved, err := s.SplitRange(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				moved := splitRange(t, s, seg)
 				if err := s.MergeFrom(moved); err != nil {
 					t.Fatal(err)
 				}
@@ -100,13 +97,7 @@ func FuzzLogstoreRecovery(f *testing.F) {
 
 		// Invariant 1: iteration is strictly (point, key)-ordered and
 		// agrees with Len and Get.
-		var got []Item
-		if err := r.Ascend(interval.FullCircle, func(it Item) bool {
-			got = append(got, it)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
+		got := scanItems(t, r, interval.FullCircle)
 		if len(got) != r.Len() {
 			t.Fatalf("Len %d != iterated %d", r.Len(), len(got))
 		}

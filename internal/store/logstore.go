@@ -33,13 +33,14 @@ var (
 
 // Log is the disk-backed engine: every mutation is one CRC-framed record
 // appended to a write-ahead log, and an in-memory ordered index maps
-// (point, key) to the value's disk location. Reads cost one pread; range
-// moves extract the index range (chunk moves, like Mem) plus O(moved) WAL
-// appends on the receiving store and a single range tombstone here.
+// (point, key) to the value's disk location. Reads cost one pread; a range
+// move costs O(moved) preads here and WAL appends on the receiving store,
+// then a single range tombstone and an index extraction (chunk moves, like
+// Mem) here.
 //
 // WAL layout: dir/wal-NNNNNN.log segment files, appended in id order. A
-// segment rotates at SegmentBytes; when dead bytes (overwritten, deleted,
-// or split-away records) pass CompactAt and outweigh live bytes, a
+// segment rotates at segmentBytes; when dead bytes (overwritten, deleted,
+// or handed-off records) pass compactAt and outweigh live bytes, a
 // background compactor copies the live records into one fresh segment and
 // deletes the old files (see the compaction section below).
 //
@@ -82,12 +83,12 @@ type Log struct {
 
 // LogOptions tunes the WAL engine; the zero value selects the defaults.
 type LogOptions struct {
-	// SegmentBytes is the rotation threshold (default 4 MiB).
-	SegmentBytes int64
-	// CompactAt is the dead-byte volume that arms compaction (default
-	// 1 MiB); compaction fires once dead bytes also outweigh live bytes.
-	// Negative disables compaction.
-	CompactAt int64
+	// segmentBytes is the rotation threshold (default 4 MiB) and compactAt
+	// the dead-byte volume that arms compaction (default 1 MiB; negative
+	// disables it) — compaction fires once dead bytes also outweigh live
+	// bytes. Only this package's tests shrink them.
+	segmentBytes int64
+	compactAt    int64
 	// Fsync syncs the active segment after every mutation. Off by default:
 	// acknowledged writes then survive a process kill (the data is in the
 	// kernel page cache) but not a power failure.
@@ -95,11 +96,11 @@ type LogOptions struct {
 }
 
 func (o LogOptions) withDefaults() LogOptions {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 4 << 20
 	}
-	if o.CompactAt == 0 {
-		o.CompactAt = 1 << 20
+	if o.compactAt == 0 {
+		o.compactAt = 1 << 20
 	}
 	return o
 }
@@ -352,7 +353,7 @@ func (s *Log) recordBuf(bodyLen int) ([]byte, error) {
 // its body filled in) and appends it with one write, returning the segment
 // and offset it landed at. Callers hold mu.
 func (s *Log) appendRecord(rec []byte) (seg uint32, off int64, err error) {
-	if s.activeOff >= s.opts.SegmentBytes {
+	if s.activeOff >= s.opts.segmentBytes {
 		if err := s.rotate(); err != nil {
 			return 0, 0, err
 		}
@@ -509,77 +510,6 @@ func (s *Log) Len() int {
 	return s.idx.size()
 }
 
-// Ascend iterates seg's items in (point, key) order, reading each value
-// from disk.
-func (s *Log) Ascend(seg interval.Segment, fn func(item Item) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
-	}
-	var err error
-	for _, r := range ranges(seg) {
-		done := s.idx.ascendRange(r, func(e entry[lloc]) bool {
-			var v []byte
-			if v, err = s.readValue(e.val); err != nil {
-				return false
-			}
-			return fn(Item{Point: e.p, Key: e.key, Value: v})
-		})
-		if err != nil || !done {
-			return err
-		}
-	}
-	return nil
-}
-
-// SplitRange moves seg's items into a new Log store in a fresh sibling
-// directory: O(moved) reads here and appends there, one range tombstone in
-// this store's WAL, and index extraction by chunk moves — nothing touches
-// the items that stay behind.
-//
-// Failure atomicity: the moved items are copied into the child BEFORE
-// anything here changes, and the range tombstone is appended BEFORE the
-// index drops the range (matching replay order) — so an error leaves this
-// store exactly as it was, and a crash in between replays to either the
-// pre-split state or the post-split state, never a mix. Reclaiming the
-// tombstoned bytes is left to the compaction the next Put/Delete starts.
-func (s *Log) SplitRange(seg interval.Segment) (Store, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errClosed
-	}
-	dir, err := os.MkdirTemp(filepath.Dir(s.dir), filepath.Base(s.dir)+".split-")
-	if err != nil {
-		return nil, err
-	}
-	child, err := OpenLog(dir, s.opts)
-	if err != nil {
-		return nil, err
-	}
-	var cerr error
-	for _, r := range ranges(seg) {
-		s.idx.ascendRange(r, func(e entry[lloc]) bool {
-			v, err := s.readValue(e.val)
-			if err == nil {
-				err = child.Put(e.p, e.key, v)
-			}
-			cerr = err
-			return err == nil
-		})
-		if cerr != nil {
-			child.destroy()
-			return nil, cerr
-		}
-	}
-	if err := s.dropRangeLocked(seg); err != nil {
-		child.destroy()
-		return nil, err
-	}
-	return child, nil
-}
-
 // dropRangeLocked appends a range tombstone and then removes the range
 // from the index, in that (replay) order: an append failure leaves the
 // store untouched. Callers hold mu.
@@ -601,7 +531,7 @@ func (s *Log) dropRangeLocked(seg interval.Segment) error {
 }
 
 // DeleteRange removes every item in seg with a single range tombstone —
-// the handoff-commit / Clear fast path (one WAL append instead of one
+// the handoff-commit fast path (one WAL append instead of one
 // tombstone per item). A bulk drop is where dead bytes spike the most (a
 // post-handoff commit kills the whole live set), and no later Put/Delete
 // may ever arrive to trigger reclamation, so compaction is started here
@@ -619,30 +549,19 @@ func (s *Log) DeleteRange(seg interval.Segment) error {
 	return nil
 }
 
-// MergeFrom moves every item of src into this store's WAL, copy-before-
-// drop like SplitRange: collect from src (read-only), append here, and
-// only then tombstone src — an error or crash at any point leaves every
-// item in at least one store (worst case both: duplicates, recoverable),
-// never in neither. The two stores' locks are never held together, so
+// MergeFrom moves every item of src into this store's WAL by moveRange:
+// each cursor batch of src is appended here before the next is read, and
+// src is tombstoned only after the last — an error or crash at any point
+// leaves every item in at least one store (worst case both: duplicates,
+// recoverable), never in neither, and memory held is one batch however
+// much src holds. The two stores' locks are never held together, so
 // opposite-direction merges cannot deadlock; per the Store contract the
 // source must not be mutated concurrently with the merge.
 func (s *Log) MergeFrom(src Store) error {
 	if src == Store(s) {
 		return nil
 	}
-	var items []Item
-	if err := src.Ascend(interval.FullCircle, func(it Item) bool {
-		items = append(items, it)
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, it := range items {
-		if err := s.Put(it.Point, it.Key, it.Value); err != nil {
-			return err
-		}
-	}
-	return Clear(src)
+	return moveRange(src, s, interval.FullCircle)
 }
 
 // Cursor returns a batched ring-order iterator over seg. Each Next preads
@@ -650,77 +569,17 @@ func (s *Log) MergeFrom(src Store) error {
 // memory high-water mark of a full-range walk is one batch, not the
 // range (the streaming-handoff property).
 func (s *Log) Cursor(seg interval.Segment) Cursor {
-	return &logCursor{s: s, rs: ringRanges(seg)}
+	return &cursor[lloc]{mu: &s.mu, l: &s.idx, rs: ringRanges(seg), item: s.itemLocked}
 }
 
-type logCursor struct {
-	s        *Log
-	rs       []prange
-	ri       int
-	afterP   interval.Point
-	afterKey string
-	resuming bool
+// itemLocked reads one indexed entry's item. Callers hold mu.
+func (s *Log) itemLocked(e entry[lloc]) (Item, error) {
+	if s.closed {
+		return Item{}, errClosed
+	}
+	v, err := s.readValue(e.val)
+	return Item{Point: e.p, Key: e.key, Value: v}, err
 }
-
-func (c *logCursor) Seek(p interval.Point, key string) {
-	c.afterP, c.afterKey, c.resuming = p, key, true
-	for i, r := range c.rs {
-		if r.contains(p) {
-			c.ri = i
-			return
-		}
-	}
-	c.ri = len(c.rs)
-}
-
-func (c *logCursor) Next(max int) ([]Item, error) {
-	if max <= 0 {
-		return nil, nil
-	}
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	if c.s.closed {
-		return nil, errClosed
-	}
-	var out []Item
-	var rerr error
-	for c.ri < len(c.rs) && len(out) < max {
-		r := c.rs[c.ri]
-		p, key := r.lo, ""
-		if c.resuming && r.contains(c.afterP) {
-			p, key = c.afterP, c.afterKey+"\x00"
-		}
-		done := c.s.idx.ascendFrom(r, p, key, func(e entry[lloc]) bool {
-			if len(out) >= max {
-				return false
-			}
-			v, err := c.s.readValue(e.val)
-			if err != nil {
-				rerr = err
-				return false
-			}
-			out = append(out, Item{Point: e.p, Key: e.key, Value: v})
-			return true
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		if len(out) > 0 {
-			last := out[len(out)-1]
-			c.afterP, c.afterKey, c.resuming = last.Point, last.Key, true
-		}
-		if !done {
-			break
-		}
-		c.ri++
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-func (c *logCursor) Close() error { return nil }
 
 // --- compaction ---
 //
@@ -758,13 +617,13 @@ const (
 	compactPause = 100 * time.Microsecond // sleep between batches
 )
 
-// maybeCompact starts the compactor once the dead volume passes CompactAt
+// maybeCompact starts the compactor once the dead volume passes compactAt
 // and outweighs the live volume, unless one is already running. It only
 // reserves the segment id for the copies; the work, the file creates
 // included, happens on the compactor's goroutine. Callers hold mu.
 func (s *Log) maybeCompact() {
 	if s.compactDone != nil || s.closed ||
-		s.opts.CompactAt < 0 || s.deadBytes < s.opts.CompactAt || s.deadBytes < s.liveBytes {
+		s.opts.compactAt < 0 || s.deadBytes < s.opts.compactAt || s.deadBytes < s.liveBytes {
 		return
 	}
 	s.compactID = s.activeID + 1

@@ -17,7 +17,7 @@ func pointFor(i int) interval.Point { return interval.Point(uint64(i) * 0x9e3779
 // TestLogstoreReopen: a cleanly closed store reopens with its full state.
 func TestLogstoreReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenLog(dir, LogOptions{SegmentBytes: 512})
+	s, err := OpenLog(dir, LogOptions{segmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestLogstoreReopen(t *testing.T) {
 		t.Fatal("put after Close succeeded")
 	}
 
-	r, err := OpenLog(dir, LogOptions{SegmentBytes: 512})
+	r, err := OpenLog(dir, LogOptions{segmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestLogstoreReopen(t *testing.T) {
 // acknowledged Put/Delete survives reopening the directory.
 func TestLogstoreKillAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 10, CompactAt: 1 << 12})
+	s, err := OpenLog(dir, LogOptions{segmentBytes: 1 << 10, compactAt: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLogstoreKillAndReopen(t *testing.T) {
 	// the reopened store (the compactor's own crash points are
 	// TestLogstoreCompactionCrashPoints).
 	s.waitCompaction()
-	r, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 10})
+	r, err := OpenLog(dir, LogOptions{segmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestLogstoreCorruptTail(t *testing.T) {
 // footprint stays bounded by the live set, and no data is lost.
 func TestLogstoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 10, CompactAt: 1 << 11})
+	s, err := OpenLog(dir, LogOptions{segmentBytes: 1 << 10, compactAt: 1 << 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestLogstoreCompaction(t *testing.T) {
 	}
 	// 400 records were written (~50 bytes each); without compaction the
 	// directory would hold ~20 KiB. With it, dead bytes stay under the
-	// CompactAt threshold plus one live set.
+	// compactAt threshold plus one live set.
 	if disk > 1<<12 {
 		t.Fatalf("compaction not reclaiming: %d bytes on disk for %d live items", disk, keys)
 	}
@@ -225,7 +225,7 @@ func TestLogstoreCompaction(t *testing.T) {
 	}
 	// Compacted state must also survive reopen.
 	s.Close()
-	r, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 10, CompactAt: 1 << 11})
+	r, err := OpenLog(dir, LogOptions{segmentBytes: 1 << 10, compactAt: 1 << 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,49 +235,12 @@ func TestLogstoreCompaction(t *testing.T) {
 	}
 }
 
-// TestLogstoreSplitIndependence: a split-off store lives in its own
-// directory — destroying the parent does not touch it, and vice versa.
-func TestLogstoreSplitIndependence(t *testing.T) {
-	root := t.TempDir()
-	s, err := OpenLog(filepath.Join(root, "parent"), LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		mustPut(t, s, interval.Point(uint64(i)<<58), fmt.Sprintf("k%02d", i), "v")
-	}
-	moved, err := s.SplitRange(interval.Segment{Start: 0, Len: 1 << 63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	child := moved.(*Log)
-	if filepath.Dir(child.Dir()) != root {
-		t.Fatalf("split store not a sibling: %s", child.Dir())
-	}
-	if err := Destroy(s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "parent")); !os.IsNotExist(err) {
-		t.Fatal("parent directory survived Destroy")
-	}
-	if child.Len() != 32 {
-		t.Fatalf("child lost items after parent Destroy: %d", child.Len())
-	}
-	v, ok, err := child.Get(1<<58, "k01")
-	if err != nil || !ok || string(v) != "v" {
-		t.Fatalf("child read after parent Destroy: %q %v %v", v, ok, err)
-	}
-	if err := Destroy(child); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLogstoreClearReclaimsDisk: a bulk Clear (the post-handoff drain of
-// a leaving node) triggers compaction directly — the dead WAL must not
+// TestLogstoreClearReclaimsDisk: a full-circle DeleteRange (the
+// post-handoff drain of a leaving node) triggers compaction directly — the dead WAL must not
 // sit on disk waiting for a Put/Delete that will never come.
 func TestLogstoreClearReclaimsDisk(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 10, CompactAt: 1 << 10})
+	s, err := OpenLog(dir, LogOptions{segmentBytes: 1 << 10, compactAt: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +248,7 @@ func TestLogstoreClearReclaimsDisk(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mustPut(t, s, pointFor(i), fmt.Sprintf("k%d", i), "some-padding-some-padding-some-padding")
 	}
-	if err := Clear(s); err != nil {
+	if err := s.DeleteRange(interval.FullCircle); err != nil {
 		t.Fatal(err)
 	}
 	s.waitCompaction()
@@ -299,10 +262,10 @@ func TestLogstoreClearReclaimsDisk(t *testing.T) {
 		disk += st.Size()
 	}
 	if disk > 256 {
-		t.Fatalf("Clear left %d bytes of dead WAL on disk", disk)
+		t.Fatalf("the drop left %d bytes of dead WAL on disk", disk)
 	}
 	if s.Len() != 0 {
-		t.Fatalf("Clear left %d items", s.Len())
+		t.Fatalf("the drop left %d items", s.Len())
 	}
 }
 
@@ -362,7 +325,7 @@ func TestLogstoreFsync(t *testing.T) {
 // carrying a previous record's bytes, or one kept past maxKeptBuf, shows.
 func TestLogstoreRecordBytes(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenLog(dir, LogOptions{SegmentBytes: 1 << 30, CompactAt: -1})
+	s, err := OpenLog(dir, LogOptions{segmentBytes: 1 << 30, compactAt: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,20 +61,6 @@ func (m *Mem) Len() int {
 	return m.l.size()
 }
 
-// Ascend iterates seg's items in (point, key) order.
-func (m *Mem) Ascend(seg interval.Segment, fn func(item Item) bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, r := range ranges(seg) {
-		if !m.l.ascendRange(r, func(e entry[[]byte]) bool {
-			return fn(Item{Point: e.p, Key: e.key, Value: e.val})
-		}) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // SplitRange moves seg's items out into a new Mem store.
 func (m *Mem) SplitRange(seg interval.Segment) (Store, error) {
 	m.mu.Lock()
@@ -88,10 +74,11 @@ func (m *Mem) SplitRange(seg interval.Segment) (Store, error) {
 }
 
 // MergeFrom absorbs src's items, draining it. Merging another Mem whose
-// point range does not interleave with ours splices chunk pointers. The
-// two locks are never held together (src's list is stolen under src's
-// lock, absorbed under ours), so concurrent opposite-direction merges
-// cannot deadlock.
+// point range does not interleave with ours splices chunk pointers; a
+// store of another engine is copied, then dropped (moveRange). The two
+// locks are never held together (src's list is stolen under src's lock,
+// absorbed under ours), so concurrent opposite-direction merges cannot
+// deadlock.
 func (m *Mem) MergeFrom(src Store) error {
 	if sm, ok := src.(*Mem); ok {
 		if sm == m {
@@ -106,25 +93,11 @@ func (m *Mem) MergeFrom(src Store) error {
 		m.mu.Unlock()
 		return nil
 	}
-	// Cross-engine: copy-before-drop (see Log.MergeFrom) — an error mid-
-	// merge leaves every item in at least one store.
-	var items []Item
-	if err := src.Ascend(interval.FullCircle, func(it Item) bool {
-		items = append(items, it)
-		return true
-	}); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	for _, it := range items {
-		m.l.put(it.Point, it.Key, it.Value)
-	}
-	m.mu.Unlock()
-	return Clear(src)
+	return moveRange(src, m, interval.FullCircle)
 }
 
 // DeleteRange removes every item in seg by chunk extraction, reading no
-// values — the handoff-commit / Clear fast path.
+// values — the handoff-commit fast path.
 func (m *Mem) DeleteRange(seg interval.Segment) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -136,69 +109,12 @@ func (m *Mem) DeleteRange(seg interval.Segment) error {
 
 // Cursor returns a batched ring-order iterator over seg.
 func (m *Mem) Cursor(seg interval.Segment) Cursor {
-	return &memCursor{m: m, rs: ringRanges(seg)}
+	return &cursor[[]byte]{mu: &m.mu, l: &m.l, rs: ringRanges(seg), item: memItem}
 }
 
-// memCursor resumes by (point, key) position, so mutations between
-// batches — including the range's own deletion — are tolerated.
-type memCursor struct {
-	m        *Mem
-	rs       []prange
-	ri       int
-	afterP   interval.Point
-	afterKey string
-	resuming bool
+func memItem(e entry[[]byte]) (Item, error) {
+	return Item{Point: e.p, Key: e.key, Value: e.val}, nil
 }
-
-func (c *memCursor) Seek(p interval.Point, key string) {
-	c.afterP, c.afterKey, c.resuming = p, key, true
-	for i, r := range c.rs {
-		if r.contains(p) {
-			c.ri = i
-			return
-		}
-	}
-	c.ri = len(c.rs) // position outside the segment: nothing left
-}
-
-func (c *memCursor) Next(max int) ([]Item, error) {
-	if max <= 0 {
-		return nil, nil
-	}
-	c.m.mu.Lock()
-	defer c.m.mu.Unlock()
-	var out []Item
-	for c.ri < len(c.rs) && len(out) < max {
-		r := c.rs[c.ri]
-		p, key := r.lo, ""
-		if c.resuming && r.contains(c.afterP) {
-			// Strictly after (afterP, afterKey): key+"\x00" is the least
-			// string above afterKey, so lowerBound lands one entry past it.
-			p, key = c.afterP, c.afterKey+"\x00"
-		}
-		done := c.m.l.ascendFrom(r, p, key, func(e entry[[]byte]) bool {
-			if len(out) >= max {
-				return false
-			}
-			out = append(out, Item{Point: e.p, Key: e.key, Value: e.val})
-			return true
-		})
-		if len(out) > 0 {
-			last := out[len(out)-1]
-			c.afterP, c.afterKey, c.resuming = last.Point, last.Key, true
-		}
-		if !done {
-			break // max reached inside this range
-		}
-		c.ri++
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-func (c *memCursor) Close() error { return nil }
 
 // Close is a no-op for the in-memory engine.
 func (m *Mem) Close() error { return nil }

@@ -23,7 +23,7 @@ import (
 // Costs (S = entries, m = chunks ≈ S/chunkTarget):
 //
 //	get / put / del          O(log S + chunk)      binary search + in-chunk memmove
-//	ascendRange              O(log S + visited)
+//	ascendFrom               O(log S + visited)
 //	extractRange             O(log S + moved/chunk + chunk + m)
 //	absorb (disjoint ranges) O(m_src)              chunk-pointer append/prepend
 const (
@@ -184,14 +184,9 @@ func ringRanges(s interval.Segment) []prange {
 	return rs
 }
 
-// ascendRange calls fn for every entry in r in (point, key) order until fn
-// returns false; it reports whether the walk ran to completion.
-func (l *list[V]) ascendRange(r prange, fn func(e entry[V]) bool) bool {
-	return l.ascendFrom(r, r.lo, "", fn)
-}
-
-// ascendFrom is ascendRange starting at the first entry >= (p, key)
-// instead of the range start; the upper end of r still bounds the walk.
+// ascendFrom calls fn for every entry of r from the first one >= (p, key)
+// on, in (point, key) order, until fn returns false; it reports whether
+// the walk ran to the upper end of r.
 func (l *list[V]) ascendFrom(r prange, p interval.Point, key string, fn func(e entry[V]) bool) bool {
 	ci, i := l.lowerBound(p, key)
 	for ; ci < len(l.chunks); ci++ {

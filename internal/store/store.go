@@ -6,8 +6,8 @@
 //
 // Two engines implement the interface:
 //
-//   - Mem: an in-memory chunked sorted list. Range splits move whole
-//     chunks by pointer; only the two boundary chunks are copied.
+//   - Mem: an in-memory chunked sorted list. Range drops and Mem-to-Mem
+//     merges move whole chunks by pointer; only boundary chunks are copied.
 //   - Log: a disk-backed engine with an append-only WAL, an in-memory
 //     ordered index of disk locations, segment rotation and compaction,
 //     and crash recovery on reopen (a torn or corrupt tail record is
@@ -33,11 +33,10 @@ type Item struct {
 
 // Store is an ordered item container keyed by (hash point, key).
 //
-// The three churn-path operations are the reason the interface exists:
-// Ascend iterates a segment's items in (point, key) order, SplitRange
-// moves a segment's items out as a new store of the same engine, and
-// MergeFrom absorbs (and drains) another store. Implementations are safe
-// for concurrent use; Ascend callbacks must not call back into the store.
+// A range is walked or moved one way: Cursor reads it in bounded batches
+// (Scan is the loop over it), the items are written wherever they go, and
+// DeleteRange drops the range once they are safe there. MergeFrom is that
+// sequence over a whole store. Implementations are safe for concurrent use.
 type Store interface {
 	// Put stores value under (p, key), replacing any previous value. The
 	// value is copied (or persisted); the caller keeps ownership of its
@@ -50,26 +49,18 @@ type Store interface {
 	Delete(p interval.Point, key string) error
 	// Len returns the number of stored items.
 	Len() int
-	// Ascend calls fn for every item whose point lies in seg, in global
-	// (point, key) order, until fn returns false.
-	Ascend(seg interval.Segment, fn func(item Item) bool) error
-	// SplitRange removes every item whose point lies in seg and returns
-	// them as a new store of the same engine — the §2.1 Join step 3 range
-	// handoff. Cost is O(log S + moved), independent of the items that
-	// stay behind.
-	SplitRange(seg interval.Segment) (Store, error)
 	// DeleteRange removes every item whose point lies in seg without
 	// reading any values — one range tombstone (Log) or chunk extraction
-	// (Mem). It is the commit step of a streaming handoff: the items were
-	// already copied elsewhere, only the removal remains.
+	// (Mem). It is the commit step of a handoff: the items were already
+	// copied elsewhere, only the removal remains.
 	DeleteRange(seg interval.Segment) error
 	// Cursor returns a batched iterator over seg's items in ring order
-	// (clockwise from seg.Start). Unlike Ascend, a cursor acquires the
-	// store lock only for the duration of each Next call, so a transfer
-	// that interleaves network writes between batches never blocks the
-	// store; mutations between batches are tolerated (the cursor re-seeks
-	// by position). It is how a handoff streams a range in O(batch)
-	// memory regardless of the range size.
+	// (clockwise from seg.Start). A cursor acquires the store lock only
+	// for the duration of each Next call, so a transfer that interleaves
+	// network writes between batches never blocks the store; mutations
+	// between batches are tolerated (the cursor re-seeks by position). It
+	// is how a handoff streams a range in O(batch) memory regardless of
+	// the range size.
 	Cursor(seg interval.Segment) Cursor
 	// MergeFrom moves every item of src into this store, leaving src
 	// empty — the §2.1 Leave absorption. The source must not be mutated
@@ -113,6 +104,47 @@ type Cursor interface {
 	Close() error
 }
 
+// ScanBatch bounds the items one Scan batch (and so one fn call) holds.
+const ScanBatch = 256
+
+// Scan calls fn with seg's items in ring order, one cursor batch of at
+// most ScanBatch items at a time, until the segment is exhausted or fn
+// returns an error (which Scan returns). No store lock is held across fn,
+// so fn may write to any store — s included — and memory held is one
+// batch however large the range is.
+func Scan(s Store, seg interval.Segment, fn func([]Item) error) error {
+	cur := s.Cursor(seg)
+	defer cur.Close()
+	for {
+		items, err := cur.Next(ScanBatch)
+		if err != nil || items == nil {
+			return err
+		}
+		if err := fn(items); err != nil {
+			return err
+		}
+	}
+}
+
+// moveRange is the range move every engine supports, and MergeFrom's
+// cross-engine form: copy seg's items from src into dst one Scan batch at
+// a time, then drop the range at src. Copy-before-drop — an error or crash
+// leaves every item in at least one of the two stores — and neither
+// store's lock is held while the other is touched.
+func moveRange(src, dst Store, seg interval.Segment) error {
+	if err := Scan(src, seg, func(items []Item) error {
+		for _, it := range items {
+			if err := dst.Put(it.Point, it.Key, it.Value); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	return src.DeleteRange(seg)
+}
+
 // conditionalPutter is the engines' atomic insert-if-absent path: the
 // presence check and the write happen under one lock hold.
 type conditionalPutter interface {
@@ -134,14 +166,6 @@ func PutIfAbsent(s Store, p interval.Point, key string, value []byte) (bool, err
 		return false, nil
 	}
 	return true, s.Put(p, key, value)
-}
-
-// Clear removes every item of s without reading any values: one range
-// tombstone (Log) or chunk drop (Mem). Use it when the items were already
-// transferred and only the removal is needed (the last step of a
-// cross-engine MergeFrom).
-func Clear(s Store) error {
-	return s.DeleteRange(interval.FullCircle)
 }
 
 // destroyer is implemented by engines whose Destroy must reclaim more than

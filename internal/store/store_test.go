@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -19,7 +20,7 @@ func engines(t *testing.T) map[string]func() Store {
 		"log": func() Store {
 			// Tiny segments + eager compaction so the differential tests
 			// exercise rotation and compaction, not just the happy path.
-			s, err := OpenLog(t.TempDir(), LogOptions{SegmentBytes: 1 << 10, CompactAt: 1 << 11})
+			s, err := OpenLog(t.TempDir(), LogOptions{segmentBytes: 1 << 10, compactAt: 1 << 11})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,6 +40,43 @@ func mustPut(t *testing.T, s Store, p interval.Point, key, val string) {
 	if err := s.Put(p, key, []byte(val)); err != nil {
 		t.Fatalf("put %q: %v", key, err)
 	}
+}
+
+// scanItems collects seg's items through Scan — the one walk every content
+// assertion in this package reads a store back with. It reports a failure
+// with t.Error, so it is safe off the test's own goroutine.
+func scanItems(t testing.TB, s Store, seg interval.Segment) []Item {
+	t.Helper()
+	var got []Item
+	if err := Scan(s, seg, func(items []Item) error {
+		got = append(got, items...)
+		return nil
+	}); err != nil {
+		t.Error(err)
+	}
+	return got
+}
+
+// splitRange moves seg's items out of s into a new store of the same
+// engine: Mem's own chunk-moving SplitRange, and for Log moveRange (copy,
+// then drop) into a sibling WAL opened with the source's options.
+func splitRange(t testing.TB, s Store, seg interval.Segment) Store {
+	t.Helper()
+	if m, ok := s.(*Mem); ok {
+		out, err := m.SplitRange(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	child, err := OpenLog(t.TempDir(), s.(*Log).opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := moveRange(s, child, seg); err != nil {
+		t.Fatal(err)
+	}
+	return child
 }
 
 func TestStoreBasic(t *testing.T) {
@@ -80,8 +118,9 @@ func TestStoreBasic(t *testing.T) {
 	})
 }
 
-// TestStoreAscendOrdered: Ascend yields (point, key) order, and a segment
-// filter (including wrapping segments) matches a reference filter.
+// TestStoreAscendOrdered: a walk yields ring order from the segment start
+// ((point, key) order for the full circle), and a segment filter (including
+// wrapping segments) matches a reference filter.
 func TestStoreAscendOrdered(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, open func() Store) {
 		s := open()
@@ -106,13 +145,11 @@ func TestStoreAscendOrdered(t *testing.T) {
 			{Start: 5, Len: 1},
 		}
 		for _, seg := range segs {
-			var got []Item
-			if err := s.Ascend(seg, func(it Item) bool { got = append(got, it); return true }); err != nil {
-				t.Fatal(err)
-			}
+			got := scanItems(t, s, seg)
 			for i := 1; i < len(got); i++ {
 				a, b := got[i-1], got[i]
-				if a.Point > b.Point || (a.Point == b.Point && a.Key >= b.Key) {
+				da, db := interval.CWDist(seg.Start, a.Point), interval.CWDist(seg.Start, b.Point)
+				if da > db || (da == db && a.Key >= b.Key) {
 					t.Fatalf("seg %v: out of order at %d: %v then %v", seg, i, a, b)
 				}
 			}
@@ -135,7 +172,7 @@ func TestStoreAscendOrdered(t *testing.T) {
 				}
 			}
 			if len(got) != want {
-				t.Fatalf("seg %v: Ascend yielded %d items, want %d", seg, len(got), want)
+				t.Fatalf("seg %v: walk yielded %d items, want %d", seg, len(got), want)
 			}
 		}
 	})
@@ -185,11 +222,11 @@ func checkEqual(t *testing.T, tag string, s Store, ms *modelStore) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	i := 0
-	err := s.Ascend(interval.FullCircle, func(it Item) bool {
-		if i >= len(keys) {
-			t.Fatalf("%s: extra item (%v, %q)", tag, it.Point, it.Key)
-		}
+	got := scanItems(t, s, interval.FullCircle)
+	if len(got) != len(keys) {
+		t.Fatalf("%s: walk yielded %d items, model %d", tag, len(got), len(keys))
+	}
+	for i, it := range got {
 		want := keys[i]
 		if got := modelKey(it.Point, it.Key); got != want {
 			t.Fatalf("%s: item %d = %s, model %s", tag, i, got, want)
@@ -197,20 +234,13 @@ func checkEqual(t *testing.T, tag string, s Store, ms *modelStore) {
 		if string(it.Value) != ms.m[want] {
 			t.Fatalf("%s: %s = %q, model %q", tag, want, it.Value, ms.m[want])
 		}
-		i++
-		return true
-	})
-	if err != nil {
-		t.Fatalf("%s: ascend: %v", tag, err)
-	}
-	if i != len(keys) {
-		t.Fatalf("%s: ascend stopped at %d of %d", tag, i, len(keys))
 	}
 }
 
 // TestStoreSplitMergeDifferential drives each engine through a random
-// trace of puts, deletes, range splits, and merges, comparing against the
-// model after every split/merge — the churn path the DHT exercises.
+// trace of puts, deletes, range splits (splitRange: copy-before-drop on
+// Log), and merges, comparing against the model after every split/merge —
+// the churn path the DHT exercises.
 func TestStoreSplitMergeDifferential(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, open func() Store) {
 		s := open()
@@ -234,10 +264,7 @@ func TestStoreSplitMergeDifferential(t *testing.T) {
 				ms.del(p, k)
 			default:
 				seg := interval.Segment{Start: interval.Point(rng.Uint64()), Len: rng.Uint64N(1 << 63)}
-				moved, err := s.SplitRange(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				moved := splitRange(t, s, seg)
 				mm := ms.split(seg)
 				checkEqual(t, fmt.Sprintf("op %d split", op), moved, mm)
 				checkEqual(t, fmt.Sprintf("op %d remainder", op), s, ms)
@@ -268,29 +295,22 @@ func TestStoreSplitWrapsAndFullCircle(t *testing.T) {
 		}
 		// Wrap: top quarter plus bottom quarter.
 		seg := interval.Segment{Start: 3 << 62, Len: 1 << 63}
-		moved, err := s.SplitRange(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		moved := splitRange(t, s, seg)
 		if moved.Len() != 32 || s.Len() != 32 {
 			t.Fatalf("wrap split: moved %d, kept %d, want 32/32", moved.Len(), s.Len())
 		}
-		moved.Ascend(interval.FullCircle, func(it Item) bool {
+		for _, it := range scanItems(t, moved, interval.FullCircle) {
 			if !seg.Contains(it.Point) {
 				t.Fatalf("moved item %q outside segment", it.Key)
 			}
-			return true
-		})
+		}
 		if err := s.MergeFrom(moved); err != nil {
 			t.Fatal(err)
 		}
 		Destroy(moved)
 
 		// Full circle drains everything.
-		all, err := s.SplitRange(interval.FullCircle)
-		if err != nil {
-			t.Fatal(err)
-		}
+		all := splitRange(t, s, interval.FullCircle)
 		if all.Len() != 64 || s.Len() != 0 {
 			t.Fatalf("full-circle split: moved %d, kept %d", all.Len(), s.Len())
 		}
@@ -363,14 +383,14 @@ func TestDrain(t *testing.T) {
 		if len(items)+s.Len() != 32 {
 			t.Fatalf("drain lost items: %d + %d != 32", len(items), s.Len())
 		}
-		if err := s.Ascend(seg, func(it Item) bool { t.Fatalf("item %q survived drain", it.Key); return false }); err != nil {
-			t.Fatal(err)
+		for _, it := range scanItems(t, s, seg) {
+			t.Fatalf("item %q survived drain", it.Key)
 		}
 	})
 }
 
-// TestClear: Clear empties a store in one bulk drop, without duplicating
-// items anywhere.
+// TestClear: a full-circle DeleteRange — the last step of a MergeFrom —
+// empties a store in one bulk drop and leaves it usable.
 func TestClear(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, open func() Store) {
 		s := open()
@@ -378,46 +398,107 @@ func TestClear(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			mustPut(t, s, interval.Point(uint64(i)<<57), fmt.Sprintf("k%d", i), "v")
 		}
-		if err := Clear(s); err != nil {
+		if err := s.DeleteRange(interval.FullCircle); err != nil {
 			t.Fatal(err)
 		}
 		if s.Len() != 0 {
-			t.Fatalf("Clear left %d items", s.Len())
+			t.Fatalf("full-circle DeleteRange left %d items", s.Len())
 		}
 		mustPut(t, s, 7, "again", "x") // the store stays usable
 		if v, ok, _ := s.Get(7, "again"); !ok || string(v) != "x" {
-			t.Fatal("put after Clear lost")
+			t.Fatal("put after the drop lost")
 		}
 	})
 }
 
 // TestConcurrentOppositeMerges: a.MergeFrom(b) racing b.MergeFrom(a) must
-// neither deadlock nor lose items. Only the Mem engine promises item
-// conservation here (its same-engine merge steals the source list in one
-// atomic step); Log documents that a merge's source must not be mutated
-// concurrently, trading that atomicity for crash-safe copy-before-drop
-// ordering.
+// never deadlock or fail — no merge holds both stores' locks, whatever the
+// engines. Only Mem↔Mem also promises item conservation here (it steals
+// the source list in one atomic step); a merge that involves Log documents
+// that its source must not be mutated concurrently, trading that atomicity
+// for crash-safe copy-before-drop ordering.
 func TestConcurrentOppositeMerges(t *testing.T) {
-	t.Run("mem", func(t *testing.T) {
-		open := func() Store { return NewMem() }
-		a, b := open(), open()
-		defer a.Close()
-		defer b.Close()
-		const each = 200
-		for i := 0; i < each; i++ {
-			mustPut(t, a, interval.Point(uint64(i)<<54), fmt.Sprintf("a%03d", i), "v")
-			mustPut(t, b, interval.Point(uint64(i)<<54|1), fmt.Sprintf("b%03d", i), "v")
+	for name, pair := range map[string][2]string{"mem": {"mem", "mem"}, "log": {"log", "log"}, "mem-log": {"mem", "log"}} {
+		t.Run(name, func(t *testing.T) {
+			open := engines(t)
+			a, b := open[pair[0]](), open[pair[1]]()
+			defer a.Close()
+			defer b.Close()
+			const each = 200
+			for i := 0; i < each; i++ {
+				mustPut(t, a, interval.Point(uint64(i)<<54), fmt.Sprintf("a%03d", i), "v")
+				mustPut(t, b, interval.Point(uint64(i)<<54|1), fmt.Sprintf("b%03d", i), "v")
+			}
+			done := make(chan error, 2)
+			go func() { done <- a.MergeFrom(b) }()
+			go func() { done <- b.MergeFrom(a) }()
+			for i := 0; i < 2; i++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if total := a.Len() + b.Len(); name == "mem" && total != 2*each {
+				t.Fatalf("concurrent merges conserved %d of %d items", total, 2*each)
+			}
+		})
+	}
+}
+
+// TestScan: Scan visits exactly what a cursor walk visits, in the cursor's
+// ring order and in batches of at most ScanBatch; an fn error stops the
+// walk and comes back; and fn may drop the range it is walking.
+func TestScan(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, open func() Store) {
+		s := open()
+		defer s.Close()
+		const n = 3*ScanBatch + 17
+		step := ^uint64(0)/n + 1
+		for i := 0; i < n; i++ {
+			mustPut(t, s, interval.Point(uint64(i)*step), fmt.Sprintf("k%04d", i), fmt.Sprint(i))
 		}
-		done := make(chan error, 2)
-		go func() { done <- a.MergeFrom(b) }()
-		go func() { done <- b.MergeFrom(a) }()
-		for i := 0; i < 2; i++ {
-			if err := <-done; err != nil {
+		for _, seg := range []interval.Segment{
+			{Start: interval.Point(10 * step), Len: 2 * ScanBatch * step}, // plain
+			{Start: interval.Point((n - 300) * step), Len: 600 * step},    // wraps
+			interval.FullCircle,
+		} {
+			want := drainCursor(t, s.Cursor(seg))
+			var got []Item
+			if err := Scan(s, seg, func(items []Item) error {
+				if len(items) == 0 || len(items) > ScanBatch {
+					t.Fatalf("seg %v: batch of %d items", seg, len(items))
+				}
+				got = append(got, items...)
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
+			if len(got) != len(want) || len(got) <= ScanBatch {
+				t.Fatalf("seg %v: Scan visited %d items, cursor %d", seg, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Point != want[i].Point || got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+					t.Fatalf("seg %v: item %d = %v, cursor %v", seg, i, got[i], want[i])
+				}
+			}
 		}
-		if total := a.Len() + b.Len(); total != 2*each {
-			t.Fatalf("concurrent merges conserved %d of %d items", total, 2*each)
+		if first := scanItems(t, s, interval.FullCircle)[0]; first.Key != "k0000" {
+			t.Fatalf("full-circle walk starts at %q, want the item at point 0", first.Key)
+		}
+
+		stop, calls := errors.New("stop"), 0
+		if err := Scan(s, interval.FullCircle, func([]Item) error { calls++; return stop }); !errors.Is(err, stop) || calls != 1 {
+			t.Fatalf("fn error: Scan = %v after %d calls, want %v after 1", err, calls, stop)
+		}
+
+		seg, seen := interval.Segment{Start: interval.Point(10 * step), Len: 2 * ScanBatch * step}, 0
+		if err := Scan(s, seg, func(items []Item) error {
+			seen += len(items)
+			return s.DeleteRange(seg)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != ScanBatch || s.Len() != n-2*ScanBatch {
+			t.Fatalf("drop mid-walk: saw %d items (want one batch, %d), %d left (want %d)", seen, ScanBatch, s.Len(), n-2*ScanBatch)
 		}
 	})
 }
