@@ -34,11 +34,9 @@
 // reads fall back to replicas while an owner is dead, and each node's
 // failure detector (-fd-threshold consecutive failed successor probes)
 // absorbs a crashed successor's range without a handoff session and
-// re-materializes it from the replicas. Values larger than
-// -shard-threshold bytes are spread as Reed-Solomon shards instead of
-// full copies when K >= 4. Replica payloads are held in memory on every
-// engine — they are a crash-repair source, re-spread by the repair loop,
-// not durable state.
+// re-materializes it from the replicas. Replica payloads are held in
+// memory on every engine — they are a crash-repair source, re-spread by
+// the repair loop, not durable state.
 //
 // Pass -admin ADDR to expose the live introspection plane: /metrics
 // (Prometheus text), /statusz (ring pointers + neighbour table + metric
@@ -84,7 +82,6 @@ func main() {
 	journalCap := flag.Int("journal", journal.DefaultCapacity, "flight-recorder ring capacity in records (0 = disabled)")
 	replicas := flag.Int("replicas", 1, "replication factor k: each value lives on its owner plus k-1 ring successors (1 = replication off; must match across all nodes)")
 	quorum := flag.Int("quorum", 0, "write acks required before a Put is acknowledged (0 = majority of -replicas)")
-	shardThreshold := flag.Int("shard-threshold", 0, "value size in bytes above which replicas are Reed-Solomon shards instead of full copies (0 = always full copies; needs -replicas >= 4)")
 	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-RPC deadline for dial/read/write; streaming transfers allow 10x this per frame (0 = built-in default)")
 	fdThreshold := flag.Int("fd-threshold", 0, "consecutive failed successor probes before declaring it crashed and absorbing its range (0 = default: 3 with replication, disarmed without)")
 	flag.Parse()
@@ -100,9 +97,7 @@ func main() {
 	}
 	nodeOpts := []p2p.NodeOption{p2p.WithStore(st), p2p.WithJournal(jrn)}
 	if *replicas > 1 {
-		nodeOpts = append(nodeOpts, p2p.WithReplication(replicate.Policy{
-			K: *replicas, Quorum: *quorum, ShardThreshold: *shardThreshold,
-		}))
+		nodeOpts = append(nodeOpts, p2p.WithReplication(replicate.Policy{K: *replicas, Quorum: *quorum}))
 	}
 	if *rpcTimeout > 0 {
 		nodeOpts = append(nodeOpts, p2p.WithRPCTimeout(*rpcTimeout))

@@ -561,12 +561,3 @@ func (d *DHT) Items(i int) int {
 	}
 	return st.Len()
 }
-
-// ItemsOf returns how many items the server named by id currently stores.
-func (d *DHT) ItemsOf(id ServerID) int {
-	st, ok := d.storeOf(id)
-	if !ok {
-		return 0
-	}
-	return st.Len()
-}

@@ -220,15 +220,6 @@ func (s *System) SuppliedOf(h partition.Handle) int64 {
 	return s.Supplied[h]
 }
 
-// SuppliedAt returns the supply count of the server currently at ring
-// index i.
-func (s *System) SuppliedAt(i int) int64 {
-	h := s.Net.G.Ring.HandleAt(i)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Supplied[h]
-}
-
 // Forget drops the departed server's supply counter.
 func (s *System) Forget(h partition.Handle) {
 	s.mu.Lock()

@@ -36,7 +36,7 @@ func BenchmarkHandoff(b *testing.B) {
 			var peak int64
 			for i := 0; i < b.N; i++ {
 				ResetMemWatermark()
-				recv, err := Begin("", uint64(i)+1, RoleJoin, interval.FullCircle, "bench", nil)
+				recv, err := Begin("", Receiver{ID: uint64(i) + 1, Role: RoleJoin, Seg: interval.FullCircle, Sender: "bench"})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -47,12 +47,12 @@ func BenchmarkHandoff(b *testing.B) {
 					_, _, err := Stream(pw, cur, DefaultChunkBytes, nil)
 					pw.CloseWithError(err)
 				}()
-				n, err := ReadStream(bufio.NewReaderSize(pr, 64<<10), recv.Apply, nil)
+				n, err := ReadStream(bufio.NewReaderSize(pr, 64<<10), recv.apply, nil)
 				if err != nil || n != uint64(sz.items) {
 					b.Fatalf("transfer: n=%d err=%v", n, err)
 				}
-				if recv.Staged() != sz.items {
-					b.Fatalf("staged %d, want %d", recv.Staged(), sz.items)
+				if recv.staging.Len() != sz.items {
+					b.Fatalf("staged %d, want %d", recv.staging.Len(), sz.items)
 				}
 				if MemWatermark() > peak {
 					peak = MemWatermark()

@@ -1,16 +1,17 @@
 package handoff
 
-// CommitLog closes the dual-crash corner of the handoff protocol. The
+// commitLog closes the dual-crash corner of the handoff protocol. The
 // sender's in-memory session registry keeps a committed session around
-// for 100× the TTL so a crashed receiver can probe its fate — but if the
+// far past the TTL (Sessions.committedFor) so a crashed receiver can
+// probe its fate — but if the
 // SENDER also crashes, a restarted (amnesiac) sender answers "unknown",
 // and the restarted receiver would abort a range it in fact owns,
 // deleting the only durable copies (the sender's commit already deleted
 // its side). Persisting every commit decision in a small WAL beside the
 // sender's store closes the window entirely: the commit record becomes
 // durable before the commit response (or any session-registry state a
-// probe could observe) is emitted, so a restarted sender still answers
-// opHandStatus with "committed".
+// probe could observe) is emitted, so a restarted sender's Sessions.Status
+// still answers "committed".
 //
 // Format: fixed 20-byte records — session id (8), unix-nano commit time
 // (8), CRC-32C over both (4). A torn tail (partial record or bad CRC,
@@ -39,24 +40,24 @@ const commitRecSize = 20
 
 var commitCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// CommitLog is a durable append-only record of committed handoff
-// sessions. Methods are not safe for concurrent use; the p2p node calls
-// them under its own mutex.
-type CommitLog struct {
+// commitLog is a durable append-only record of committed handoff
+// sessions. Methods are not safe for concurrent use; Sessions calls them
+// under its registry lock.
+type commitLog struct {
 	path      string
 	f         *os.File
 	retention time.Duration
 	ids       map[uint64]int64 // session id -> commit unix-nano
 }
 
-// OpenCommitLog opens (creating if absent) the commit log at path,
+// openCommitLog opens (creating if absent) the commit log at path,
 // dropping records older than retention (0 means keep everything).
-func OpenCommitLog(path string, retention time.Duration) (*CommitLog, error) {
+func openCommitLog(path string, retention time.Duration) (*commitLog, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("handoff: read commit log: %w", err)
 	}
-	c := &CommitLog{path: path, retention: retention, ids: map[uint64]int64{}}
+	c := &commitLog{path: path, retention: retention, ids: map[uint64]int64{}}
 	cutoff := int64(0)
 	if retention > 0 {
 		//condisc:wallclock retention compares persisted commit timestamps against real elapsed time; the log is p2p crash-recovery state, never replayed by churntest
@@ -95,7 +96,7 @@ func OpenCommitLog(path string, retention time.Duration) (*CommitLog, error) {
 }
 
 // rewrite compacts the log to the surviving records (atomic replace).
-func (c *CommitLog) rewrite() error {
+func (c *commitLog) rewrite() error {
 	tmp := c.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -132,16 +133,16 @@ func encodeCommitRec(id uint64, at int64) []byte {
 	return rec
 }
 
-// compactThreshold is the retained-record count past which Record starts
+// compactThreshold is the retained-record count past which record starts
 // checking for expired entries to compact away, bounding the log's file
 // and map growth on a long-lived, churn-heavy sender (retention is
 // otherwise only enforced at open).
 const compactThreshold = 1024
 
-// Record durably notes that session id committed: the record is written
-// and fsynced before Record returns, so a crash at any later instant
+// record durably notes that session id committed: the record is written
+// and fsynced before record returns, so a crash at any later instant
 // cannot forget the commit.
-func (c *CommitLog) Record(id uint64) error {
+func (c *commitLog) record(id uint64) error {
 	if c.retention > 0 && len(c.ids) >= compactThreshold {
 		c.maybeCompact()
 	}
@@ -164,7 +165,7 @@ func (c *CommitLog) Record(id uint64) error {
 // maybeCompact drops expired records and rewrites the file when at least
 // half the retained entries are stale. Best-effort: on any error the
 // existing (larger but complete) log stays in place.
-func (c *CommitLog) maybeCompact() {
+func (c *commitLog) maybeCompact() {
 	//condisc:wallclock staleness is real elapsed time since the persisted commit instant; compaction is p2p housekeeping outside the replayed paths
 	cutoff := time.Now().Add(-c.retention).UnixNano()
 	stale := 0
@@ -184,23 +185,20 @@ func (c *CommitLog) maybeCompact() {
 	// The append handle must move to the rewritten inode, or later
 	// records would land in the renamed-away file. A failed rewrite is
 	// harmless (the larger log survives); a failed reopen leaves f nil
-	// and Record reports it.
+	// and record reports it.
 	c.f.Close()
 	_ = c.rewrite()
 	c.f, _ = os.OpenFile(c.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// Contains reports whether session id has a (retained) commit record.
-func (c *CommitLog) Contains(id uint64) bool {
+// contains reports whether session id has a (retained) commit record.
+func (c *commitLog) contains(id uint64) bool {
 	_, ok := c.ids[id]
 	return ok
 }
 
-// Len returns the number of retained commit records.
-func (c *CommitLog) Len() int { return len(c.ids) }
-
-// Close releases the underlying file.
-func (c *CommitLog) Close() error {
+// close releases the underlying file.
+func (c *commitLog) close() error {
 	if c.f == nil {
 		return nil
 	}

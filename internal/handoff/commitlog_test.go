@@ -9,68 +9,68 @@ import (
 
 func TestCommitLogRecordSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commits")
-	c, err := OpenCommitLog(path, time.Hour)
+	c, err := openCommitLog(path, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []uint64{1, 42, 1 << 60} {
-		if err := c.Record(id); err != nil {
+		if err := c.record(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !c.Contains(42) || c.Contains(43) {
+	if !c.contains(42) || c.contains(43) {
 		t.Fatal("membership wrong before reopen")
 	}
-	if err := c.Close(); err != nil {
+	if err := c.close(); err != nil {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenCommitLog(path, time.Hour)
+	c2, err := openCommitLog(path, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
+	defer c2.close()
 	for _, id := range []uint64{1, 42, 1 << 60} {
-		if !c2.Contains(id) {
+		if !c2.contains(id) {
 			t.Fatalf("record %d lost across reopen", id)
 		}
 	}
-	if c2.Contains(7) {
+	if c2.contains(7) {
 		t.Fatal("phantom record after reopen")
 	}
 }
 
 func TestCommitLogTornTailIgnored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commits")
-	c, err := OpenCommitLog(path, time.Hour)
+	c, err := openCommitLog(path, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Record(11); err != nil {
+	if err := c.record(11); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Record(22); err != nil {
+	if err := c.record(22); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
+	c.close()
 
 	// Crash mid-append: the second record is half-written.
 	if err := os.Truncate(path, commitRecSize+7); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := OpenCommitLog(path, time.Hour)
+	c2, err := openCommitLog(path, time.Hour)
 	if err != nil {
 		t.Fatalf("torn tail must not fail open: %v", err)
 	}
-	defer c2.Close()
-	if !c2.Contains(11) {
+	defer c2.close()
+	if !c2.contains(11) {
 		t.Fatal("intact record lost with the torn tail")
 	}
-	if c2.Contains(22) {
+	if c2.contains(22) {
 		t.Fatal("torn record resurrected")
 	}
 	// The compaction rewrote the file to whole records; appends work.
-	if err := c2.Record(33); err != nil {
+	if err := c2.record(33); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size()%commitRecSize != 0 {
@@ -80,14 +80,14 @@ func TestCommitLogTornTailIgnored(t *testing.T) {
 
 func TestCommitLogAlignedCorruptionCompactedAway(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commits")
-	c, err := OpenCommitLog(path, time.Hour)
+	c, err := openCommitLog(path, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Record(1); err != nil {
+	if err := c.record(1); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
+	c.close()
 
 	// A record-aligned run of garbage (e.g. block zero-fill on power
 	// loss): the file length stays a multiple of the record size.
@@ -102,49 +102,49 @@ func TestCommitLogAlignedCorruptionCompactedAway(t *testing.T) {
 
 	// The reopen must truncate the corruption, or records appended after
 	// it would be lost to every future replay.
-	c2, err := OpenCommitLog(path, time.Hour)
+	c2, err := openCommitLog(path, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c2.Contains(1) {
+	if !c2.contains(1) {
 		t.Fatal("intact record lost")
 	}
-	if err := c2.Record(2); err != nil {
+	if err := c2.record(2); err != nil {
 		t.Fatal(err)
 	}
-	c2.Close()
+	c2.close()
 
-	c3, err := OpenCommitLog(path, time.Hour)
+	c3, err := openCommitLog(path, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c3.Close()
-	if !c3.Contains(1) || !c3.Contains(2) {
+	defer c3.close()
+	if !c3.contains(1) || !c3.contains(2) {
 		t.Fatal("commit recorded after an aligned-corruption reopen was lost on replay")
 	}
 }
 
 func TestCommitLogRetentionDropsOldRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "commits")
-	c, err := OpenCommitLog(path, time.Hour)
+	c, err := openCommitLog(path, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Record(5); err != nil {
+	if err := c.record(5); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
+	c.close()
 
 	// Reopen with a zero-width retention horizon: the record is expired.
-	c2, err := OpenCommitLog(path, time.Nanosecond)
+	c2, err := openCommitLog(path, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if c2.Contains(5) {
+	defer c2.close()
+	if c2.contains(5) {
 		t.Fatal("expired record retained")
 	}
-	if c2.Len() != 0 {
-		t.Fatalf("len = %d after expiry", c2.Len())
+	if len(c2.ids) != 0 {
+		t.Fatalf("len = %d after expiry", len(c2.ids))
 	}
 }

@@ -34,13 +34,13 @@ const (
 	MaxFrameBody = 8 << 20
 )
 
-// Frame is one decoded stream frame.
-type Frame struct {
-	Type  byte
-	Items []store.Item // ftItems
-	Count uint64       // ftEOF: items streamed on this connection
-	Sum   uint64       // ftEOF: order-sensitive checksum of those items
-	Err   string       // ftErr
+// streamFrame is one decoded stream frame.
+type streamFrame struct {
+	typ   byte
+	items []store.Item // ftItems
+	count uint64       // ftEOF: items streamed on this connection
+	sum   uint64       // ftEOF: order-sensitive checksum of those items
+	err   string       // ftErr
 }
 
 // sumItems folds items into the rolling order-sensitive FNV-1a checksum
@@ -120,73 +120,73 @@ func EncodeError(msg string) []byte {
 	return buf
 }
 
-// ReadFrame decodes one frame. It returns io.EOF only at a clean frame
+// readFrame decodes one frame. It returns io.EOF only at a clean frame
 // boundary; a torn header or body, a CRC mismatch, an oversized length
 // claim, or a malformed body all return a descriptive error. Item keys
 // and values alias the decoded body buffer.
-func ReadFrame(br *bufio.Reader) (Frame, error) {
+func readFrame(br *bufio.Reader) (streamFrame, error) {
 	var buf []byte // fresh per frame: the decoded items keep it alive
 	body, err := frame.Read(br, &buf, MaxFrameBody)
 	if err != nil {
 		if err == io.EOF {
-			return Frame{}, io.EOF
+			return streamFrame{}, io.EOF
 		}
-		return Frame{}, fmt.Errorf("handoff: %w", err)
+		return streamFrame{}, fmt.Errorf("handoff: %w", err)
 	}
 	return decodeBody(body)
 }
 
-func decodeBody(body []byte) (Frame, error) {
+func decodeBody(body []byte) (streamFrame, error) {
 	switch body[0] {
 	case ftItems:
 		if len(body) < 5 {
-			return Frame{}, fmt.Errorf("handoff: short items frame")
+			return streamFrame{}, fmt.Errorf("handoff: short items frame")
 		}
 		count := int(binary.LittleEndian.Uint32(body[1:5]))
 		// Each item needs ≥ 16 bytes; reject count claims the body cannot
 		// hold before allocating the slice.
 		if count < 0 || count > (len(body)-5)/16 {
-			return Frame{}, fmt.Errorf("handoff: item count %d exceeds frame", count)
+			return streamFrame{}, fmt.Errorf("handoff: item count %d exceeds frame", count)
 		}
 		items := make([]store.Item, 0, count)
 		off := 5
 		for i := 0; i < count; i++ {
 			if len(body)-off < 12 {
-				return Frame{}, fmt.Errorf("handoff: truncated item %d", i)
+				return streamFrame{}, fmt.Errorf("handoff: truncated item %d", i)
 			}
 			p := interval.Point(binary.LittleEndian.Uint64(body[off:]))
 			klen := int(binary.LittleEndian.Uint32(body[off+8:]))
 			off += 12
 			if klen < 0 || len(body)-off < klen+4 {
-				return Frame{}, fmt.Errorf("handoff: truncated key in item %d", i)
+				return streamFrame{}, fmt.Errorf("handoff: truncated key in item %d", i)
 			}
 			key := string(body[off : off+klen])
 			off += klen
 			vlen := int(binary.LittleEndian.Uint32(body[off:]))
 			off += 4
 			if vlen < 0 || len(body)-off < vlen {
-				return Frame{}, fmt.Errorf("handoff: truncated value in item %d", i)
+				return streamFrame{}, fmt.Errorf("handoff: truncated value in item %d", i)
 			}
 			items = append(items, store.Item{Point: p, Key: key, Value: body[off : off+vlen : off+vlen]})
 			off += vlen
 		}
 		if off != len(body) {
-			return Frame{}, fmt.Errorf("handoff: %d trailing bytes in items frame", len(body)-off)
+			return streamFrame{}, fmt.Errorf("handoff: %d trailing bytes in items frame", len(body)-off)
 		}
-		return Frame{Type: ftItems, Items: items}, nil
+		return streamFrame{typ: ftItems, items: items}, nil
 	case ftEOF:
 		if len(body) != 17 {
-			return Frame{}, fmt.Errorf("handoff: malformed EOF frame")
+			return streamFrame{}, fmt.Errorf("handoff: malformed EOF frame")
 		}
-		return Frame{
-			Type:  ftEOF,
-			Count: binary.LittleEndian.Uint64(body[1:9]),
-			Sum:   binary.LittleEndian.Uint64(body[9:17]),
+		return streamFrame{
+			typ:   ftEOF,
+			count: binary.LittleEndian.Uint64(body[1:9]),
+			sum:   binary.LittleEndian.Uint64(body[9:17]),
 		}, nil
 	case ftErr:
-		return Frame{Type: ftErr, Err: string(body[1:])}, nil
+		return streamFrame{typ: ftErr, err: string(body[1:])}, nil
 	default:
-		return Frame{}, fmt.Errorf("handoff: unknown frame type %d", body[0])
+		return streamFrame{}, fmt.Errorf("handoff: unknown frame type %d", body[0])
 	}
 }
 
@@ -272,32 +272,32 @@ func ReadStream(br *bufio.Reader, apply func([]store.Item) error, tick func()) (
 		if tick != nil {
 			tick()
 		}
-		f, err := ReadFrame(br)
+		f, err := readFrame(br)
 		if err != nil {
 			if err == io.EOF {
 				return count, fmt.Errorf("handoff: stream ended without EOF frame")
 			}
 			return count, err
 		}
-		switch f.Type {
+		switch f.typ {
 		case ftItems:
-			b := itemBytes(f.Items)
+			b := itemBytes(f.items)
 			transferMem.add(b)
-			aerr := apply(f.Items)
+			aerr := apply(f.items)
 			transferMem.release(b)
 			if aerr != nil {
 				return count, aerr
 			}
-			count += uint64(len(f.Items))
-			sum = sumItems(sum, f.Items)
+			count += uint64(len(f.items))
+			sum = sumItems(sum, f.items)
 		case ftEOF:
-			if f.Count != count || f.Sum != sum {
+			if f.count != count || f.sum != sum {
 				return count, fmt.Errorf("handoff: stream verification failed: got %d items sum %x, sender sent %d sum %x",
-					count, sum, f.Count, f.Sum)
+					count, sum, f.count, f.sum)
 			}
 			return count, nil
 		case ftErr:
-			return count, &RemoteError{Msg: f.Err}
+			return count, &RemoteError{Msg: f.err}
 		}
 	}
 }

@@ -83,20 +83,20 @@ func FuzzHandoffFrames(f *testing.F) {
 		// as fine) or errors cleanly. Run to first error or EOF.
 		br := bufio.NewReader(bytes.NewReader(raw))
 		for {
-			fr, err := ReadFrame(br)
+			fr, err := readFrame(br)
 			if err != nil {
 				break // clean EOF or a detected corruption — both fine
 			}
-			if fr.Type == ftItems {
+			if fr.typ == ftItems {
 				// Decoded items must be internally consistent.
-				for _, it := range fr.Items {
+				for _, it := range fr.items {
 					_ = it.Key
 					if len(it.Value) > MaxFrameBody {
 						t.Fatalf("decoded value larger than any frame body")
 					}
 				}
 			}
-			if fr.Type == ftEOF || fr.Type == ftErr {
+			if fr.typ == ftEOF || fr.typ == ftErr {
 				continue
 			}
 		}
@@ -104,7 +104,7 @@ func FuzzHandoffFrames(f *testing.F) {
 		// A huge length claim must be rejected before allocation.
 		var evil bytes.Buffer
 		evil.Write([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
-		if _, err := ReadFrame(bufio.NewReader(&evil)); err == nil ||
+		if _, err := readFrame(bufio.NewReader(&evil)); err == nil ||
 			!strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("oversized length claim not rejected: %v", err)
 		}

@@ -27,6 +27,24 @@
 // so a joiner dying mid-RPC stranded the range — cannot be expressed in
 // this protocol.
 //
+// What the caller does, and what it may not do. The package owns the
+// protocol ORDER on both ends; its one caller (internal/p2p) owns the ring
+// decisions that order leaves open.
+//
+//	sender    NewSessions once (it keeps the durable commit record);
+//	          Prepare to fence a range; Get/Touch and Stream to serve it;
+//	          Commit inside the critical section that flips its pointers,
+//	          the range delete after; Abort and Status to answer the
+//	          receiver's probes. It asks "is this committed" of nothing but
+//	          those, and deletes no range Commit did not return ok for.
+//	receiver  Begin, then Run over a Wire to the sender, and map the
+//	          Outcome onto its own state — Committed: adopt the range and
+//	          Finish; Refused: Abort; Unresolved: keep or roll back by its
+//	          own policy. After a crash: Recover, and for a session whose
+//	          commit is known to have landed, Promote then Finish. It never
+//	          promotes a live session itself (Run does, before the commit),
+//	          never calls Finish before a commit or Abort after one.
+//
 // Memory: the sender holds one cursor batch and one encoded frame at a
 // time; the receiver holds one decoded frame. Peak transfer memory is
 // O(chunk budget) however large the range is (BenchmarkHandoff sweeps

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestMove(t *testing.T) {
 func TestStreamRoundtrip(t *testing.T) {
 	src := store.NewMem()
 	fill(t, src, 1000, []byte("some-value-payload"))
-	recv, err := Begin("", 7, RoleJoin, interval.FullCircle, "test", nil)
+	recv, err := Begin("", Receiver{ID: 7, Role: RoleJoin, Seg: interval.FullCircle, Sender: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +73,12 @@ func TestStreamRoundtrip(t *testing.T) {
 		_, _, err := Stream(pw, cur, 4<<10, nil)
 		pw.CloseWithError(err)
 	}()
-	n, err := ReadStream(bufio.NewReader(pr), recv.Apply, nil)
+	n, err := ReadStream(bufio.NewReader(pr), recv.apply, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1000 || recv.Staged() != 1000 {
-		t.Fatalf("streamed %d, staged %d, want 1000", n, recv.Staged())
+	if n != 1000 || recv.staging.Len() != 1000 {
+		t.Fatalf("streamed %d, staged %d, want 1000", n, recv.staging.Len())
 	}
 	live := store.NewMem()
 	if err := recv.Promote(live); err != nil {
@@ -94,7 +95,7 @@ func TestStreamRoundtrip(t *testing.T) {
 func TestStreamResume(t *testing.T) {
 	src := store.NewMem()
 	fill(t, src, 500, []byte("abcdefgh"))
-	recv, err := Begin("", 9, RoleJoin, interval.FullCircle, "test", nil)
+	recv, err := Begin("", Receiver{ID: 9, Role: RoleJoin, Seg: interval.FullCircle, Sender: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +114,19 @@ func TestStreamResume(t *testing.T) {
 			return fmt.Errorf("injected receiver failure")
 		}
 		chunks++
-		return recv.Apply(items)
+		return recv.apply(items)
 	}, nil)
 	pr.CloseWithError(io.ErrClosedPipe)
 	if err == nil {
 		t.Fatal("first connection should have failed")
 	}
-	staged := recv.Staged()
+	staged := recv.staging.Len()
 	if staged == 0 || staged == 500 {
 		t.Fatalf("want a partial stage, got %d", staged)
 	}
 
 	// Second connection: resume strictly after the staged prefix.
-	p, key, ok, err := recv.ResumeAfter()
+	p, key, ok, err := recv.resumeAfter()
 	if err != nil || !ok {
 		t.Fatalf("ResumeAfter: %v %v", ok, err)
 	}
@@ -137,11 +138,11 @@ func TestStreamResume(t *testing.T) {
 		_, _, err := Stream(pw2, cur, 1<<10, nil)
 		pw2.CloseWithError(err)
 	}()
-	if _, err := ReadStream(bufio.NewReader(pr2), recv.Apply, nil); err != nil {
+	if _, err := ReadStream(bufio.NewReader(pr2), recv.apply, nil); err != nil {
 		t.Fatal(err)
 	}
-	if recv.Staged() != 500 {
-		t.Fatalf("after resume staged %d, want 500 (no loss, no duplicates)", recv.Staged())
+	if recv.staging.Len() != 500 {
+		t.Fatalf("after resume staged %d, want 500 (no loss, no duplicates)", recv.staging.Len())
 	}
 }
 
@@ -149,9 +150,10 @@ func TestStreamResume(t *testing.T) {
 // back with its staged prefix and manifest intact; after recovery the
 // session completes and the staging directory is gone.
 func TestReceiverRecover(t *testing.T) {
-	dir := t.TempDir() + "/stage"
+	base := t.TempDir() + "/wal"
 	seg := interval.Segment{Start: 100, Len: 1 << 62}
-	recv, err := Begin(dir, 11, RoleJoin, seg, "sender:1", map[string]string{"pred_addr": "sender:1"})
+	pred, succ := Peer{ID: 7, Point: 40, Addr: "sender:1"}, Peer{ID: 9, Point: uint64(seg.End()), Addr: "succ:1"}
+	recv, err := Begin(base, Receiver{ID: 11, Role: RoleJoin, Seg: seg, Sender: "sender:1", Pred: pred, Succ: succ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestReceiverRecover(t *testing.T) {
 		{Point: 200, Key: "a", Value: []byte("1")},
 		{Point: 300, Key: "b", Value: []byte("2")},
 	}
-	if err := recv.Apply(items); err != nil {
+	if err := recv.apply(items); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: drop the receiver without Finish/Abort.
@@ -167,20 +169,29 @@ func TestReceiverRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := Recover(dir)
-	if err != nil {
+	// A staging directory that never got its manifest is debris.
+	debris := stagingDir(base, "00000000000000ff")
+	if err := os.MkdirAll(debris, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if r2.ID != 11 || r2.Role != RoleJoin || r2.Seg != seg || r2.Sender != "sender:1" {
+	recs, err := Recover(base)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("Recover = %d receivers, %v; want the one session", len(recs), err)
+	}
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Fatalf("manifest-less staging directory survived recovery: %v", err)
+	}
+	r2 := recs[0]
+	if r2.ID != 11 || r2.Role != RoleJoin || r2.Seg != seg || r2.Sender != "sender:1" || r2.Promoting() {
 		t.Fatalf("recovered wrong manifest: %+v", r2)
 	}
-	if r2.Meta["pred_addr"] != "sender:1" {
-		t.Fatalf("recovered meta lost: %v", r2.Meta)
+	if r2.Pred != pred || r2.Succ != succ {
+		t.Fatalf("recovered ring neighbours %+v / %+v, want %+v / %+v", r2.Pred, r2.Succ, pred, succ)
 	}
-	if r2.Staged() != 2 {
-		t.Fatalf("recovered %d staged items, want 2", r2.Staged())
+	if r2.staging.Len() != 2 {
+		t.Fatalf("recovered %d staged items, want 2", r2.staging.Len())
 	}
-	p, key, ok, err := r2.ResumeAfter()
+	p, key, ok, err := r2.resumeAfter()
 	if err != nil || !ok || p != 300 || key != "b" {
 		t.Fatalf("resume position = %v %q %v %v, want 300 b", p, key, ok, err)
 	}
@@ -198,8 +209,8 @@ func TestReceiverRecover(t *testing.T) {
 	if err := r2.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir); err == nil {
-		t.Fatal("staging directory should be gone after Finish")
+	if recs, err := Recover(base); err != nil || len(recs) != 0 {
+		t.Fatalf("staging directory should be gone after Finish: %d receivers, %v", len(recs), err)
 	}
 }
 
@@ -213,11 +224,11 @@ func TestReceiverAbortAfterPromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := interval.Segment{Start: 1000, Len: 1000}
-	recv, err := Begin("", 13, RoleLeave, seg, "s", nil)
+	recv, err := Begin("", Receiver{ID: 13, Role: RoleLeave, Seg: seg, Sender: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv.Apply([]store.Item{{Point: 1500, Key: "x", Value: []byte("v")}})
+	recv.apply([]store.Item{{Point: 1500, Key: "x", Value: []byte("v")}})
 	if err := recv.Promote(live); err != nil {
 		t.Fatal(err)
 	}
@@ -235,27 +246,34 @@ func TestReceiverAbortAfterPromote(t *testing.T) {
 // TestSessionLifecycle: prepare/fence/commit/abort/expiry semantics the
 // sender relies on.
 func TestSessionLifecycle(t *testing.T) {
-	ss := NewSessions(50 * time.Millisecond)
-	seg := interval.Segment{Start: 100, Len: 100}
-	s, err := ss.Prepare(1, seg, "peer", "meta")
+	ss, err := NewSessions(50*time.Millisecond, "")
 	if err != nil {
 		t.Fatal(err)
+	}
+	seg := interval.Segment{Start: 100, Len: 100}
+	peer := Peer{ID: 5, Point: 100, Addr: "peer"}
+	s, err := ss.Prepare(1, seg, RoleJoin, peer, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.Prepare(0, interval.Segment{Start: 9000, Len: 1}, RoleJoin, peer, 0); err == nil {
+		t.Fatal("zero session id accepted")
 	}
 	if !ss.Fenced(150) || ss.Fenced(50) {
 		t.Fatal("fence does not match the session range")
 	}
-	if _, err := ss.Prepare(2, interval.Segment{Start: 150, Len: 10}, "p", nil); err == nil {
+	if _, err := ss.Prepare(2, interval.Segment{Start: 150, Len: 10}, RoleJoin, peer, 0); err == nil {
 		t.Fatal("overlapping prepare accepted")
 	}
-	if _, err := ss.Prepare(1, interval.Segment{Start: 5000, Len: 1}, "p", nil); err == nil {
+	if _, err := ss.Prepare(1, interval.Segment{Start: 5000, Len: 1}, RoleJoin, peer, 0); err == nil {
 		t.Fatal("duplicate session id accepted")
 	}
 	if st := ss.Status(1); st != StateStreaming {
 		t.Fatalf("status = %v, want streaming", st)
 	}
-	c, ok := ss.Commit(1)
-	if !ok || c != s || c.Meta != "meta" {
-		t.Fatal("commit failed")
+	c, ok, logErr := ss.Commit(1)
+	if !ok || logErr != nil || c != s || c.Role != RoleJoin || c.Peer != peer || c.RingVer != 3 {
+		t.Fatalf("commit failed: %+v %v %v", c, ok, logErr)
 	}
 	select {
 	case <-s.Done():
@@ -268,12 +286,26 @@ func TestSessionLifecycle(t *testing.T) {
 	if ss.Fenced(150) {
 		t.Fatal("fence survived commit")
 	}
-	if _, ok := ss.Commit(1); ok {
+	if _, ok, _ := ss.Commit(1); ok {
 		t.Fatal("double commit accepted")
+	}
+	// Commit wins: aborting a committed session reads committed and
+	// changes nothing; aborting an unknown one reads unknown.
+	if st, aborted := ss.Abort(1); st != StateCommitted || aborted || ss.Status(1) != StateCommitted {
+		t.Fatalf("abort after commit = %v, %v; status %v", st, aborted, ss.Status(1))
+	}
+	if st, aborted := ss.Abort(77); st != StateUnknown || aborted {
+		t.Fatalf("abort of an unknown session = %v, %v", st, aborted)
 	}
 
 	// Expiry: an abandoned streaming session aborts and unfences.
-	if _, err := ss.Prepare(3, seg, "peer", nil); err != nil {
+	if _, err := ss.Prepare(4, seg, RoleLeave, peer, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st, aborted := ss.Abort(4); st != StateUnknown || !aborted || ss.Fenced(150) {
+		t.Fatalf("abort of a streaming session = %v, %v; fenced %v", st, aborted, ss.Fenced(150))
+	}
+	if _, err := ss.Prepare(3, seg, RoleJoin, peer, 0); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(80 * time.Millisecond)
@@ -300,7 +332,7 @@ func TestStreamMemoryBounded(t *testing.T) {
 	peak := func(items, chunkBytes int) int64 {
 		src := store.NewMem()
 		fill(t, src, items, val)
-		recv, err := Begin("", uint64(items), RoleJoin, interval.FullCircle, "t", nil)
+		recv, err := Begin("", Receiver{ID: uint64(items), Role: RoleJoin, Seg: interval.FullCircle, Sender: "t"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +344,7 @@ func TestStreamMemoryBounded(t *testing.T) {
 			_, _, err := Stream(pw, cur, chunkBytes, nil)
 			pw.CloseWithError(err)
 		}()
-		if _, err := ReadStream(bufio.NewReader(pr), recv.Apply, nil); err != nil {
+		if _, err := ReadStream(bufio.NewReader(pr), recv.apply, nil); err != nil {
 			t.Fatal(err)
 		}
 		return MemWatermark()
@@ -366,7 +398,7 @@ func (c *recordingCursor) Next(max int) ([]store.Item, error) {
 // batch with the first one delivered, so it cannot pass.
 func TestPromoteMemoryBounded(t *testing.T) {
 	const n = 20_000
-	recv, err := Begin(t.TempDir(), 1, RoleJoin, interval.FullCircle, "t", nil)
+	recv, err := Begin(t.TempDir(), Receiver{ID: 1, Role: RoleJoin, Seg: interval.FullCircle, Sender: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,8 +416,8 @@ func TestPromoteMemoryBounded(t *testing.T) {
 	if want := n/batchItems + 1; rec.requests < want {
 		t.Fatalf("Promote read staging in %d cursor batches, want at least %d", rec.requests, want)
 	}
-	if live.Len() != n || recv.Staged() != 0 {
-		t.Fatalf("promoted %d of %d items, %d left staged", live.Len(), n, recv.Staged())
+	if live.Len() != n || recv.staging.Len() != 0 {
+		t.Fatalf("promoted %d of %d items, %d left staged", live.Len(), n, recv.staging.Len())
 	}
 	if err := recv.Finish(); err != nil {
 		t.Fatal(err)

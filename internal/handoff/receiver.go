@@ -16,13 +16,17 @@ import (
 // Items enter the receiver's live store only at Promote, and Promote runs
 // BEFORE the sender is asked to commit — so at every instant each item of
 // the range is durable in the sender's store, the staging store, or the
-// live store (often two of them; never none).
+// live store (often two of them; never none). Run drives a session in that
+// order; the exported fields are the caller's to fill in for Begin.
 type Receiver struct {
 	ID     uint64
 	Role   string // RoleJoin or RoleLeave
 	Seg    interval.Segment
-	Sender string
-	Meta   map[string]string
+	Sender string // the sender's address
+	// Pred and Succ are the ring neighbours a join adopts at commit time
+	// (unused by a leave); they ride in the manifest so a restarted joiner
+	// can finish without re-asking anyone.
+	Pred, Succ Peer
 
 	dir     string // "" = in-memory staging (no manifest, not recoverable)
 	staging store.Store
@@ -37,39 +41,47 @@ const (
 )
 
 // Receiver states recorded in the manifest. The transition to
-// StagePromoting is durable BEFORE the first staged item can reach the
+// stagePromoting is durable BEFORE the first staged item can reach the
 // live store, so a recovering receiver knows whether the live store may
 // hold a partial promotion (re-promoting is idempotent: same keys, same
 // values).
 const (
-	StageStreaming = "streaming"
-	StagePromoting = "promoting"
+	stageStreaming = "streaming"
+	stagePromoting = "promoting"
 )
 
 const manifestName = "manifest.json"
 
 type manifest struct {
-	Session  uint64            `json:"session"`
-	Role     string            `json:"role"`
-	SegStart uint64            `json:"seg_start"`
-	SegLen   uint64            `json:"seg_len"`
-	Sender   string            `json:"sender"`
-	State    string            `json:"state"`
-	Meta     map[string]string `json:"meta,omitempty"`
+	Session  uint64 `json:"session"`
+	Role     string `json:"role"`
+	SegStart uint64 `json:"seg_start"`
+	SegLen   uint64 `json:"seg_len"`
+	Sender   string `json:"sender"`
+	State    string `json:"state"`
+	Pred     Peer   `json:"pred"`
+	Succ     Peer   `json:"succ"`
 }
 
-// Begin opens a receiver for one session. dir selects the staging engine:
-// "" stages in memory (a crash discards the session — fine for mem-backed
-// nodes, whose live items die with the process anyway); otherwise a WAL
-// staging store plus manifest are created in dir, making the session
-// recoverable with Recover.
-func Begin(dir string, id uint64, role string, seg interval.Segment, sender string, meta map[string]string) (*Receiver, error) {
-	r := &Receiver{ID: id, Role: role, Seg: seg, Sender: sender, Meta: meta, dir: dir, state: StageStreaming}
-	if dir == "" {
+// stagingDir names session id's staging directory beside base; with "*"
+// for the id it is the pattern Recover globs.
+func stagingDir(base, id string) string { return base + ".handoff-" + id }
+
+// Begin opens the receiver r describes (ID, Role, Seg, Sender and, for a
+// join, Pred/Succ). base selects the staging engine: "" stages in memory
+// (a crash discards the session — fine for mem-backed nodes, whose live
+// items die with the process anyway, so the session is simply gone, not
+// half-applied); otherwise base is the node's WAL directory, and a WAL
+// staging store plus manifest are created beside it in
+// <base>.handoff-<id>, making the session recoverable with Recover.
+func Begin(base string, r Receiver) (*Receiver, error) {
+	r.state = stageStreaming
+	if base == "" {
 		r.staging = store.NewMem()
-		return r, nil
+		return &r, nil
 	}
-	s, err := store.OpenLog(dir, store.LogOptions{})
+	r.dir = stagingDir(base, fmt.Sprintf("%016x", r.ID))
+	s, err := store.OpenLog(r.dir, store.LogOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -78,15 +90,36 @@ func Begin(dir string, id uint64, role string, seg interval.Segment, sender stri
 		s.Close()
 		return nil, err
 	}
-	return r, nil
+	return &r, nil
 }
 
-// Recover reopens a crashed receiver from its staging directory. The
+// Recover reopens the receivers a crashed process left beside base. The
 // staged items (every chunk acknowledged by the WAL before the crash) and
 // the manifest state come back; the caller decides — by probing the
 // sender's session status — whether to resume streaming, finish
-// promoting, or abort.
-func Recover(dir string) (*Receiver, error) {
+// promoting, or abort. A staging directory that cannot be reopened is
+// removed: the process crashed before the manifest write, nothing staged.
+func Recover(base string) ([]*Receiver, error) {
+	if base == "" {
+		return nil, nil
+	}
+	dirs, err := filepath.Glob(stagingDir(base, "*"))
+	if err != nil {
+		return nil, err
+	}
+	var out []*Receiver
+	for _, dir := range dirs {
+		r, err := recoverDir(dir)
+		if err != nil {
+			os.RemoveAll(dir)
+			continue
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+func recoverDir(dir string) (*Receiver, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, err
@@ -106,7 +139,7 @@ func Recover(dir string) (*Receiver, error) {
 		ID:     m.Session,
 		Role:   m.Role,
 		Seg:    interval.Segment{Start: interval.Point(m.SegStart), Len: m.SegLen},
-		Sender: m.Sender, Meta: m.Meta,
+		Sender: m.Sender, Pred: m.Pred, Succ: m.Succ,
 		dir: dir, staging: s, state: m.State,
 	}, nil
 }
@@ -115,7 +148,7 @@ func (r *Receiver) writeManifest() error {
 	m := manifest{
 		Session: r.ID, Role: r.Role,
 		SegStart: uint64(r.Seg.Start), SegLen: r.Seg.Len,
-		Sender: r.Sender, State: r.state, Meta: r.Meta,
+		Sender: r.Sender, State: r.state, Pred: r.Pred, Succ: r.Succ,
 	}
 	raw, err := json.Marshal(m)
 	if err != nil {
@@ -145,16 +178,14 @@ func (r *Receiver) writeManifest() error {
 	return os.Rename(tmp, filepath.Join(r.dir, manifestName))
 }
 
-// State returns the receiver's manifest state.
-func (r *Receiver) State() string { return r.state }
+// Promoting reports whether the receiver had durably begun promoting:
+// the live store may hold some or all of the session's items.
+func (r *Receiver) Promoting() bool { return r.state == stagePromoting }
 
-// Staged returns how many items are currently staged.
-func (r *Receiver) Staged() int { return r.staging.Len() }
-
-// Apply stages one chunk. On a WAL staging store the items are durable
-// when Apply returns — the resume point after a crash is wherever the
+// apply stages one chunk. On a WAL staging store the items are durable
+// when apply returns — the resume point after a crash is wherever the
 // last acknowledged chunk ended.
-func (r *Receiver) Apply(items []store.Item) error {
+func (r *Receiver) apply(items []store.Item) error {
 	for _, it := range items {
 		if err := r.staging.Put(it.Point, it.Key, it.Value); err != nil {
 			return err
@@ -163,11 +194,11 @@ func (r *Receiver) Apply(items []store.Item) error {
 	return nil
 }
 
-// ResumeAfter returns the last staged position in ring order — the
+// resumeAfter returns the last staged position in ring order — the
 // stream is ordered, so the staged items form a prefix and the next
 // connection asks the sender to continue strictly after this position.
 // ok is false when nothing is staged yet.
-func (r *Receiver) ResumeAfter() (p interval.Point, key string, ok bool, err error) {
+func (r *Receiver) resumeAfter() (p interval.Point, key string, ok bool, err error) {
 	err = store.Scan(r.staging, r.Seg, func(items []store.Item) error {
 		last := items[len(items)-1]
 		p, key, ok = last.Point, last.Key, true
@@ -179,23 +210,19 @@ func (r *Receiver) ResumeAfter() (p interval.Point, key string, ok bool, err err
 	return p, key, ok, nil
 }
 
-// MarkPromoting durably records that staged items may start reaching the
-// live store. Must be called (and acknowledged) before Promote.
-func (r *Receiver) MarkPromoting() error {
-	r.state = StagePromoting
-	if r.dir == "" {
-		return nil
-	}
-	return r.writeManifest()
-}
-
-// Promote moves the staged items into the live store, draining staging.
-// It is idempotent under replay: a crash mid-promote leaves some items in
-// both stores, and re-promoting overwrites them with identical values.
+// Promote moves the staged items into the live store, draining staging,
+// after durably recording in the manifest that they may start reaching
+// it. It is idempotent under replay: a crash mid-promote leaves some
+// items in both stores, and re-promoting overwrites them with identical
+// values. Run promotes a live session; callers promote only a recovered
+// one whose commit is known to have landed.
 func (r *Receiver) Promote(live store.Store) error {
-	if r.state != StagePromoting {
-		if err := r.MarkPromoting(); err != nil {
-			return err
+	if r.state != stagePromoting {
+		r.state = stagePromoting
+		if r.dir != "" {
+			if err := r.writeManifest(); err != nil {
+				return err
+			}
 		}
 	}
 	return live.MergeFrom(r.staging)
@@ -206,7 +233,7 @@ func (r *Receiver) Promote(live store.Store) error {
 // live store (the sender never committed, so it still owns every one of
 // those items). live may be nil when the receiver never promoted.
 func (r *Receiver) Abort(live store.Store) error {
-	if r.state == StagePromoting && live != nil {
+	if r.state == stagePromoting && live != nil {
 		if err := live.DeleteRange(r.Seg); err != nil {
 			return err
 		}

@@ -46,7 +46,7 @@ func TestConcurrentJoinsSameOwner(t *testing.T) {
 	go func() { aErr <- a.StartJoin(owner.Addr(), rand.New(rand.NewPCG(141, 141))) }()
 
 	<-aPaused
-	if got := owner.sessions.Active(); got != 1 {
+	if got := len(owner.sessions.Streaming()); got != 1 {
 		t.Fatalf("owner has %d active sessions while A streams, want 1", got)
 	}
 
@@ -63,9 +63,9 @@ func TestConcurrentJoinsSameOwner(t *testing.T) {
 
 	// Both sessions must be streaming at the owner simultaneously.
 	deadline := time.Now().Add(10 * time.Second)
-	for owner.sessions.Active() < 2 {
+	for len(owner.sessions.Streaming()) < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("owner never held 2 concurrent sessions (have %d)", owner.sessions.Active())
+			t.Fatalf("owner never held 2 concurrent sessions (have %d)", len(owner.sessions.Streaming()))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

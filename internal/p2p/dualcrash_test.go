@@ -13,6 +13,7 @@ package p2p
 import (
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestDualCrashCommitRecordSurvivesRestart(t *testing.T) {
 // intact for sessions that truly never committed.
 func TestDualCrashWithoutRecordWouldAbort(t *testing.T) {
 	const items = 300
-	owner, _ := handoffHarness(t, 191, items)
+	owner, ownerDir := handoffHarness(t, 191, items)
 	defer owner.Close()
 
 	joinerDir := filepath.Join(t.TempDir(), "joiner")
@@ -152,11 +153,10 @@ func TestDualCrashWithoutRecordWouldAbort(t *testing.T) {
 	j1.Close()
 
 	// The owner never committed; no commit record exists for the session.
-	if owner.commits == nil {
-		t.Fatal("log-backed owner has no commit log")
-	}
-	if owner.commits.Len() != 0 {
-		t.Fatalf("owner recorded %d commits for an uncommitted session", owner.commits.Len())
+	if fi, err := os.Stat(ownerDir + ".commits"); err != nil {
+		t.Fatalf("log-backed owner has no commit log: %v", err)
+	} else if fi.Size() != 0 {
+		t.Fatalf("owner recorded %d bytes of commits for an uncommitted session", fi.Size())
 	}
 
 	// The restarted joiner reads "streaming" (session still alive) and

@@ -8,6 +8,15 @@ package p2p
 // asking for that commit, so a crash or disconnect at any point leaves
 // exactly one owner and every item in at least one durable store.
 //
+// Who decides what: internal/handoff owns the protocol order on both ends
+// — the receiver's stream → promote → publish → commit sequence with its
+// reconnects and commit-ambiguity resolution (Receiver.Run), the sender's
+// fence, TTL, commit decision and its durable record (Sessions). This file
+// keeps the ring decisions: which range a prepare fences and who succeeds
+// it, whether a commit may flip the pointers now, what an absorbing
+// predecessor publishes before the leaver's commit, and what each receiver
+// keeps or rolls back per outcome.
+//
 // Join (the joiner drives; the segment owner is the sender):
 //
 //	joiner                         owner
@@ -36,13 +45,9 @@ package p2p
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"os"
-	"path/filepath"
-	"strconv"
 	"time"
 
 	"condisc/internal/handoff"
@@ -51,28 +56,11 @@ import (
 	"condisc/internal/store"
 )
 
-// sessMeta is the sender-side per-session state: what to do at commit.
-type sessMeta struct {
-	kind   string // handoff.RoleJoin or handoff.RoleLeave
-	joiner NodeInfo
-	// ringVer is the node's (end, succ) version at prepare time. A join
-	// commit whose stamp is stale AND whose range is no longer the segment
-	// tail was prepared against a boundary that has since moved (a leave
-	// absorption extended it): it can be refused definitively instead of
-	// making the joiner spin on retries that can never succeed.
-	ringVer uint64
-}
-
-// Stream reconnect policy: a broken stream connection is retried with the
-// receiver's resume position; a sender refusal (unknown/expired session)
-// is terminal.
+// joinAttempts bounds the lookup/prepare retries of StartJoin: each
+// refusal (a contested midpoint mid-handoff to a concurrent joiner, an
+// owner absorbing a leave, a route through a still-joining node) retries
+// at a fresh uniformly-sampled point.
 const (
-	streamAttempts   = 4
-	streamRetryDelay = 25 * time.Millisecond
-	// joinAttempts bounds the lookup/prepare retries of StartJoin: each
-	// refusal (a contested midpoint mid-handoff to a concurrent joiner,
-	// an owner absorbing a leave, a route through a still-joining node)
-	// retries at a fresh uniformly-sampled point.
 	joinAttempts   = 8
 	joinRetryDelay = 50 * time.Millisecond
 )
@@ -80,14 +68,7 @@ const (
 // errHookKill marks a test-injected receiver death: the caller must NOT
 // clean up (no abort, no staging removal) — the point is to leave the
 // on-disk state exactly as a crash would.
-var errHookKill = errors.New("p2p: handoff receiver killed by test hook")
-
-func u64s(v uint64) string { return strconv.FormatUint(v, 10) }
-
-func metaU64(m map[string]string, k string) uint64 {
-	v, _ := strconv.ParseUint(m[k], 10, 64)
-	return v
-}
+var errHookKill = fmt.Errorf("p2p: handoff receiver killed by test hook: %w", handoff.ErrInterrupted)
 
 // --- joiner side ---
 
@@ -124,22 +105,24 @@ func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 	var joinPt interval.Point
 	var ownerAddr string
 	for attempt := 0; ; attempt++ {
-		retriable := func(err error) error {
-			// A refused lookup (a route through a node that is itself
-			// mid-join answers "joining; retry") is as transient as a
-			// refused prepare: burn an attempt, don't fail the join.
-			if attempt >= joinAttempts-1 {
-				return err
+		// lookupRetry resolves p's owner. A refused lookup (a route
+		// through a node that is itself mid-join answers "joining; retry")
+		// is as transient as a refused prepare: it burns an attempt (again)
+		// instead of failing the join, until the attempts run out.
+		lookupRetry := func(p interval.Point) (owner response, again bool, err error) {
+			owner, err = n.wire.lookup(bootstrap, p)
+			if err == nil || attempt >= joinAttempts-1 {
+				return owner, false, err
 			}
 			time.Sleep(joinRetryDelay)
-			return nil
+			return owner, true, nil
 		}
 		z := interval.Point(rng.Uint64())
-		owner, err := n.wire.lookup(bootstrap, z)
+		owner, again, err := lookupRetry(z)
 		if err != nil {
-			if rerr := retriable(err); rerr != nil {
-				return rerr
-			}
+			return err
+		}
+		if again {
 			continue
 		}
 		p := interval.Point(owner.Point) + interval.Point(uint64(owner.End-owner.Point)/2)
@@ -148,14 +131,10 @@ func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 		}
 		if uint64(p) == owner.Point { // degenerate tiny segment; fall back
 			p = interval.Point(rng.Uint64())
-			owner, err = n.wire.lookup(bootstrap, p)
-			if err != nil {
-				if rerr := retriable(err); rerr != nil {
-					return rerr
-				}
-				continue
+			if owner, again, err = lookupRetry(p); err != nil {
+				return err
 			}
-			if uint64(p) == owner.Point {
+			if again || uint64(p) == owner.Point {
 				continue
 			}
 		}
@@ -180,11 +159,11 @@ func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 	// needed to adopt it at commit time ride in the manifest, so a
 	// restarted joiner can finish without re-asking anyone.
 	seg := interval.Segment{Start: joinPt, Len: uint64(interval.Point(prep.End) - joinPt)}
-	meta := map[string]string{
-		"pred_id": u64s(prep.ID), "pred_point": u64s(prep.Point), "pred_addr": prep.Addr,
-		"succ_id": u64s(prep.SuccID), "succ_addr": prep.SuccAddr,
-	}
-	rec, err := handoff.Begin(n.stagingDir(sess), sess, handoff.RoleJoin, seg, ownerAddr, meta)
+	rec, err := handoff.Begin(n.walDir(), handoff.Receiver{
+		ID: sess, Role: handoff.RoleJoin, Seg: seg, Sender: ownerAddr,
+		Pred: handoff.Peer{ID: prep.ID, Point: prep.Point, Addr: prep.Addr},
+		Succ: handoff.Peer{ID: prep.SuccID, Point: prep.End, Addr: prep.SuccAddr},
+	})
 	if err != nil {
 		return err
 	}
@@ -216,11 +195,9 @@ func (n *Node) resumeJoin(rec *handoff.Receiver) (joined bool, err error) {
 		if err := rec.Promote(n.data); err != nil {
 			return false, err
 		}
-		n.adoptFromReceiver(rec)
-		if err := rec.Finish(); err != nil {
+		if err := n.adopt(rec); err != nil {
 			return false, err
 		}
-		n.serve()
 		n.afterJoin()
 		return true, nil
 	default:
@@ -231,41 +208,25 @@ func (n *Node) resumeJoin(rec *handoff.Receiver) (joined bool, err error) {
 	}
 }
 
-// completeJoin runs stream → promote → commit → adopt for a prepared
-// session (fresh or recovered).
+// completeJoin runs a prepared session (fresh or recovered) and maps its
+// outcome onto the ring: adopt the range, roll back, or — with no final
+// answer — keep everything for a restart to resolve.
 func (n *Node) completeJoin(rec *handoff.Receiver) error {
 	t0 := time.Now()
-	if err := n.pullStream(rec); err != nil {
-		var re *handoff.RemoteError
-		if errors.As(err, &re) {
-			// The sender refused the session (expired or aborted): it
-			// kept the range; roll our side back.
-			if aerr := rec.Abort(n.data); aerr != nil {
-				return aerr
-			}
-			return fmt.Errorf("p2p: join handoff aborted by sender: %w", err)
-		}
-		// Transport failure after all retries, or a test-injected kill:
-		// leave the staging session intact for recovery on restart.
-		return err
-	}
-	// Promote before commit: the items become durable and live at their
-	// future owner BEFORE the current owner is allowed to delete them.
-	if err := rec.Promote(n.data); err != nil {
-		return err
-	}
-	committed, definitive := n.resolveCommit(rec.Sender, rec.ID)
-	if !definitive {
-		// The sender is unreachable and the commit's fate unknown: keep
-		// the staging session untouched so a restart (or retry) can
-		// resolve it against the sender later.
-		return fmt.Errorf("p2p: commit of join session %x unresolved (owner unreachable)", rec.ID)
-	}
-	if !committed {
-		if aerr := rec.Abort(n.data); aerr != nil {
+	switch out, err := rec.Run(sessionWire{n, rec.Sender, rec.ID}, n.data, nil); out {
+	case handoff.Refused:
+		// The owner kept the range (it expired or aborted the session, or
+		// refused the commit): roll our side back.
+		if aerr := n.rollBack(rec); aerr != nil {
 			return aerr
 		}
-		return fmt.Errorf("p2p: join session %x expired before commit; the owner kept the range", rec.ID)
+		return fmt.Errorf("p2p: join session %x refused; the owner kept the range: %w", rec.ID, err)
+	case handoff.Unresolved:
+		// Transport failure after all retries, a test-injected kill, or a
+		// commit whose fate the unreachable owner could not tell: leave
+		// the staging session untouched so a restart (or retry) can
+		// resolve it against the owner later.
+		return fmt.Errorf("p2p: join session %x unresolved: %w", rec.ID, err)
 	}
 	if n.handoffCommitHook != nil {
 		if herr := n.handoffCommitHook(); herr != nil {
@@ -274,44 +235,53 @@ func (n *Node) completeJoin(rec *handoff.Receiver) error {
 			return fmt.Errorf("%w: %v", errHookKill, herr)
 		}
 	}
-	n.adoptFromReceiver(rec)
-	if err := rec.Finish(); err != nil {
+	if err := n.adopt(rec); err != nil {
 		return err
 	}
 	n.tel.Emitf("join.commit", "session %x: adopted [%v,+%d) from %s in %s",
 		rec.ID, rec.Seg.Start, rec.Seg.Len, rec.Sender, time.Since(t0).Round(time.Millisecond))
-	n.serve()
 	n.afterJoin()
 	return nil
 }
 
-// adoptFromReceiver installs the ring state a committed join session
-// implies: the session range is the node's segment, the sender its
-// predecessor, the sender's old successor its successor.
-func (n *Node) adoptFromReceiver(rec *handoff.Receiver) {
-	pred := NodeInfo{ID: metaU64(rec.Meta, "pred_id"), Point: metaU64(rec.Meta, "pred_point"), Addr: rec.Meta["pred_addr"]}
-	succ := NodeInfo{ID: metaU64(rec.Meta, "succ_id"), Point: uint64(rec.Seg.End()), Addr: rec.Meta["succ_addr"]}
+// adopt installs the ring state a committed join session implies — the
+// session range is the node's segment, the sender its predecessor, the
+// sender's old successor its successor — and drops the staging session.
+func (n *Node) adopt(rec *handoff.Receiver) error {
 	n.mu.Lock()
 	n.x = rec.Seg.Start
-	n.pred = pred
-	n.setEndSuccLocked(rec.Seg.End(), succ)
-	n.setBackLocked([]NodeInfo{pred})
+	n.pred = NodeInfo(rec.Pred)
+	n.setEndSuccLocked(rec.Seg.End(), NodeInfo(rec.Succ))
+	n.setBackLocked([]NodeInfo{n.pred})
 	n.ready = true
 	// The adopted range arrived with no replica payloads anywhere (the
 	// sender's replicas cover its OLD segment, not ours): mark it for
 	// re-replication so the first stabilization round pushes it out.
 	n.replDirty = n.repl.Enabled()
 	n.mu.Unlock()
+	return rec.Finish()
 }
 
-// afterJoin repoints the successor and announces the join (the post-
-// transfer half of Algorithm Join). Everything here runs AFTER the
-// commit, so failures must never surface as a failed join — the caller
+// rollBack undoes the receiving side of a session whose range stays with
+// the sender. It tells the sender first, best-effort: abort and commit
+// serialize there, so a sender still holding the session — a leaver
+// blocked in Leave() and refusing item requests, an owner keeping the
+// range fenced — resolves it now instead of at its TTL. Then the staging
+// goes, and with it whatever was already promoted.
+func (n *Node) rollBack(rec *handoff.Receiver) error {
+	_, _ = sessionWire{n, rec.Sender, rec.ID}.Abort()
+	return rec.Abort(n.data)
+}
+
+// afterJoin starts serving, repoints the successor and announces the join
+// (the post-transfer half of Algorithm Join). Everything here runs AFTER
+// the commit, so failures must never surface as a failed join — the caller
 // would tear down a node that already owns the range. All steps are
 // best-effort with bounded retry; a stale successor pred pointer is only
 // a stabilization hint, and the periodic Stabilize pass repairs whatever
 // a lost message leaves behind.
 func (n *Node) afterJoin() {
+	n.serve()
 	succ := n.succInfo()
 	if succ.Addr != n.addr {
 		n.sendPatch(succ.Addr, request{Op: opSetPred, NewPoint: uint64(n.Point()), NewAddr: n.addr, NewID: n.id})
@@ -322,47 +292,42 @@ func (n *Node) afterJoin() {
 	_ = n.Stabilize()
 }
 
-// pullStream drives the receiving end of a session's chunk stream,
-// reconnecting with the resume position after transport failures. A
-// sender refusal (RemoteError) and a test-injected kill are terminal.
-func (n *Node) pullStream(rec *handoff.Receiver) error {
-	var lastErr error
-	for attempt := 0; attempt < streamAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(streamRetryDelay)
-		}
-		err := n.pullOnce(rec)
-		if err == nil {
-			return nil
-		}
-		var re *handoff.RemoteError
-		if errors.As(err, &re) || errors.Is(err, errHookKill) {
-			return err
-		}
-		lastErr = err
-	}
-	return lastErr
+// sessionWire is this node's line to the sender of one inbound session:
+// handoff.Wire over the control RPCs and the opHandStream connection.
+type sessionWire struct {
+	n    *Node
+	addr string
+	id   uint64
 }
 
-func (n *Node) pullOnce(rec *handoff.Receiver) error {
-	req := request{Op: opHandStream, Session: rec.ID}
-	if p, key, ok, err := rec.ResumeAfter(); err != nil {
-		return err
-	} else if ok {
-		req.FromPoint, req.FromKey, req.HasFrom = uint64(p), key, true
-	}
+func (w sessionWire) Stream(resume bool, p interval.Point, key string, apply func([]store.Item) error) error {
+	n := w.n
+	req := request{Op: opHandStream, Session: w.id, FromPoint: uint64(p), FromKey: key, HasFrom: resume}
 	chunk := 0
-	count, err := n.readStream(rec.Sender, &req, func(items []store.Item) error {
+	count, err := n.readStream(w.addr, &req, func(items []store.Item) error {
 		if n.handoffChunkHook != nil {
 			if herr := n.handoffChunkHook(chunk); herr != nil {
 				return fmt.Errorf("%w: %v", errHookKill, herr)
 			}
 		}
 		chunk++
-		return rec.Apply(items)
+		return apply(items)
 	})
 	n.met.handItemsIn.Add(int64(count))
 	return err
+}
+
+func (w sessionWire) Commit() (retry bool, err error) {
+	resp, err := w.n.rpc(w.addr, request{Op: opHandCommit, Session: w.id})
+	if err != nil && resp.Err != "" {
+		return resp.Retry, &handoff.RemoteError{Msg: resp.Err}
+	}
+	return false, err
+}
+
+func (w sessionWire) Abort() (committed bool, err error) {
+	st, err := w.n.rpc(w.addr, request{Op: opHandAbort, Session: w.id})
+	return st.State == handoff.StateCommitted.String(), err
 }
 
 // readStream opens the chunk stream req asks addr for and hands each chunk
@@ -391,71 +356,6 @@ func (n *Node) readStream(addr string, req *request, apply func([]store.Item) er
 // time depends on the sender's store and load, but still finite so a
 // dead sender cannot leak the receiver's staging session.
 func streamIdleTimeout(rpc time.Duration) time.Duration { return 10 * rpc }
-
-// Commit-ambiguity resolution: when a commit RPC fails in transport, the
-// commit may have been applied with its response lost — or may still be
-// in flight inside the sender. A pure status probe cannot settle the
-// latter (a "streaming" answer can be overtaken by the delayed commit a
-// moment later, and a receiver that rolled back on it would then lose
-// the range from both sides), so the receiver asks the sender to ABORT:
-// abort and commit serialize at the sender, making either answer final.
-// The sender stays reachable for the whole receiver-silence TTL (a
-// leaver blocks in Leave() until commit or expiry), so a handful of
-// spaced attempts resolve every single-failure case; only a sender that
-// crashed in exactly this window stays unknown.
-const (
-	commitProbeAttempts = 5
-	commitProbeDelay    = 100 * time.Millisecond
-)
-
-// commitWaitAttempts bounds how long a receiver re-sends a commit the
-// sender refused with Retry (an inner sub-range waiting for the outer
-// session to resolve). 40 × 250ms rides out a slow outer stream; past it
-// the receiver gives up and rolls back (the outer session most likely
-// aborted, after which this commit can never be accepted).
-const (
-	commitWaitAttempts = 40
-	commitWaitDelay    = 250 * time.Millisecond
-)
-
-// resolveCommit asks the sender to commit session id and pins down the
-// outcome. definitive=false means the sender was unreachable for every
-// attempt and the commit's fate is genuinely unknown; otherwise
-// committed reports the authoritative answer (after a refusal, or after
-// an explicit abort landed, the sender keeps the range — and no delayed
-// commit can land afterwards).
-func (n *Node) resolveCommit(sender string, id uint64) (committed, definitive bool) {
-	for attempt := 0; attempt < commitWaitAttempts; attempt++ {
-		resp, err := n.rpc(sender, request{Op: opHandCommit, Session: id})
-		if err == nil {
-			return true, true
-		}
-		if resp.Err == "" {
-			// Transport failure: the request may still be in flight and
-			// could land after any status probe — resolve by abort.
-			return n.resolveByAbort(sender, id)
-		}
-		if !resp.Retry {
-			return false, true // definitive remote refusal
-		}
-		time.Sleep(commitWaitDelay)
-	}
-	return false, true // the outer session never resolved; roll back
-}
-
-// resolveByAbort settles a transport-ambiguous commit by asking the
-// sender to abort the session: abort and commit serialize at the sender,
-// so either answer is final.
-func (n *Node) resolveByAbort(sender string, id uint64) (committed, definitive bool) {
-	for attempt := 0; attempt < commitProbeAttempts; attempt++ {
-		time.Sleep(commitProbeDelay)
-		st, serr := n.rpc(sender, request{Op: opHandAbort, Session: id})
-		if serr == nil {
-			return st.State == handoff.StateCommitted.String(), true
-		}
-	}
-	return false, false
-}
 
 // --- sender side ---
 
@@ -502,22 +402,21 @@ func (n *Node) handleHandPrepare(req request) response {
 		succID, succAddr = n.id, n.addr
 	}
 	for _, s := range n.sessions.Streaming() {
-		meta, ok := s.Meta.(sessMeta)
-		if !ok || meta.kind != handoff.RoleJoin {
+		if s.Role != handoff.RoleJoin {
 			continue
 		}
 		if d := uint64(s.Seg.Start - p); d > 0 && d < upper.Len {
 			upper.Len = d
-			succID, succAddr = meta.joiner.ID, meta.joiner.Addr
+			succID, succAddr = s.Peer.ID, s.Peer.Addr
 		}
 	}
-	joiner := NodeInfo{ID: req.NewID, Point: req.NewPoint, Addr: req.NewAddr}
-	meta := sessMeta{kind: handoff.RoleJoin, joiner: joiner, ringVer: n.ringVer.Load()}
-	if _, err := n.sessions.Prepare(req.Session, upper, req.NewAddr, meta); err != nil {
+	joiner := handoff.Peer{ID: req.NewID, Point: req.NewPoint, Addr: req.NewAddr}
+	ringVer := n.ringVer.Load()
+	if _, err := n.sessions.Prepare(req.Session, upper, handoff.RoleJoin, joiner, ringVer); err != nil {
 		return response{Err: err.Error()}
 	}
 	n.met.handPrepares.Inc()
-	n.jrn.Record(journal.KindHandPrepare, meta.ringVer, 0,
+	n.jrn.Record(journal.KindHandPrepare, ringVer, 0,
 		req.Session, uint64(upper.Start), upper.Len)
 	n.tel.Emitf("handoff.prepare", "session %x: fenced [%v,+%d) for joiner %s",
 		req.Session, upper.Start, upper.Len, req.NewAddr)
@@ -570,9 +469,10 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 }
 
 // handleHandCommit is the ownership flip — the single decision point of a
-// transfer. Under the node mutex: mark the session committed, durably
-// record the decision, delete the moved range from the local store, and
-// (for a join) repoint end/succ at the joiner. After this response the
+// transfer. Under the node mutex: commit the session (Sessions.Commit marks
+// it and durably records the decision before anyone can read it) and (for
+// a join) repoint end/succ at the joiner; then delete the moved range from
+// the local store. After this response the
 // receiver is the owner; before it, this node is. There is no state in
 // which both or neither own the range.
 //
@@ -590,7 +490,7 @@ func (n *Node) handleHandCommit(req request) response {
 		// its response (or a restarted receiver replaying it) must read
 		// success, not a refusal it would roll back on — the range is
 		// already durably theirs.
-		if n.committedLocked(req.Session) {
+		if n.sessions.Status(req.Session) == handoff.StateCommitted {
 			resp := response{OK: true, ID: n.id, Point: uint64(n.x), Addr: n.addr, End: uint64(n.end)}
 			n.mu.Unlock()
 			return resp
@@ -598,9 +498,9 @@ func (n *Node) handleHandCommit(req request) response {
 		n.mu.Unlock()
 		return response{Err: "unknown or expired session"}
 	}
-	meta, _ := sess.Meta.(sessMeta)
-	if meta.kind == handoff.RoleJoin && sess.Seg.End() != n.end {
-		if meta.ringVer != n.ringVer.Load() && !n.tailSessionLocked() {
+	isJoin := sess.Role == handoff.RoleJoin
+	if isJoin && sess.Seg.End() != n.end {
+		if sess.RingVer != n.ringVer.Load() && !n.tailSessionLocked() {
 			// The boundary moved since this session was prepared (a leave
 			// absorption extended the segment past the session's end) and
 			// no active session ends at the new boundary — no chain of
@@ -625,54 +525,43 @@ func (n *Node) handleHandCommit(req request) response {
 		n.mu.Unlock()
 		return response{Err: "outer handoff session unresolved; retry commit", Retry: true}
 	}
-	if _, ok := n.sessions.Commit(req.Session); !ok {
+	_, ok, logErr := n.sessions.Commit(req.Session)
+	if !ok {
 		n.mu.Unlock()
 		return response{Err: "session expired at commit"}
 	}
-	if n.commits != nil {
-		// Durable before anything outside this critical section can read
-		// "committed": status and abort handlers serialize on n.mu, and
-		// the response is emitted after this returns — so once any
-		// observer sees the commit, a crash cannot forget it (dual-crash
-		// corner). A crash between the registry flip above and this
-		// record is indistinguishable from one just before the flip:
-		// nobody observed it and nothing was deleted yet. A failed write
-		// only degrades to the old in-memory-registry behaviour.
-		_ = n.commits.Record(req.Session)
+	if logErr != nil {
+		n.tel.Emitf("handoff.commitlog", "session %x committed in memory only: %v", req.Session, logErr)
 	}
-	if meta.kind == handoff.RoleJoin {
+	if isJoin {
 		// The commit-in-order gate above guarantees this session's range
 		// is exactly the tail of the current segment, so adopting the
 		// joiner always shrinks end from Seg.End() to Seg.Start — there
 		// is no out-of-order case left to guard.
-		n.setEndSuccLocked(sess.Seg.Start, meta.joiner)
+		n.setEndSuccLocked(sess.Seg.Start, NodeInfo(sess.Peer))
 	}
 	// RoleLeave: nothing to repoint here — the leaver is departing and
 	// its blocked Leave() call wakes on the session's done channel.
-	isJoin := uint64(0)
-	if meta.kind == handoff.RoleJoin {
-		isJoin = 1
+	joinFlag := uint64(0)
+	if isJoin {
+		joinFlag = 1
 	}
 	n.jrn.Record(journal.KindHandCommit, n.ringVer.Load(), 0,
-		req.Session, uint64(sess.Seg.Start), isJoin)
+		req.Session, uint64(sess.Seg.Start), joinFlag)
 	resp := response{OK: true, ID: n.id, Point: uint64(n.x), Addr: n.addr, End: uint64(sess.Seg.End())}
 	n.mu.Unlock()
 	n.met.handCommits.Inc()
 	n.tel.Emitf("handoff.commit", "session %x (%s): released [%v,+%d)",
-		req.Session, meta.kind, sess.Seg.Start, sess.Seg.Len)
+		req.Session, sess.Role, sess.Seg.Start, sess.Seg.Len)
 
 	// The durable range delete runs outside the node mutex: on a WAL
 	// store it can trigger compaction, and serving lookups meanwhile is
 	// safe — the committed range is no longer this node's segment (a
 	// leaver refuses item ops outright), so nothing reads or writes it
-	// here. A delete failure leaves unreachable duplicates in a range we
-	// no longer own — the recoverable direction; the old delete-then-
-	// commit order could instead delete here, then refuse the commit and
-	// make the receiver roll back too, losing the range from both sides.
-	// (A departing leaver's Close waits out this handler's goroutine, so
-	// the store cannot close under the delete.)
+	// here. (A departing leaver's Close waits out this handler's
+	// goroutine, so the store cannot close under the delete.)
 	delSeg := sess.Seg
-	if meta.kind == handoff.RoleLeave {
+	if !isJoin {
 		// The whole store departs with the node, not just the nominal
 		// segment — a WAL store must not replay anything on a later
 		// restart at this directory.
@@ -689,21 +578,11 @@ func (n *Node) handleHandCommit(req request) response {
 // retry rather than fail.
 func (n *Node) tailSessionLocked() bool {
 	for _, s := range n.sessions.Streaming() {
-		meta, ok := s.Meta.(sessMeta)
-		if ok && meta.kind == handoff.RoleJoin && s.Seg.End() == n.end {
+		if s.Role == handoff.RoleJoin && s.Seg.End() == n.end {
 			return true
 		}
 	}
 	return false
-}
-
-// committedLocked reports whether the session is known committed, by the
-// in-memory registry or the durable commit log (mu held).
-func (n *Node) committedLocked(id uint64) bool {
-	if n.sessions.Status(id) == handoff.StateCommitted {
-		return true
-	}
-	return n.commits != nil && n.commits.Contains(id)
 }
 
 // handleHandAbort settles an ambiguous commit for the receiver: abort
@@ -714,29 +593,23 @@ func (n *Node) committedLocked(id uint64) bool {
 func (n *Node) handleHandAbort(req request) response {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.committedLocked(req.Session) {
-		return response{OK: true, State: handoff.StateCommitted.String()}
+	final, aborted := n.sessions.Abort(req.Session)
+	if aborted {
+		n.met.handAborts.Inc()
+		n.jrn.Record(journal.KindHandAbort, n.ringVer.Load(), 0, req.Session, 0, 0)
+		n.tel.Emitf("handoff.abort", "session %x: aborted by its receiver", req.Session)
 	}
-	n.sessions.Abort(req.Session)
-	n.met.handAborts.Inc()
-	n.jrn.Record(journal.KindHandAbort, n.ringVer.Load(), 0, req.Session, 0, 0)
-	n.tel.Emitf("handoff.abort", "session %x: aborted by receiver probe", req.Session)
-	return response{OK: true, State: handoff.StateUnknown.String()}
+	return response{OK: true, State: final.String()}
 }
 
-// handleHandStatus answers a receiver's crash-recovery probe. The
-// in-memory registry is authoritative while this process lives; after a
-// restart the durable commit log still answers for committed sessions.
-// It takes the node mutex for the whole read so a probe cannot observe
-// the instant between a commit's registry flip and its durable record.
+// handleHandStatus answers a receiver's crash-recovery probe (after a
+// restart the registry's commit log still answers for committed
+// sessions). It takes the node mutex so a probe cannot observe a commit
+// whose pointer flip is still in progress.
 func (n *Node) handleHandStatus(req request) response {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st := n.sessions.Status(req.Session)
-	if n.committedLocked(req.Session) {
-		st = handoff.StateCommitted
-	}
-	return response{OK: true, State: st.String()}
+	return response{OK: true, State: n.sessions.Status(req.Session).String()}
 }
 
 // --- leave ---
@@ -753,7 +626,7 @@ func (n *Node) Leave() error {
 		n.mu.Unlock()
 		return fmt.Errorf("p2p: leave already in progress")
 	}
-	if n.sessions.Active() > 0 || n.absorbing > 0 {
+	if len(n.sessions.Streaming()) > 0 || n.absorbing > 0 {
 		// A join is mid-transfer out of our segment (its session holds a
 		// fence a leave stream would violate), or an inbound absorption
 		// is still promoting items our leave stream would miss and our
@@ -772,7 +645,7 @@ func (n *Node) Leave() error {
 	}
 	seg := n.segmentLocked()
 	sessID := (n.id ^ uint64(time.Now().UnixNano())) | 1
-	sess, err := n.sessions.Prepare(sessID, seg, pred.Addr, sessMeta{kind: handoff.RoleLeave})
+	sess, err := n.sessions.Prepare(sessID, seg, handoff.RoleLeave, handoff.Peer(pred), 0)
 	if err != nil {
 		n.mu.Unlock()
 		return err
@@ -869,13 +742,14 @@ func (n *Node) handleLeave(req request) response {
 	return response{OK: true}
 }
 
-// absorbLeave is the predecessor's receiving side of a leave: pull the
-// stream into staging, promote, extend the ring pointers, and commit at
-// the leaver. The pointers extend before the commit RPC so that the
-// moment the leaver's Leave() returns, this node already answers for the
-// absorbed range; if the commit then turns out refused (the leaver
-// expired the session in that instant), the extension and promotion are
-// rolled back and the leaver resumes serving.
+// absorbLeave is the predecessor's receiving side of a leave: run the
+// session — pull the stream into staging, promote, extend the ring
+// pointers, commit at the leaver — and keep or roll back by its outcome.
+// The pointers extend before the commit RPC so that the moment the
+// leaver's Leave() returns, this node already answers for the absorbed
+// range; if the commit then turns out refused (the leaver expired the
+// session in that instant), the extension and promotion are rolled back
+// and the leaver resumes serving.
 //
 // Join streams run concurrently with the pull: the extension validates,
 // under the mutex, that this node's segment still ends at the leaver's
@@ -884,50 +758,58 @@ func (n *Node) handleLeave(req request) response {
 // itself at the leaver instead of swallowing the joiner's range.
 func (n *Node) absorbLeave(req request) {
 	seg := interval.Segment{Start: interval.Point(req.SegStart), Len: req.SegLen}
-	rec, err := handoff.Begin(n.stagingDir(req.Session), req.Session, handoff.RoleLeave, seg, req.SrcAddr, nil)
+	rec, err := handoff.Begin(n.walDir(), handoff.Receiver{
+		ID: req.Session, Role: handoff.RoleLeave, Seg: seg, Sender: req.SrcAddr})
 	if err != nil {
+		// Nothing staged, but the leaver still blocks on the session:
+		// release it (see rollBack).
+		_, _ = sessionWire{n, req.SrcAddr, req.Session}.Abort()
 		return
 	}
-	if err := n.pullStream(rec); err != nil {
-		rec.Abort(n.data)
-		return
-	}
-	if err := rec.Promote(n.data); err != nil {
-		rec.Abort(n.data)
-		return
-	}
-	n.mu.Lock()
-	if n.end != seg.Start {
-		// A join committed while the stream was in flight: the segment
-		// tail now belongs to the joiner, the leaver is no longer this
-		// node's ring successor, and extending end over the joiner's range
-		// would swallow it. Abort authoritatively at the leaver (abort and
-		// commit serialize there, so its Leave() resolves as failed and it
-		// resumes serving — its next attempt goes to its new predecessor,
-		// the joiner) and roll the promotion back.
+	var undo func() // set with the extension: puts the pointers back (mu held)
+	out, err := rec.Run(sessionWire{n, rec.Sender, rec.ID}, n.data, func() error {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.end != seg.Start {
+			// A join committed the segment tail while the stream was in
+			// flight. The refusal rolls the promotion back and aborts
+			// authoritatively at the leaver, whose Leave() resolves as
+			// failed: it resumes serving, and its next attempt goes to its
+			// new predecessor, the joiner.
+			return fmt.Errorf("p2p: a join took the segment tail while the leave streamed")
+		}
+		oldEnd, oldSucc := n.end, n.succ
+		undo = func() { n.setEndSuccLocked(oldEnd, oldSucc) }
+		n.setEndSuccLocked(interval.Point(req.Target), NodeInfo{ID: req.NewID, Point: req.NewPoint, Addr: req.NewAddr})
+		n.absorbExtended = true
+		return nil
+	})
+	// Unresolved after the extension means the commit was sent to a leaver
+	// that then became unreachable, its fate unknown. If it landed, the
+	// leaver durably cleared its store before going away — our promoted
+	// copies are the ONLY copies, so aborting here would destroy the
+	// segment. Keep the items and the extended pointers: the lossy
+	// direction is unrecoverable, the duplicate direction is not (a leaver
+	// that in fact crashed un-committed re-serves its WAL on restart, and
+	// the stabilization pass re-adopts it as successor, shadowing our
+	// duplicates). Unresolved before it, nothing was ever asked of the
+	// leaver, which still owns the range: roll back like a refusal.
+	keep := out == handoff.Committed || (out == handoff.Unresolved && undo != nil)
+	if undo != nil {
+		n.mu.Lock()
+		n.absorbExtended = false
+		if !keep {
+			undo()
+		}
 		n.mu.Unlock()
-		_, _ = n.rpc(req.SrcAddr, request{Op: opHandAbort, Session: req.Session})
-		rec.Abort(n.data)
+	}
+	if !keep {
+		n.rollBack(rec)
+		n.tel.Emitf("absorb.abort", "session %x: leaver %s kept its range: %v", req.Session, req.SrcAddr, err)
 		return
 	}
-	oldEnd, oldSucc := n.end, n.succ
-	n.setEndSuccLocked(interval.Point(req.Target), NodeInfo{ID: req.NewID, Point: req.NewPoint, Addr: req.NewAddr})
-	n.absorbExtended = true
-	n.mu.Unlock()
-	committed, definitive := n.resolveCommit(req.SrcAddr, req.Session)
-	n.mu.Lock()
-	n.absorbExtended = false
-	if definitive && !committed {
-		// The leaver refused (expired session, or still streaming — the
-		// commit never landed) and authoritatively kept its items: roll
-		// the pointer extension and the promotion back; the leaver's
-		// Leave() times out and resumes serving.
-		n.setEndSuccLocked(oldEnd, oldSucc)
-	}
-	n.mu.Unlock()
-	switch {
-	case committed:
-		rec.Finish()
+	rec.Finish()
+	if out == handoff.Committed {
 		// The absorbed range's replicas were placed by the DEPARTED node
 		// for its own successor chain; re-replicate for ours.
 		n.mu.Lock()
@@ -935,37 +817,23 @@ func (n *Node) absorbLeave(req request) {
 		n.mu.Unlock()
 		n.tel.Emitf("absorb.commit", "session %x: absorbed leaver %s's [%v,+%d)",
 			req.Session, req.SrcAddr, seg.Start, seg.Len)
-	case definitive:
-		rec.Abort(n.data)
-		n.tel.Emitf("absorb.abort", "session %x: leaver %s kept its range", req.Session, req.SrcAddr)
-	default:
-		// The leaver is unreachable and the commit's fate unknown. If it
-		// landed, the leaver durably cleared its store before going away
-		// — our promoted copies are the ONLY copies, so aborting here
-		// would destroy the segment. Keep the items and the extended
-		// pointers: the lossy direction is unrecoverable, the duplicate
-		// direction is not (a leaver that in fact crashed un-committed
-		// re-serves its WAL on restart, and the stabilization pass
-		// re-adopts it as successor, shadowing our duplicates).
-		rec.Finish()
 	}
 }
 
 // --- staging recovery ---
 
-// stagingDir returns the disk staging directory for an inbound session,
-// or "" (memory staging) when the node's store is not disk-backed — a
-// crash then loses the staged items, but it loses the live items too, so
-// the session is simply gone, not half-applied.
-func (n *Node) stagingDir(id uint64) string {
-	lg, ok := n.data.(*store.Log)
-	if !ok {
-		return ""
+// walDir is the node's WAL directory, beside which inbound sessions stage
+// on disk and the commit log lives — or "" when the node's store is not
+// disk-backed: sessions then stage in memory and commits are remembered
+// in memory only.
+func (n *Node) walDir() string {
+	if lg, ok := n.data.(*store.Log); ok {
+		return lg.Dir()
 	}
-	return fmt.Sprintf("%s.handoff-%016x", lg.Dir(), id)
+	return ""
 }
 
-// recoverStaging scans for staging sessions a previous process left
+// recoverStaging takes up the staging sessions a previous process left
 // beside this node's WAL directory. A join session is kept for StartJoin
 // to resolve against the sender; a leave session that had reached
 // promotion is finished (if our commit reached the leaver, these items
@@ -973,24 +841,15 @@ func (n *Node) stagingDir(id uint64) string {
 // the authoritative copies at the next absorb); anything else is debris
 // whose sender still owns the range, and is discarded.
 func (n *Node) recoverStaging() error {
-	lg, ok := n.data.(*store.Log)
-	if !ok {
-		return nil
-	}
-	dirs, err := filepath.Glob(lg.Dir() + ".handoff-*")
+	recs, err := handoff.Recover(n.walDir())
 	if err != nil {
 		return err
 	}
-	for _, dir := range dirs {
-		rec, err := handoff.Recover(dir)
-		if err != nil {
-			os.RemoveAll(dir) // crashed before the manifest write: nothing staged
-			continue
-		}
+	for _, rec := range recs {
 		switch {
 		case rec.Role == handoff.RoleJoin && n.recovered == nil:
 			n.recovered = rec
-		case rec.Role == handoff.RoleLeave && rec.State() == handoff.StagePromoting:
+		case rec.Role == handoff.RoleLeave && rec.Promoting():
 			if err := rec.Promote(n.data); err != nil {
 				return err
 			}

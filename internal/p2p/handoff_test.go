@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"condisc/internal/handoff"
 	"condisc/internal/interval"
 	"condisc/internal/store"
 	"condisc/internal/telemetry"
@@ -303,7 +304,7 @@ func TestFencedPutRefusedDuringStream(t *testing.T) {
 	// opposite its start point (a session opened directly — no joiner
 	// process needed to test the fence).
 	mid := x + interval.Point(1)<<63
-	if _, err := owner.sessions.Prepare(999, interval.Segment{Start: mid, Len: 1 << 62}, "t", sessMeta{kind: "join"}); err != nil {
+	if _, err := owner.sessions.Prepare(999, interval.Segment{Start: mid, Len: 1 << 62}, handoff.RoleJoin, handoff.Peer{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	resp := owner.handle(request{Op: opPut, Key: "fenced", Val: []byte("x"), Target: uint64(mid) + 1})

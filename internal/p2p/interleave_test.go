@@ -9,11 +9,13 @@ package p2p
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"condisc/internal/store"
+	"condisc/internal/telemetry"
 )
 
 // TestJoinPreparesAndCommitsDuringLeaveAbsorption freezes a leave
@@ -180,7 +182,7 @@ func TestLeaveCompletesDuringJoinStream(t *testing.T) {
 	go func() { joinErr <- joiner.StartJoin(owner.Addr(), rng) }()
 	<-joinPaused
 
-	if got := owner.sessions.Active(); got != 1 {
+	if got := len(owner.sessions.Streaming()); got != 1 {
 		t.Fatalf("owner has %d active sessions while the join is frozen, want 1", got)
 	}
 
@@ -198,7 +200,8 @@ func TestLeaveCompletesDuringJoinStream(t *testing.T) {
 	if err == nil {
 		t.Fatal("stale join committed although a leave absorption moved the segment boundary")
 	}
-	if waited := time.Since(start); waited > commitWaitAttempts*commitWaitDelay/2 {
+	// (Half of handoff's 40 × 250 ms budget for re-sending a Retry-refused commit.)
+	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("stale join took %v to resolve — it spun on retries instead of failing fast", waited)
 	}
 
@@ -219,5 +222,63 @@ func TestLeaveCompletesDuringJoinStream(t *testing.T) {
 	}
 	for _, n := range []*Node{owner, joiner} {
 		verifyAllKeys(t, n.Addr(), owner.HashFunc(), items, fmt.Sprintf("after leave-during-join via %s", n.Addr()))
+	}
+}
+
+// TestLeaveFailsFastWhenAbsorptionRollsBack: an absorption that fails
+// locally at a LIVE predecessor (here: its staging path errors on the first
+// chunk) must tell the leaver before rolling back. Without that the
+// leaver's Leave() — refusing every Get and Put meanwhile — only learns of
+// the failure when its own session TTL lapses.
+func TestLeaveFailsFastWhenAbsorptionRollsBack(t *testing.T) {
+	const items, ttl = 60, 2 * time.Second
+	reg := telemetry.NewRegistry() // shared: the counters below are cluster-wide
+	c, err := StartCluster(3, 550, withHandoffTTL(ttl), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl := c.Client(0)
+	for i := 0; i < items; i++ {
+		if _, err := cl.Put(fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("v%03d", i)), c.Hash()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaver := c.Nodes[1]
+	if leaver.NumItems() == 0 {
+		t.Fatal("test needs the leaver to own items: the failure is injected per streamed chunk")
+	}
+	_, _, predInfo, _ := leaver.State()
+	for _, n := range c.Nodes {
+		if n.Addr() == predInfo.Addr {
+			n.handoffChunkHook = func(int) error { return fmt.Errorf("staging disk full") }
+		}
+	}
+
+	start := time.Now()
+	err = leaver.Leave()
+	if err == nil || !strings.Contains(err.Error(), "resuming service") {
+		t.Fatalf("Leave() = %v, want the did-not-commit error", err)
+	}
+	if took := time.Since(start); took > ttl/4 {
+		t.Fatalf("Leave() took %v to learn of the rolled-back absorption — it waited out its session TTL (%v)", took, ttl)
+	}
+	// The leaver is a full member again, at once: it serves its own range
+	// and nothing was lost or duplicated.
+	verifyAllKeys(t, leaver.Addr(), c.Hash(), items, "right after the failed leave")
+	sum := 0
+	for _, n := range c.Nodes {
+		sum += n.NumItems()
+	}
+	if sum != items {
+		t.Fatalf("items not conserved after the rolled-back absorption: %d != %d", sum, items)
+	}
+	// aborts_total counts the one abort that ended a streaming session —
+	// not a probe of a session nobody holds.
+	if resp, err := call(leaver.Addr(), request{Op: opHandAbort, Session: 0xdead}); err != nil || resp.State != "unknown" {
+		t.Fatalf("abort probe of an unknown session = %+v, %v", resp, err)
+	}
+	if got := leaver.met.handAborts.Value(); got != 1 {
+		t.Fatalf("handoff_aborts_total = %d after one real abort and one probe, want 1", got)
 	}
 }

@@ -75,22 +75,15 @@ type Node struct {
 	ready bool
 
 	// sessions is the sender side of the node's handoff transfers: it
-	// fences writes to a mid-handoff range and answers commit/status.
+	// fences writes to a mid-handoff range and answers commit, abort and
+	// status — on a disk-backed node from a durable record of every
+	// commit decision, so a restarted process still answers for them.
 	// Several join sessions over disjoint sub-ranges of the segment may
-	// stream at once: a new prepare is bounded at the nearest fenced
-	// range (handleHandPrepare), and commits resolve in ring order —
-	// only the sub-range ending at the current segment end may flip
-	// (handleHandCommit), so an aborted outer session can never strand
-	// an inner committed range or leave a dangling successor.
+	// stream at once (handleHandPrepare bounds each at the next); their
+	// commits resolve in ring order (handleHandCommit).
 	sessions   *handoff.Sessions
 	handoffTTL time.Duration
 	chunkBytes int
-	// commits durably records every commit decision this node makes as a
-	// handoff sender (disk-backed nodes only): a restarted, otherwise
-	// amnesiac process can still answer an opHandStatus probe with
-	// "committed" — the dual-crash corner where both sides restart
-	// between the sender's commit and the receiver's acknowledgement.
-	commits *handoff.CommitLog
 	// absorbing counts in-flight inbound leave absorptions (this node as
 	// receiver). Leaves and further absorptions are refused while one
 	// runs. Join prepares are NOT: a join may stream concurrently with
@@ -362,17 +355,13 @@ func NewNode(addr string, seed uint64, opts ...NodeOption) (*Node, error) {
 	if n.repl.Enabled() && n.rdata == nil {
 		n.rdata = store.NewMem()
 	}
-	n.sessions = handoff.NewSessions(n.handoffTTL)
-	if lg, ok := n.data.(*store.Log); ok {
-		// Same 100×TTL horizon the in-memory registry keeps committed
-		// sessions for; past it a probe reading "unknown" resolves against
-		// the ring, exactly as before.
-		cl, err := handoff.OpenCommitLog(lg.Dir()+".commits", 100*n.handoffTTL)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		n.commits = cl
+	commitLog := ""
+	if dir := n.walDir(); dir != "" {
+		commitLog = dir + ".commits"
+	}
+	if n.sessions, err = handoff.NewSessions(n.handoffTTL, commitLog); err != nil {
+		ln.Close()
+		return nil, err
 	}
 	if err := n.recoverStaging(); err != nil {
 		ln.Close()
@@ -679,9 +668,7 @@ func (n *Node) Close() {
 	if n.rdata != nil {
 		_ = n.rdata.Close()
 	}
-	if n.commits != nil {
-		_ = n.commits.Close()
-	}
+	_ = n.sessions.Close()
 }
 
 // handle dispatches one request.

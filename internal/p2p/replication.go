@@ -8,8 +8,8 @@ package p2p
 // membership change.
 //
 // Placement invariant: the owner of a key holds the authoritative copy
-// in n.data; its K−1 ring successors hold replica payloads (full copies
-// or RS shards, see replicate.Payloads) in n.rdata, keyed by the same
+// in n.data; its K−1 ring successors hold replica payloads (full copies,
+// see replicate.Payloads) in n.rdata, keyed by the same
 // (point, key). The two stores never mix: handoffs move n.data only,
 // and replica payloads are re-derived by repair instead of being handed
 // off — a deliberately simple ownership story.
@@ -137,10 +137,7 @@ func (n *Node) replicatePut(req request, resp *response, succs []NodeInfo) {
 		n.replDirty = true
 		n.mu.Unlock()
 	}
-	// NeedAcksFor, not NeedAcks: a sharded value needs dataK surviving
-	// shards to reconstruct, so the ack set must stay recoverable even if
-	// the owner crashes right after acking.
-	if need := n.repl.NeedAcksFor(len(req.Val)); acks < need {
+	if need := n.repl.NeedAcks(); acks < need {
 		n.met.replQuorumFail.Inc()
 		*resp = response{Err: fmt.Sprintf("write quorum not reached (%d of %d acks)", acks, need),
 			Hops: resp.Hops, Stale: resp.Stale}
@@ -185,15 +182,12 @@ func (n *Node) replicaFallback(req request, base response) response {
 	n.mu.Lock()
 	succs := append([]NodeInfo(nil), n.succs...)
 	n.mu.Unlock()
-	var payloads [][]byte
-	p := interval.Point(req.Target)
 	if n.rdata != nil {
-		if v, ok, _ := n.rdata.Get(p, req.Key); ok {
-			payloads = append(payloads, v)
+		if v, ok, _ := n.rdata.Get(interval.Point(req.Target), req.Key); ok {
+			if val, ok := replicate.Reconstruct([][]byte{v}); ok {
+				return n.fallbackHit(req, base, val)
+			}
 		}
-	}
-	if val, ok := replicate.Reconstruct(payloads); ok {
-		return n.fallbackHit(req, base, val)
 	}
 	for _, s := range succs {
 		if s.Addr == n.addr {
@@ -203,8 +197,7 @@ func (n *Node) replicaFallback(req request, base response) response {
 		if err != nil || !r.OK {
 			continue
 		}
-		payloads = append(payloads, r.Val)
-		if val, ok := replicate.Reconstruct(payloads); ok {
+		if val, ok := replicate.Reconstruct([][]byte{r.Val}); ok {
 			return n.fallbackHit(req, base, val)
 		}
 	}
@@ -465,11 +458,16 @@ func (n *Node) repairAbsorbed(seg interval.Segment, succs []NodeInfo) bool {
 		p   interval.Point
 		key string
 	}
-	gathered := make(map[ik][][]byte)
+	gathered := make(map[ik][]byte) // the first readable copy of each key wins
 	add := func(items []store.Item) error {
 		for _, it := range items {
 			k := ik{it.Point, it.Key}
-			gathered[k] = append(gathered[k], it.Value)
+			if _, have := gathered[k]; have {
+				continue
+			}
+			if val, ok := replicate.Reconstruct([][]byte{it.Value}); ok {
+				gathered[k] = val
+			}
 		}
 		return nil
 	}
@@ -491,11 +489,7 @@ func (n *Node) repairAbsorbed(seg interval.Segment, succs []NodeInfo) bool {
 		add(items)
 	}
 	var repaired, volume int
-	for k, payloads := range gathered {
-		val, ok := replicate.Reconstruct(payloads)
-		if !ok {
-			continue // below the code's threshold; lost at this replication factor
-		}
+	for k, val := range gathered {
 		wrote, err := store.PutIfAbsent(n.data, k.p, k.key, val)
 		if err == nil && wrote {
 			repaired++

@@ -107,12 +107,12 @@ func TestReceiverTimesOutOnSilentSender(t *testing.T) {
 	}
 	defer n.Close()
 	seg := interval.Segment{Start: interval.FromFloat(0.25), Len: 1 << 40}
-	rec, err := handoff.Begin("", 0x51, handoff.RoleJoin, seg, sender, nil)
+	rec, err := handoff.Begin("", handoff.Receiver{ID: 0x51, Role: handoff.RoleJoin, Seg: seg, Sender: sender})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	err = n.pullOnce(rec)
+	err = sessionWire{n, rec.Sender, rec.ID}.Stream(false, 0, "", func([]store.Item) error { return nil })
 	elapsed := time.Since(t0)
 	if err == nil {
 		t.Fatal("pull from a silent sender succeeded")

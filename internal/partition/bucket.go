@@ -347,9 +347,6 @@ func (b *BucketRing) diffuse(bkt, first int) {
 	}
 }
 
-// NumBuckets returns the current number of buckets.
-func (b *BucketRing) NumBuckets() int { return len(b.sizes) }
-
 // CheckInvariants verifies bookkeeping: sizes sum to n, no empty buckets,
 // and points are in strict clockwise order from the anchor.
 func (b *BucketRing) CheckInvariants() bool {

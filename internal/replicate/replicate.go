@@ -9,19 +9,12 @@
 // crash the absorber's own replica set already covers the lost range —
 // no placement metadata has to survive the crash.
 //
-// Payloads are self-describing: small values ship as full copies, values
-// at or above Policy.ShardThreshold ship as systematic Reed–Solomon
-// shards (internal/erasure) when k is large enough to make coding
-// meaningful. Reconstruct never needs the policy back — every payload
-// carries its own code parameters — so readers keep working across a
-// rolling policy change.
+// Payloads are self-describing: one tag byte, then tag-specific bytes —
+// today always a full copy of the value. Reconstruct never needs the
+// policy back, so readers keep working across a rolling policy change.
 package replicate
 
-import (
-	"fmt"
-
-	"condisc/internal/erasure"
-)
+import "fmt"
 
 // Policy selects the replication factor and write semantics.
 type Policy struct {
@@ -32,11 +25,6 @@ type Policy struct {
 	// one) a Put needs before it is acknowledged. <= 0 means majority:
 	// K/2 + 1. Values are clamped to [1, K].
 	Quorum int
-	// ShardThreshold is the value size in bytes at which replicas switch
-	// from full copies to RS-coded shards. <= 0 keeps full copies at
-	// every size. Sharding additionally requires K >= 4 (below that the
-	// code degenerates to copies anyway).
-	ShardThreshold int
 }
 
 // Enabled reports whether the policy replicates at all.
@@ -60,59 +48,22 @@ func (p Policy) NeedAcks() int {
 	return q
 }
 
-// NeedAcksFor returns the effective write quorum for a value of the
-// given size. Full-copy values use NeedAcks unchanged. Sharded values
-// need dataK surviving shards to reconstruct, so an ack set that could
-// lose the owner must still contain dataK shard placements — the
-// quorum is raised to at least dataK+1 (owner + dataK shards).
-// Without this, a majority-quorum ack (owner + quorum−1 shards) could
-// be unrecoverable after an owner crash, breaking the crash-safety
-// contract the ack implies.
-func (p Policy) NeedAcksFor(valLen int) int {
-	q := p.NeedAcks()
-	if dataK, _, ok := p.shardParams(); ok && valLen >= p.ShardThreshold {
-		if min := dataK + 1; q < min {
-			q = min
-		}
-	}
-	return q
-}
-
 // ReconstructQuorum returns the minimum number of replica holders a
 // repair gather must reach before its reconstruction pass can be
-// trusted as complete: dataK holders when the policy shards, one when
-// replicas are full copies, zero with replication off. A gather that
-// reached fewer holders may simply have missed the payloads and must
-// not be treated as authoritative.
+// trusted as complete: one (replicas are full copies), zero with
+// replication off. A gather that reached fewer holders may simply have
+// missed the payloads and must not be treated as authoritative.
 func (p Policy) ReconstructQuorum() int {
-	if dataK, _, ok := p.shardParams(); ok {
-		return dataK
-	}
 	if p.Enabled() {
 		return 1
 	}
 	return 0
 }
 
-// shardParams returns the RS code used for a sharded value: K−2 data
-// shards out of K−1 total, one per successor. Any K−2 of the K−1
-// successors reconstruct, so a sharded value survives the owner plus one
-// successor dying — the same two-fault budget a K=3 full-copy scheme has,
-// at roughly 1/(K−3) of the replica bytes.
-func (p Policy) shardParams() (dataK, m int, ok bool) {
-	if p.K < 4 || p.ShardThreshold <= 0 {
-		return 0, 0, false
-	}
-	return p.K - 2, p.K - 1, true
-}
-
-// Payload type tags. A replica payload is one byte of tag followed by
-// tag-specific bytes; unknown tags are skipped by Reconstruct so the
-// format can grow.
-const (
-	payloadCopy  = 0x01 // tag ++ value bytes
-	payloadShard = 0x02 // tag ++ dataK ++ m ++ idx ++ shard bytes
-)
+// payloadCopy is the one payload type tag: tag ++ value bytes. Unknown
+// tags are skipped by Reconstruct so the format can grow (0x02, the tag of
+// the retired RS-shard payloads, stays unassigned).
+const payloadCopy = 0x01
 
 // EncodeCopy wraps a full-value replica payload.
 func EncodeCopy(val []byte) []byte {
@@ -122,29 +73,14 @@ func EncodeCopy(val []byte) []byte {
 	return out
 }
 
-// Payloads builds the k−1 successor payloads for val: full copies below
-// the shard threshold (or when the policy cannot shard), one RS shard
-// per successor above it.
+// Payloads builds the k−1 successor payloads for val: one full copy,
+// shared by every successor.
 func Payloads(p Policy, val []byte) [][]byte {
 	n := p.K - 1
 	if n < 1 {
 		return nil
 	}
 	out := make([][]byte, n)
-	if dataK, m, ok := p.shardParams(); ok && len(val) >= p.ShardThreshold {
-		code, err := erasure.NewCode(dataK, m)
-		if err == nil {
-			shards := code.Encode(val)
-			for i := 0; i < n; i++ {
-				s := shards[i]
-				b := make([]byte, 4+len(s))
-				b[0], b[1], b[2], b[3] = payloadShard, byte(dataK), byte(m), byte(i)
-				copy(b[4:], s)
-				out[i] = b
-			}
-			return out
-		}
-	}
 	full := EncodeCopy(val)
 	for i := range out {
 		out[i] = full
@@ -153,50 +89,15 @@ func Payloads(p Policy, val []byte) [][]byte {
 }
 
 // Reconstruct recovers the original value from whatever replica payloads
-// could be gathered (order and gaps do not matter). Any full copy wins
-// immediately; otherwise shards with consistent code parameters are
-// slotted and decoded — erasure.Decode's CRC frame guarantees a
-// corrupted gather errors out instead of returning wrong bytes.
+// could be gathered (order and gaps do not matter): the first full copy
+// wins.
 func Reconstruct(payloads [][]byte) ([]byte, bool) {
-	var shards [][]byte
-	dataK, m := 0, 0
 	for _, pl := range payloads {
-		if len(pl) < 1 {
-			continue
-		}
-		switch pl[0] {
-		case payloadCopy:
+		if len(pl) >= 1 && pl[0] == payloadCopy {
 			return pl[1:], true
-		case payloadShard:
-			if len(pl) < 4 {
-				continue
-			}
-			dk, mm, idx := int(pl[1]), int(pl[2]), int(pl[3])
-			if dk < 1 || mm < dk || idx >= mm {
-				continue
-			}
-			if shards == nil {
-				dataK, m = dk, mm
-				shards = make([][]byte, m)
-			}
-			if dk != dataK || mm != m || shards[idx] != nil {
-				continue // policy-skew or duplicate; first consistent set wins
-			}
-			shards[idx] = pl[4:]
 		}
 	}
-	if shards == nil {
-		return nil, false
-	}
-	code, err := erasure.NewCode(dataK, m)
-	if err != nil {
-		return nil, false
-	}
-	val, err := code.Decode(shards)
-	if err != nil {
-		return nil, false
-	}
-	return val, true
+	return nil, false
 }
 
 // Validate rejects nonsensical policies before a node starts with them.

@@ -25,41 +25,14 @@ func TestNeedAcks(t *testing.T) {
 	}
 }
 
-func TestNeedAcksForSharded(t *testing.T) {
-	// A sharded value needs dataK = K−2 surviving shards to reconstruct,
-	// so its write quorum must rise to dataK+1 (owner + dataK shards) —
-	// otherwise a majority-acked write could be unrecoverable after an
-	// owner crash, despite the ack's crash-safety contract.
-	p := Policy{K: 5, ShardThreshold: 64}
-	if got := p.NeedAcks(); got != 3 {
-		t.Fatalf("NeedAcks = %d, want 3", got)
-	}
-	if got := p.NeedAcksFor(8); got != 3 {
-		t.Fatalf("NeedAcksFor(small) = %d, want 3 (copies keep the majority quorum)", got)
-	}
-	if got := p.NeedAcksFor(64); got != 4 {
-		t.Fatalf("NeedAcksFor(sharded) = %d, want 4 (owner + dataK shards)", got)
-	}
-	// A quorum already at or above dataK+1 is left alone.
-	if got := (Policy{K: 5, Quorum: 5, ShardThreshold: 64}).NeedAcksFor(64); got != 5 {
-		t.Fatalf("NeedAcksFor(quorum=5) = %d, want 5", got)
-	}
-	// Without sharding the value size never changes the quorum.
-	if got := (Policy{K: 3}).NeedAcksFor(1 << 20); got != 2 {
-		t.Fatalf("NeedAcksFor(unsharded) = %d, want 2", got)
-	}
-}
-
 func TestReconstructQuorum(t *testing.T) {
 	cases := []struct {
 		pol  Policy
 		want int
 	}{
-		{Policy{}, 0},                         // replication off
-		{Policy{K: 3}, 1},                     // full copies: one holder suffices
-		{Policy{K: 4, ShardThreshold: 1}, 2},  // dataK = 2
-		{Policy{K: 5, ShardThreshold: 64}, 3}, // dataK = 3
-		{Policy{K: 5, ShardThreshold: 0}, 1},  // sharding disabled: copies
+		{Policy{}, 0},     // replication off
+		{Policy{K: 3}, 1}, // full copies: one holder suffices
+		{Policy{K: 5}, 1},
 	}
 	for _, c := range cases {
 		if got := c.pol.ReconstructQuorum(); got != c.want {
@@ -79,47 +52,6 @@ func TestCopyRoundTrip(t *testing.T) {
 		got, ok := Reconstruct([][]byte{pls[i]})
 		if !ok || !bytes.Equal(got, val) {
 			t.Fatalf("payload %d did not reconstruct alone", i)
-		}
-	}
-}
-
-func TestShardRoundTrip(t *testing.T) {
-	pol := Policy{K: 5, ShardThreshold: 16} // RS(3, 4) over 4 successors
-	val := bytes.Repeat([]byte("0123456789abcdef"), 8)
-	pls := Payloads(pol, val)
-	if len(pls) != 4 {
-		t.Fatalf("got %d payloads, want 4", len(pls))
-	}
-	for i := range pls {
-		if pls[i][0] != payloadShard {
-			t.Fatalf("payload %d is not a shard", i)
-		}
-	}
-	// Any one successor may be missing alongside the owner.
-	for drop := 0; drop < 4; drop++ {
-		var have [][]byte
-		for i, pl := range pls {
-			if i != drop {
-				have = append(have, pl)
-			}
-		}
-		got, ok := Reconstruct(have)
-		if !ok || !bytes.Equal(got, val) {
-			t.Fatalf("reconstruct without shard %d failed", drop)
-		}
-	}
-	// Two missing successors exceed the code's budget.
-	if _, ok := Reconstruct(pls[:2]); ok {
-		t.Fatal("reconstructed from too few shards")
-	}
-}
-
-func TestSmallValueStaysCopy(t *testing.T) {
-	pol := Policy{K: 5, ShardThreshold: 1 << 20}
-	pls := Payloads(pol, []byte("small"))
-	for i, pl := range pls {
-		if pl[0] != payloadCopy {
-			t.Fatalf("payload %d sharded below the threshold", i)
 		}
 	}
 }

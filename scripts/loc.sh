@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # loc.sh — the ROADMAP's code-size count: lines of non-test Go outside
-# benchmark/, per top-level package and in total. Report only.
+# benchmark/, per top-level package and in total. Report only, unless a
+# budget is given: then a total above it makes the exit status 1.
 #
-# Usage: scripts/loc.sh   (from anywhere)
+# Usage: scripts/loc.sh [BUDGET]   (from anywhere)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,4 +16,6 @@ printf '%7d  %s\n' "$(count . -maxdepth 1)" "(root package)"
 for dir in cmd/* examples/* internal/*; do
   printf '%7d  %s\n' "$(count "./$dir")" "$dir"
 done
-printf '%7d  total\n' "$(count .)"
+total=$(count .)
+printf '%7d  total\n' "$total"
+[ "$total" -le "${1:-$total}" ]

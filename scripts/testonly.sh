@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # testonly.sh — candidates for "code only its own tests keep alive": every
 # func or method declared in non-test Go (outside benchmark/ and testdata/)
-# whose name appears nowhere else in non-test code. Report only.
+# whose name appears nowhere else in non-test code. Report only, except
+# that a name nothing at all refers to (tests=0 bench=0: dead exported
+# code) makes the exit status 1.
 #
 # The match is by NAME, on identifier tokens, with // comments cut off:
 # nontest counts the name's tokens in non-test code (declarations included;
@@ -35,8 +37,11 @@ awk '
   { bench[$2] = $1 }
   END {
     for (name in decl)
-      if (nontest[name] == decl[name])
+      if (nontest[name] == decl[name]) {
         printf "%s nontest=%d tests=%d bench=%d\n", name, nontest[name], tests[name], bench[name]
+        if (tests[name] + bench[name] == 0) dead = 1
+      }
+    exit dead
   }
 ' <(echo "$declared") <(tokens "${nontest[@]}") \
   <(tokens -name '*_test.go' ! -path './benchmark/*') <(tokens -path './benchmark/*') | sort
