@@ -267,14 +267,15 @@ func (d *DHT) storeOf(id ServerID) (store.Store, bool) {
 	return s, ok
 }
 
-// readRand returns a fresh deterministic PRNG for one read-path call:
-// every call gets its own PCG stream (the ticket from readCtr), split
-// from the instance seed. Concurrent reads therefore share no RNG state,
-// and a serial sequence of reads draws a reproducible digit sequence
-// regardless of churn interleaving — reads no longer consume the churn
-// path's d.rng.
-func (d *DHT) readRand() *rand.Rand {
-	return rand.New(rand.NewPCG(d.readSeed, d.readCtr.Add(1)))
+// readSource returns a fresh deterministic PRNG source for one read-path
+// call: every call gets its own PCG stream (the ticket from readCtr),
+// split from the instance seed. Concurrent reads therefore share no RNG
+// state, and a serial sequence of reads draws a reproducible digit
+// sequence regardless of churn interleaving — reads no longer consume the
+// churn path's d.rng. Callers wrap it in rand.New themselves, so the Rand
+// stays on their stack whether or not this function is inlined.
+func (d *DHT) readSource() *rand.PCG {
+	return rand.NewPCG(d.readSeed, d.readCtr.Add(1))
 }
 
 // --- the moving-range fence ---
@@ -376,7 +377,7 @@ func (d *DHT) Owner(key string) int {
 // a private per-call stream, so concurrent lookups (and lookups under
 // churn) never block or race.
 func (d *DHT) Lookup(src int, key string) []int {
-	return d.net.DHLookup(src, d.hash.Point(key), d.readRand())
+	return d.net.DHLookup(src, d.hash.Point(key), rand.New(d.readSource()))
 }
 
 // readRetryLimit bounds the stale-owner retries of Get and Put. A retry
@@ -479,7 +480,7 @@ func (d *DHT) Get(src int, key string) (value []byte, hops int, ok bool) {
 		return nil, 0, false
 	}
 	if d.cache != nil {
-		path, _ := d.cache.Request(src, key, d.readRand())
+		path, _ := d.cache.Request(src, key, rand.New(d.readSource()))
 		return v, len(path) - 1, true
 	}
 	path := d.Lookup(src, key)

@@ -233,6 +233,32 @@ func TestDeltaOption(t *testing.T) {
 	}
 }
 
+// TestGetAllocs pins what a simulator read allocates once the load meter
+// has a counter for every server: the lookup's private digit stream and
+// the returned path.
+func TestGetAllocs(t *testing.T) {
+	const n = 4096
+	d := New(n, Options{Seed: 10, CacheThreshold: -1})
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		d.Put(i, keys[i], []byte{byte(i)})
+	}
+	for i := 0; i < 20000; i++ {
+		d.Get(i%n, keys[i%len(keys)])
+	}
+	i := 0
+	got := testing.AllocsPerRun(2000, func() {
+		i++
+		if _, _, ok := d.Get(i*7%n, keys[i%len(keys)]); !ok {
+			t.Fatal("miss")
+		}
+	})
+	if got > 2 {
+		t.Errorf("Get allocates %.2f/op at n=%d, want <= 2", got, n)
+	}
+}
+
 func TestDeterministicSeed(t *testing.T) {
 	a, b := New(64, Options{Seed: 9}), New(64, Options{Seed: 9})
 	if a.Owner("x") != b.Owner("x") || a.Smoothness() != b.Smoothness() {

@@ -83,17 +83,16 @@ func EntryNode(tau uint64, t uint8) TreeNode {
 	return TreeNode{Depth: t, Path: tau & (1<<t - 1)}
 }
 
-// DeltaImages returns the ∆ image segments f_0(s), ..., f_{∆-1}(s) of a
-// segment. Each has 1/∆ of the length (Figure 1 shows the ∆ = 2 case),
-// rounded up to the fixed-point grid: the true image of a nonempty real
-// interval is nonempty, but a floor division would round a segment
-// shorter than ∆ ulps to Len 0 — which by convention denotes the full
-// circle, silently connecting a tiny segment's server to every other
-// server. Ceiling division over-approximates each image by at most one
-// ulp instead, which the preimage padding in consumers (see
-// dhgraph.affectedSources) already tolerates.
-func DeltaImages(s interval.Segment, delta uint64) []interval.Segment {
-	out := make([]interval.Segment, delta)
+// DeltaImage returns the image segment f_k(s) of a segment. It has 1/∆ of
+// the length (Figure 1 shows the ∆ = 2 case), rounded up to the
+// fixed-point grid: the true image of a nonempty real interval is
+// nonempty, but a floor division would round a segment shorter than ∆
+// ulps to Len 0 — which by convention denotes the full circle, silently
+// connecting a tiny segment's server to every other server. Ceiling
+// division over-approximates the image by at most one ulp instead, which
+// the preimage padding in consumers (see dhgraph.affectedSources) already
+// tolerates.
+func DeltaImage(s interval.Segment, delta, k uint64) interval.Segment {
 	ln := s.Len / delta
 	if s.Len%delta != 0 {
 		ln++
@@ -101,8 +100,15 @@ func DeltaImages(s interval.Segment, delta uint64) []interval.Segment {
 	if s.Len == 0 { // full circle
 		ln = divideCircle(delta)
 	}
-	for i := uint64(0); i < delta; i++ {
-		out[i] = interval.Segment{Start: interval.DeltaMap(s.Start, delta, i), Len: ln}
+	return interval.Segment{Start: interval.DeltaMap(s.Start, delta, k), Len: ln}
+}
+
+// DeltaImages returns the ∆ image segments f_0(s), ..., f_{∆-1}(s) of a
+// segment (see DeltaImage).
+func DeltaImages(s interval.Segment, delta uint64) []interval.Segment {
+	out := make([]interval.Segment, delta)
+	for k := range out {
+		out[k] = DeltaImage(s, delta, uint64(k))
 	}
 	return out
 }

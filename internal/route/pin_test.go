@@ -109,25 +109,45 @@ func TestFastLookupPinned(t *testing.T) {
 	}
 }
 
-// dhLookupAllocCeiling is what DHLookup allocates per call at n=4096 if it
-// builds a Trace and throws it away (38; it allocates 28 without). Every
-// simulator Get and Put pays this, so the trace must stay opt-in.
-const dhLookupAllocCeiling = 38
+// lookupAllocCeiling is what DHLookup and FastLookup may allocate per
+// call once the load meter has its pages: the returned path, nothing
+// else. The walk, its phase-II stack, the neighbour test's images and the
+// meter's increment all stay off the heap, and every simulator Get and
+// Put pays for whatever does not — so a Trace, too, must stay opt-in.
+const lookupAllocCeiling = 1
 
-func TestDHLookupAllocsBelowTraceBuildingWalk(t *testing.T) {
-	nw, _ := smoothNetwork(4096, 2, 92)
-	n := nw.G.N()
-	// Touch every server's load counter first so first-visit insertions into
-	// the load map are not counted.
+// warmNetwork returns a network of n servers whose meter has a counter
+// for every server, so first-visit page growth is not counted.
+func warmNetwork(n int) *Network {
+	nw, _ := smoothNetwork(n, 2, 92)
 	warm := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 20000; i++ {
 		nw.DHLookup(warm.IntN(n), interval.Point(warm.Uint64()), warm)
 	}
+	return nw
+}
+
+func TestDHLookupAllocsBelowTraceBuildingWalk(t *testing.T) {
+	nw := warmNetwork(4096)
 	rng := rand.New(rand.NewPCG(3, 4))
 	got := testing.AllocsPerRun(2000, func() {
-		nw.DHLookup(rng.IntN(n), interval.Point(rng.Uint64()), rng)
+		nw.DHLookup(rng.IntN(4096), interval.Point(rng.Uint64()), rng)
 	})
-	if got >= dhLookupAllocCeiling {
-		t.Errorf("DHLookup allocates %.0f/op at n=4096, want < %d", got, dhLookupAllocCeiling)
+	if got > lookupAllocCeiling {
+		t.Errorf("DHLookup allocates %.2f/op at n=4096, want <= %d", got, lookupAllocCeiling)
+	}
+}
+
+func TestFastLookupAllocs(t *testing.T) {
+	nw := warmNetwork(4096)
+	rng := rand.New(rand.NewPCG(5, 6))
+	got := testing.AllocsPerRun(2000, func() {
+		nw.FastLookup(rng.IntN(4096), interval.Point(rng.Uint64()))
+	})
+	if got > lookupAllocCeiling {
+		t.Errorf("FastLookup allocates %.2f/op at n=4096, want <= %d", got, lookupAllocCeiling)
+	}
+	if maxWalkSteps(2)+1 != walkPoints {
+		t.Errorf("walkPoints = %d, want maxWalkSteps(2)+1 = %d", walkPoints, maxWalkSteps(2)+1)
 	}
 }

@@ -21,8 +21,14 @@
 // geometrically from that snapshot — it never reads the live ring, the
 // dhgraph srv map, or any state a churn wave mutates. Lookups are
 // therefore wait-free under concurrent churn: a lookup sees exactly the
-// pre- or post-wave decomposition, never a torn mix. Load metering is an
-// internally synchronized counter, so concurrent lookups never race.
+// pre- or post-wave decomposition, never a torn mix.
+//
+// Load metering is a page table of atomic counters indexed by
+// partition.Handle: a lookup counts a visit with one atomic add, taking no
+// lock. Handles are issued 1, 2, 3, … and never reused, so the meter holds
+// 8 B per handle ever issued, not per live server. ResetLoad and Forget
+// store 0 in place, so an add racing ResetLoad is either zeroed or
+// counted, never lost.
 package route
 
 import (
@@ -38,59 +44,63 @@ import (
 	"condisc/internal/telemetry"
 )
 
-// loadCounter is a concurrent per-handle message counter: a sync.Map of
-// *atomic.Int64, so concurrent lookups increment without a global lock
-// and without racing. Increments commute, so any serial-vs-concurrent
-// differential comparison of totals is exact.
-type loadCounter struct {
-	m sync.Map // partition.Handle -> *atomic.Int64
+// loadPageBits sizes the meter's pages: 1<<10 counters, 8 KiB each.
+const loadPageBits = 10
+
+type loadPage [1 << loadPageBits]atomic.Int64
+
+// loadMeter's page i counts handles [i<<loadPageBits, (i+1)<<loadPageBits).
+// Its directory is copy-on-write: read lock-free, grown under mu by copying
+// the page pointers, never the pages, so a regrowth loses no count.
+type loadMeter struct {
+	pages atomic.Pointer[[]*loadPage]
+	mu    sync.Mutex
 }
 
-func (lc *loadCounter) add(h partition.Handle, d int64) {
-	if v, ok := lc.m.Load(h); ok {
-		v.(*atomic.Int64).Add(d)
-		return
+// dir returns the current page directory (nil before the first count).
+func (m *loadMeter) dir() []*loadPage {
+	if p := m.pages.Load(); p != nil {
+		return *p
 	}
-	v, _ := lc.m.LoadOrStore(h, new(atomic.Int64))
-	v.(*atomic.Int64).Add(d)
+	return nil
 }
 
-func (lc *loadCounter) get(h partition.Handle) int64 {
-	if v, ok := lc.m.Load(h); ok {
-		return v.(*atomic.Int64).Load()
+// counter returns h's counter, or nil if h lies past the last page.
+func (m *loadMeter) counter(h partition.Handle) *atomic.Int64 {
+	if dir, i := m.dir(), uint64(h)>>loadPageBits; i < uint64(len(dir)) {
+		return &dir[i][h&(1<<loadPageBits-1)]
 	}
-	return 0
+	return nil
 }
 
-func (lc *loadCounter) forget(h partition.Handle) { lc.m.Delete(h) }
-
-func (lc *loadCounter) reset() {
-	lc.m.Range(func(k, _ any) bool {
-		lc.m.Delete(k)
-		return true
-	})
+// at returns h's counter, first adding pages up to h's if h lies past the
+// last one.
+func (m *loadMeter) at(h partition.Handle) *atomic.Int64 {
+	if c := m.counter(h); c != nil {
+		return c
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if c := m.counter(h); c != nil {
+		return c // another lookup grew it first
+	}
+	old := m.dir()
+	dir := make([]*loadPage, uint64(h)>>loadPageBits+1)
+	copy(dir, old)
+	for i := len(old); i < len(dir); i++ {
+		dir[i] = new(loadPage)
+	}
+	m.pages.Store(&dir)
+	return m.counter(h)
 }
 
-func (lc *loadCounter) max() int64 {
-	var m int64
-	lc.m.Range(func(_, v any) bool {
-		if l := v.(*atomic.Int64).Load(); l > m {
-			m = l
+// each calls fn with every counter and the handle it counts.
+func (m *loadMeter) each(fn func(h partition.Handle, c *atomic.Int64)) {
+	for i, p := range m.dir() {
+		for j := range p {
+			fn(partition.Handle(i<<loadPageBits|j), &p[j])
 		}
-		return true
-	})
-	return m
-}
-
-func (lc *loadCounter) snapshot() map[partition.Handle]int64 {
-	out := make(map[partition.Handle]int64)
-	lc.m.Range(func(k, v any) bool {
-		if l := v.(*atomic.Int64).Load(); l != 0 {
-			out[k.(partition.Handle)] = l
-		}
-		return true
-	})
-	return out
+	}
 }
 
 // Network wraps a discrete DH graph with message-load accounting.
@@ -100,12 +110,12 @@ type Network struct {
 	// load counts the messages each server has handled (every appearance
 	// on a lookup path, origin included — Definition 3's notion of "active
 	// in a routing"), keyed by the server's stable handle. Because the key
-	// never shifts, congestion metering survives churn with zero copying:
-	// a join adds no entry until the new server handles a message, and a
-	// leave drops exactly one entry (Forget). Servers absent have load 0.
-	// Access it through LoadOf/LoadMap/MaxLoad — the counter is safe under
-	// concurrent lookups.
-	load loadCounter
+	// never shifts, metering survives churn with zero copying: a join
+	// touches no counter, a leave zeroes one (Forget). It is a page table
+	// indexed by handle, 8 B per handle ever issued (not per live server);
+	// lookups add to it without a lock, and an add racing ResetLoad is
+	// zeroed or counted, never lost. Read it through LoadOf/LoadMap/MaxLoad.
+	load loadMeter
 
 	// lookups/hops are pre-resolved telemetry handles (see SetTelemetry);
 	// recording is a pure atomic write, so lookups stay wait-free. They
@@ -130,31 +140,51 @@ func (nw *Network) SetTelemetry(reg *telemetry.Registry) {
 	nw.hops = reg.Histogram("condisc_route_lookup_hops")
 }
 
-// record tallies one finished lookup path.
-func (nw *Network) record(path []int) {
+// finish tallies one finished lookup path and returns an exact-size heap
+// copy of it, so the walk can build the path in an array on its stack.
+func (nw *Network) finish(path []int) []int {
 	nw.lookups.Inc()
 	nw.hops.Observe(int64(len(path) - 1))
+	return append(make([]int, 0, len(path)), path...)
 }
 
-// Forget drops the departed server's counter (all other entries are
-// untouched; handles are never reused, so the key cannot come back).
+// Forget zeroes the departed server's counter (handles are never reused,
+// so nothing counts into it again).
 func (nw *Network) Forget(h partition.Handle) {
-	nw.load.forget(h)
+	if c := nw.load.counter(h); c != nil {
+		c.Store(0)
+	}
 }
 
 // ResetLoad zeroes the congestion counters.
 func (nw *Network) ResetLoad() {
-	nw.load.reset()
+	nw.load.each(func(_ partition.Handle, c *atomic.Int64) { c.Store(0) })
 }
 
 // MaxLoad returns the maximum per-server load.
-func (nw *Network) MaxLoad() int64 { return nw.load.max() }
+func (nw *Network) MaxLoad() (top int64) {
+	nw.load.each(func(_ partition.Handle, c *atomic.Int64) { top = max(top, c.Load()) })
+	return top
+}
 
 // LoadOf returns the load of the server with stable handle h.
-func (nw *Network) LoadOf(h partition.Handle) int64 { return nw.load.get(h) }
+func (nw *Network) LoadOf(h partition.Handle) int64 {
+	if c := nw.load.counter(h); c != nil {
+		return c.Load()
+	}
+	return 0
+}
 
 // LoadMap materializes the nonzero per-server loads as a fresh map.
-func (nw *Network) LoadMap() map[partition.Handle]int64 { return nw.load.snapshot() }
+func (nw *Network) LoadMap() map[partition.Handle]int64 {
+	out := make(map[partition.Handle]int64)
+	nw.load.each(func(h partition.Handle, c *atomic.Int64) {
+		if l := c.Load(); l != 0 {
+			out[h] = l
+		}
+	})
+	return out
+}
 
 // visit appends server v to the path if it differs from the current last
 // element, and counts its load against the server's stable handle, as
@@ -163,7 +193,7 @@ func (nw *Network) visit(snap *partition.Snapshot, path []int, v int) []int {
 	if len(path) > 0 && path[len(path)-1] == v {
 		return path
 	}
-	nw.load.add(snap.HandleAt(v), 1)
+	nw.load.at(snap.HandleAt(v)).Add(1)
 	return append(path, v)
 }
 
@@ -172,6 +202,10 @@ func (nw *Network) visit(snap *partition.Snapshot, path []int, v int) []int {
 func maxWalkSteps(delta uint64) uint {
 	return uint(math.Ceil(64/math.Log2(float64(delta)))) + 2
 }
+
+// walkPoints is maxWalkSteps(2)+1, the most positions a walk of any ∆ >= 2
+// holds: the walks' stack arrays are sized by it (past it, appends spill).
+const walkPoints = 64 + 2 + 1
 
 // clampSrc folds a caller-supplied source index into the snapshot's index
 // range: under churn the caller may have picked the index against a
@@ -211,8 +245,9 @@ func (nw *Network) snapNeighbor(snap *partition.Snapshot, i, j int) bool {
 // test mirrors Ring.CoverHandlesOfArc: j intersects an image arc iff j
 // covers the arc's start, or j's own point lies strictly inside the arc.
 func (nw *Network) coversImage(snap *partition.Snapshot, i, j int) bool {
-	xj := snap.Point(j)
-	for _, img := range continuous.DeltaImages(snap.Segment(i), nw.G.Delta) {
+	xj, si := snap.Point(j), snap.Segment(i)
+	for k := uint64(0); k < nw.G.Delta; k++ {
+		img := continuous.DeltaImage(si, nw.G.Delta, k)
 		if img.Len == 0 { // full-circle image intersects everything
 			return true
 		}
@@ -265,7 +300,8 @@ func (nw *Network) FastLookup(src int, y interval.Point) []int {
 	delta := nw.G.Delta
 	src = clampSrc(snap, src)
 	seg := snap.Segment(src)
-	path := nw.visit(snap, nil, src)
+	var buf [walkPoints + 1]int // src, at most one hop per step, the cover of y
+	path := nw.visit(snap, buf[:0], src)
 	pos, steps := FastPlan(seg, y, delta)
 	for {
 		if pos, steps = FastAdvance(seg, pos, steps, delta); steps == 0 {
@@ -279,9 +315,7 @@ func (nw *Network) FastLookup(src int, y interval.Point) []int {
 	// The walk endpoint equals y truncated to its top bits; deliver to the
 	// exact cover of y (at most one extra ring hop, guarding the fixed-point
 	// truncation).
-	path = nw.visit(snap, path, snap.Cover(y))
-	nw.record(path)
-	return path
+	return nw.finish(nw.visit(snap, path, snap.Cover(y)))
 }
 
 // DHLookup routes a lookup from server src to the server covering y using
@@ -330,9 +364,11 @@ func (nw *Network) DHLookupStoppable(src int, y interval.Point, rng *rand.Rand,
 // and DHLookupStoppable. A non-nil tr receives the trace; a non-nil stop
 // is consulted after every phase-II hop and ends the walk at the returned
 // depth. The digit string is kept only when one of them will read it; the
-// draws from rng, and so the path, are the same either way.
+// draws from rng, and so the path, are the same either way. The phase-II
+// stack and the path live in arrays on the stack; only the returned copy
+// of the path is allocated.
 func (nw *Network) dhWalk(src int, y interval.Point, rng *rand.Rand, tr *Trace,
-	stop func(digits []uint64, depth int, q interval.Point) bool) (path []int, depth int) {
+	stop func(digits []uint64, depth int, q interval.Point) bool) ([]int, int) {
 
 	snap := nw.G.Ring.Snapshot()
 	delta := nw.G.Delta
@@ -341,10 +377,13 @@ func (nw *Network) dhWalk(src int, y interval.Point, rng *rand.Rand, tr *Trace,
 	src = clampSrc(snap, src)
 	p := snap.Point(src) // the paper's header carries x_i
 	q := y
-	stack := []interval.Point{y} // q_0 .. q_t
+	var stackBuf [walkPoints]interval.Point
+	stack := append(stackBuf[:0], y) // q_0 .. q_t
 	var digits []uint64
 	cur := src
-	path = nw.visit(snap, nil, src)
+	var pathBuf [2*walkPoints + 1]int // src, then at most walkPoints per phase
+	path := nw.visit(snap, pathBuf[:0], src)
+	depth := 0
 
 	maxT := maxWalkSteps(delta)
 	for t := uint(0); ; t++ {
@@ -387,8 +426,7 @@ func (nw *Network) dhWalk(src int, y interval.Point, rng *rand.Rand, tr *Trace,
 			break
 		}
 	}
-	nw.record(path)
-	return path, depth
+	return nw.finish(path), depth
 }
 
 // RandomLookups performs count lookups from uniform random sources to
