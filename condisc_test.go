@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"condisc/internal/interval"
@@ -256,6 +257,33 @@ func TestGetAllocs(t *testing.T) {
 	})
 	if got > 2 {
 		t.Errorf("Get allocates %.2f/op at n=%d, want <= 2", got, n)
+	}
+}
+
+// TestSimulatorHeapPerServer holds the simulator's footprint per server:
+// a 20,000-server DHT holding 4,000 items of 128 B, the same items per
+// server as README's 100k-server table. The graph keeps each server's out-
+// and in-lists and derives the adjacency on demand; the ring and the graph
+// find a server's state by indexing a slice with its handle. A stored
+// adjacency list or a handle map per server breaks the budget.
+func TestSimulatorHeapPerServer(t *testing.T) {
+	// budget: 288 B per server measured (go1.24 linux/amd64), plus 10 %.
+	const n, items, budget = 20_000, 4_000, 317
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := New(n, Options{Seed: 12, CacheThreshold: -1})
+	val := make([]byte, 128)
+	for i := 0; i < items; i++ {
+		d.Put(i%n, fmt.Sprintf("heap-%d", i), val)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	perServer := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("live heap %.0f B per server", perServer)
+	if perServer > budget {
+		t.Errorf("live heap %.0f B per server, budget %d", perServer, budget)
 	}
 }
 

@@ -2,18 +2,19 @@
 // contract: functions on the apply/retire side of the admit/apply split
 // (names matching *Apply/*Retire, or unexported apply*/retire*) run
 // concurrently for lease-disjoint patches, so they must not write
-// admit-only state — the dhgraph srv map, the ring structure, or the
+// admit-only state — the dhgraph srv table, the ring structure, or the
 // handle/RNG/store counters. Those writes belong in the serial admit
 // phase, where trace order fixes handle assignment and RNG draws (the
 // churntest differential harness proved byte-identical WriteState
 // output depends on exactly this split).
 //
 // The check is a write-set walk over selector expressions: assignments,
-// ++/--, delete() and mutating method calls whose base names an
-// admit-only field. RemoveRetire is the one sanctioned exception: the
-// retire phase is serial again and drops the departed srv-map record,
-// so *Retire functions may write the srv map (but still not the ring or
-// the counters).
+// ++/--, clear() and mutating method calls whose base names an
+// admit-only field. Growing the srv table (g.srv = append(g.srv, …)) and
+// storing into it (g.srv[h] = x) are both writes. RemoveRetire is the one
+// sanctioned exception: the retire phase is serial again and drops the
+// departed server's record (g.srv[h] = nil), so *Retire functions may
+// write the srv table (but still not the ring or the counters).
 package applyphase
 
 import (
@@ -26,7 +27,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "applyphase",
 	Doc: "functions matching the *Apply/*Retire naming contract must not write admit-only " +
-		"state (dhgraph srv map, ring structure, handle/RNG/store counters); the apply phase " +
+		"state (dhgraph srv table, ring structure, handle/RNG/store counters); the apply phase " +
 		"runs concurrently across lease-disjoint patches (PR 5 contract)",
 	Run: run,
 }
@@ -34,12 +35,11 @@ var Analyzer = &analysis.Analyzer{
 // admitOnlyFields maps each admit-only selector field name to what it
 // is, for the diagnostic text.
 var admitOnlyFields = map[string]string{
-	"srv":      "the dhgraph srv map",
+	"srv":      "the dhgraph srv table",
 	"ring":     "the ring structure",
 	"Ring":     "the ring structure",
 	"rng":      "the shared RNG",
-	"nextH":    "the handle counter",
-	"byH":      "the ring's handle index",
+	"byH":      "the ring's handle table",
 	"storeSeq": "the store sequence counter",
 }
 
@@ -90,12 +90,12 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, ph phase) {
 		what := admitOnlyFields[field]
 		pass.Reportf(n.Pos(),
 			"%s %s %s (admit-only state): *Apply/*Retire functions run concurrently for "+
-				"lease-disjoint patches; ring, srv-map and counter writes belong in the "+
+				"lease-disjoint patches; ring, srv-table and counter writes belong in the "+
 				"serial admit phase (PR 5 contract)",
 			fd.Name.Name, verb, what)
 	}
 	// srvAllowed: the serial retire phase drops the departed server's
-	// (empty) srv-map record; that is its job.
+	// (empty) srv-table record; that is its job.
 	srvAllowed := ph == retirePhase
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -120,10 +120,10 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, ph phase) {
 func checkCall(pass *analysis.Pass, call *ast.CallExpr, fd *ast.FuncDecl, srvAllowed bool,
 	report func(ast.Node, string, string)) {
 	fun := analysis.Unparen(call.Fun)
-	// delete(x.srv, h) and clear(x.srv)
-	if id, ok := fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(call.Args) >= 1 {
+	// clear(x.srv)
+	if id, ok := fun.(*ast.Ident); ok && id.Name == "clear" && len(call.Args) == 1 {
 		if f := writtenField(call.Args[0]); f != "" && !(f == "srv" && srvAllowed) {
-			report(call, f, "deletes from")
+			report(call, f, "clears")
 		}
 		return
 	}
@@ -150,16 +150,16 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, fd *ast.FuncDecl, srvAll
 	// serial-only code from concurrent context.
 	if strings.HasSuffix(sel.Sel.Name, "Admit") {
 		pass.Reportf(call.Pos(),
-			"%s calls admit-phase API %s: admit mutates the ring and srv map and must stay "+
+			"%s calls admit-phase API %s: admit mutates the ring and srv table and must stay "+
 				"on the serial path (PR 5 contract)", fd.Name.Name, sel.Sel.Name)
 	}
 }
 
 // writtenField returns the admit-only field name a write target names,
-// or "". Only the outermost shape counts: g.srv = m, g.srv[h] = v,
-// *d.ring = r and g.nextH++ are writes to the field, while
-// g.srv[h].out = lst mutates a record REACHED through the map — the
-// sanctioned in-place apply-phase mutation — and is not flagged.
+// or "". Only the outermost shape counts: g.srv = append(g.srv, x),
+// g.srv[h] = v, *d.ring = r and d.storeSeq++ are writes to the field,
+// while g.srv[h].out = lst mutates a record REACHED through the table —
+// the sanctioned in-place apply-phase mutation — and is not flagged.
 func writtenField(e ast.Expr) string {
 	switch x := analysis.Unparen(e).(type) {
 	case *ast.SelectorExpr:

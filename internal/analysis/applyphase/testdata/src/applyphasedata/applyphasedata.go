@@ -15,43 +15,45 @@ func (r *ringT) Insert(p uint64) {}
 func (r *ringT) RemoveAt(i int)  {}
 
 type graph struct {
-	srv   map[uint64]*rec
-	ring  *ringT
-	nextH uint64
-	rng   *rand.Rand
+	srv      []*rec // indexed by handle
+	ring     *ringT
+	storeSeq int
+	rng      *rand.Rand
 }
 
 // JoinAdmit is the serial admit-phase API; writing admit-only state
 // here is its job and is not checked.
 func (g *graph) JoinAdmit(p uint64) {
-	g.nextH++
+	g.storeSeq++
 	g.ring.Insert(p)
-	g.srv[g.nextH] = &rec{}
+	g.srv = append(g.srv, &rec{})
 }
 
 // badApply violates the contract in every way at once: it runs
-// concurrently for lease-disjoint patches yet writes the srv map, the
-// handle counter, the ring, and the shared RNG stream.
+// concurrently for lease-disjoint patches yet grows and writes the srv
+// table, bumps a counter, mutates the ring, and draws from the shared RNG
+// stream.
 func (g *graph) badApply(h uint64) {
-	g.srv[h] = &rec{}  // want `badApply writes the dhgraph srv map`
-	g.nextH++          // want `badApply writes the handle counter`
-	delete(g.srv, h)   // want `badApply deletes from the dhgraph srv map`
-	g.ring.RemoveAt(0) // want `badApply mutates the ring structure`
-	_ = g.rng.Uint64() // want `badApply draws from the shared RNG`
-	g.JoinAdmit(h)     // want `badApply calls admit-phase API JoinAdmit`
+	g.srv = append(g.srv, &rec{}) // want `badApply writes the dhgraph srv table`
+	g.srv[h] = &rec{}             // want `badApply writes the dhgraph srv table`
+	clear(g.srv)                  // want `badApply clears the dhgraph srv table`
+	g.storeSeq++                  // want `badApply writes the store sequence counter`
+	g.ring.RemoveAt(0)            // want `badApply mutates the ring structure`
+	_ = g.rng.Uint64()            // want `badApply draws from the shared RNG`
+	g.JoinAdmit(h)                // want `badApply calls admit-phase API JoinAdmit`
 }
 
 // goodApply performs the sanctioned apply-phase mutation: records
-// REACHED through the srv map are patched in place; the map itself is
-// untouched.
+// REACHED through the srv table are patched in place; the table itself
+// is untouched.
 func (g *graph) goodApply(h uint64, lst []uint64) {
 	g.srv[h].out = lst
 }
 
 // RemoveRetire is the serial retire phase: dropping the departed
-// server's srv-map record is its job — but the ring and the counters
+// server's srv-table record is its job — but the ring and the counters
 // still belong to admit.
 func (g *graph) RemoveRetire(h uint64) {
-	delete(g.srv, h)
-	g.nextH++ // want `RemoveRetire writes the handle counter`
+	g.srv[h] = nil
+	g.storeSeq++ // want `RemoveRetire writes the store sequence counter`
 }

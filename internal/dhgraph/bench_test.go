@@ -28,10 +28,11 @@ func BenchmarkBuildN4096Delta16(b *testing.B) {
 	}
 }
 
-func BenchmarkIsNeighbor(b *testing.B) {
-	g := Build(benchRing(4096), 2)
+func BenchmarkIsNeighborH(b *testing.B) {
+	ring := benchRing(4096)
+	g := Build(ring, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.IsNeighbor(i%4096, (i*31)%4096)
+		_ = g.IsNeighborH(ring.HandleAt(i%4096), ring.HandleAt((i*31)%4096))
 	}
 }

@@ -17,14 +17,20 @@
 // pass, so a join or leave costs O(ρ·∆·log n) total, against the
 // O(n·ρ·∆ + n log n) of a from-scratch Build. The §2.1 locality claim
 // ("an update of the data structures of a constant number of servers")
-// holds for the maintained graph verbatim. Degree maxima are maintained by
-// a multiset of degrees, so they too cost O(1) per patched list rather
-// than an O(n) rescan.
+// holds for the maintained graph verbatim. The out- and in-degree maxima
+// are maintained by a multiset of degrees, so they too cost O(1) per
+// patched list rather than an O(n) rescan.
+//
+// Only the forward edges and their reverses are stored: each server's
+// record holds its out- and in-lists, the quantities Theorem 2.2 bounds.
+// The undirected adjacency (out ∪ in ∪ ring edges) is derived on demand
+// by AdjH, and MaxDegree is one O(n) ring scan that counts it without
+// materializing it. Records live in a table indexed by handle, 8 B per
+// handle ever issued, like the ring's own handle table.
 package dhgraph
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,13 +43,12 @@ import (
 // Handle re-exports the ring's stable server identifier for brevity.
 type Handle = partition.Handle
 
-// serverState bundles one server's edge lists, all sorted by handle
+// serverState bundles one server's edge lists, both sorted by handle
 // value. Keeping them in one record means a churn patch loads a server's
-// whole adjacency state with a single map probe.
+// whole edge state with a single table probe.
 type serverState struct {
 	out []Handle // forward-image targets (may include self)
 	in  []Handle // forward-image sources (may include self)
-	adj []Handle // undirected neighbours incl. ring edges, no self
 }
 
 // Graph is a discrete Distance Halving graph over a ring of segments. It is
@@ -51,22 +56,24 @@ type serverState struct {
 // Insert/Remove, which mutate the underlying Ring and patch the graph.
 //
 // Concurrency: churn is two-phase. The admit phase (InsertAdmit /
-// RemoveAdmit) mutates the ring and the srv map and must be serialized by
-// the caller; the apply phase (InsertApply / RemoveApply / RemoveRetire)
+// RemoveAdmit) mutates the ring and the srv table and must be serialized
+// by the caller; the apply phase (InsertApply / RemoveApply / RemoveRetire)
 // recomputes edge lists and is safe to run concurrently for patches whose
 // lease spans (partition.Ring.LeaseSpan) are disjoint — disjoint patches
 // touch disjoint serverState records and only read the (quiescent) ring
-// and map, while the shared degree multisets and edge counter are guarded
-// below. Insert and Remove run both phases back to back and remain the
-// plain serial API.
+// and table, while the shared degree multisets and edge counter are
+// guarded below. Insert and Remove run both phases back to back and
+// remain the plain serial API.
 type Graph struct {
 	Ring  *partition.Ring
 	Delta uint64
 
-	// srv keys every server's edge lists by its stable handle. The map
-	// itself is written only in the serial admit/retire phases; the apply
-	// phase mutates the records in place (disjoint ones, by lease).
-	srv map[Handle]*serverState
+	// srv[h] holds the edge lists of the server with handle h, nil once it
+	// has left (slot 0 is never used: handles start at 1). The table costs
+	// 8 B per handle ever issued. It grows only in rebuild and the serial
+	// admit phase, and RemoveRetire stores nil; the apply phase mutates the
+	// records in place (disjoint ones, by lease).
+	srv []*serverState
 
 	contEdges atomic.Int64 // continuous-derived undirected edges excl. ring, incl. self-loops (Thm 2.1)
 
@@ -97,13 +104,17 @@ func Build(ring *partition.Ring, delta uint64) *Graph {
 // used at construction and as the fallback for very small rings).
 func (g *Graph) rebuild() {
 	n := g.Ring.N()
-	g.srv = make(map[Handle]*serverState, n)
 	g.outDeg = degBag{}
 	g.inDeg = degBag{}
 	hs := make([]Handle, n)
-	for i := 0; i < n; i++ {
+	top := Handle(0)
+	for i := range hs {
 		hs[i] = g.Ring.HandleAt(i)
-		g.srv[hs[i]] = &serverState{}
+		top = max(top, hs[i])
+	}
+	g.srv = make([]*serverState, top+1)
+	for _, h := range hs {
+		g.srv[h] = &serverState{}
 	}
 	for i := 0; i < n; i++ {
 		targets := g.computeOut(i)
@@ -128,9 +139,6 @@ func (g *Graph) rebuild() {
 			}
 		}
 	}
-	for i, h := range hs {
-		g.srv[h].adj = g.mergeAdj(h, i)
-	}
 	g.lastTouched = n
 }
 
@@ -154,7 +162,7 @@ func (g *Graph) computeOutH(h Handle) []Handle {
 	return g.computeOut(i)
 }
 
-// mergeAdj recomputes the undirected neighbour list of the server with
+// mergeAdj computes the undirected neighbour list of the server with
 // handle h, currently at ring index i, from the forward, backward and ring
 // edges.
 func (g *Graph) mergeAdj(h Handle, i int) []Handle {
@@ -306,12 +314,14 @@ func (g *Graph) InsertAdmit(p interval.Point) (*InsertPatch, int, bool) {
 		Start: predPt,
 		Len:   interval.CWDist(predPt, g.Ring.Point(succIdx)),
 	}
+	// Handles are issued in order, so the new one lies past the table's end.
+	g.srv = append(g.srv, make([]*serverState, int(pt.hNew)+1-len(g.srv))...)
 	g.srv[pt.hNew] = &serverState{}
 	return pt, idx, true
 }
 
 // InsertApply is the patch phase of an Insert: recompute the edge lists of
-// the servers the split touched. It only reads the ring and the srv map,
+// the servers the split touched. It only reads the ring and the srv table,
 // and writes serverState records inside the patch's lease span — so
 // patches over disjoint spans may run concurrently, and the final lists
 // are byte-identical to applying the same inserts serially.
@@ -326,7 +336,6 @@ func (g *Graph) InsertApply(pt *InsertPatch) {
 	for k := range affected {
 		g.setOut(k, g.computeOutH(k), dirty)
 	}
-	g.remergeAdj(dirty)
 	g.statsMu.Lock()
 	g.lastTouched = len(dirty)
 	g.statsMu.Unlock()
@@ -378,8 +387,8 @@ func (g *Graph) RemoveAdmit(idx int) *RemovePatch {
 // RemoveApply is the patch phase of a Remove: unlink every edge incident
 // to the departed server and recompute the lists its absorption touched.
 // Like InsertApply it is concurrency-safe across disjoint lease spans.
-// The departed record stays in the srv map (empty) until RemoveRetire so
-// this phase performs no map writes.
+// The departed record stays in the srv table (empty) until RemoveRetire
+// so this phase performs no table writes.
 func (g *Graph) RemoveApply(pt *RemovePatch) {
 	h := pt.h
 	// Affected sources: the absorbing predecessor plus every server with a
@@ -413,37 +422,25 @@ func (g *Graph) RemoveApply(pt *RemovePatch) {
 	for k := range affected {
 		g.setOut(k, g.computeOutH(k), dirty)
 	}
-	g.remergeAdj(dirty)
 	g.statsMu.Lock()
 	g.lastTouched = len(dirty)
 	g.statsMu.Unlock()
 }
 
 // RemoveRetire drops the departed server's (now empty) record from the
-// srv map — the one map write of a Remove, run serially after every
+// srv table — the one table write of a Remove, run serially after every
 // concurrent apply of the wave has finished.
 func (g *Graph) RemoveRetire(pt *RemovePatch) {
-	delete(g.srv, pt.h)
+	g.srv[pt.h] = nil
 }
 
-// remergeAdj refreshes the undirected neighbour lists of every dirty
-// server.
-func (g *Graph) remergeAdj(dirty map[Handle]struct{}) {
-	for v := range dirty {
-		i, ok := g.Ring.IndexOfHandle(v)
-		if !ok {
-			continue
-		}
-		g.srv[v].adj = g.mergeAdj(v, i)
-	}
-}
-
-// LastTouched returns how many servers had their edge lists recomputed by
-// the most recent Insert or Remove — the churn blast radius the §2.1
-// locality claim bounds by O(ρ·∆). Since the edge lists are handle-keyed,
-// this is the complete set of servers whose state changed: no other
-// server's lists are rewritten, renumbered, or even read. (Under a
-// concurrent batch the value is that of whichever apply finished last.)
+// LastTouched returns how many servers had their edge lists or ring
+// edges changed by the most recent Insert or Remove — the churn blast
+// radius the §2.1 locality claim bounds by O(ρ·∆). Since the edge lists
+// are handle-keyed, this is the complete set of servers whose neighbours
+// changed: no other server's lists are rewritten, renumbered, or even
+// read. (Under a concurrent batch the value is that of whichever apply
+// finished last.)
 func (g *Graph) LastTouched() int {
 	g.statsMu.Lock()
 	defer g.statsMu.Unlock()
@@ -507,10 +504,20 @@ func delSorted(lst []Handle, v Handle) []Handle {
 func (g *Graph) N() int { return g.Ring.N() }
 
 // AdjH returns the undirected neighbour set of the server with handle h
-// (ring edges included, self excluded), sorted by handle.
+// (ring edges included, self excluded), sorted by handle. It is derived
+// from the stored lists on each call: a fresh slice, O(deg·log deg).
 func (g *Graph) AdjH(h Handle) []Handle {
-	if st, ok := g.srv[h]; ok {
-		return st.adj
+	i, ok := g.Ring.IndexOfHandle(h)
+	if !ok {
+		return nil
+	}
+	return g.mergeAdj(h, i)
+}
+
+// rec returns the record of the server with handle h, or nil if none.
+func (g *Graph) rec(h Handle) *serverState {
+	if h < Handle(len(g.srv)) {
+		return g.srv[h]
 	}
 	return nil
 }
@@ -518,7 +525,7 @@ func (g *Graph) AdjH(h Handle) []Handle {
 // OutH returns the forward-image target set of the server with handle h
 // (the directed edges Theorem 2.2 bounds; may include h itself).
 func (g *Graph) OutH(h Handle) []Handle {
-	if st, ok := g.srv[h]; ok {
+	if st := g.rec(h); st != nil {
 		return st.out
 	}
 	return nil
@@ -526,7 +533,7 @@ func (g *Graph) OutH(h Handle) []Handle {
 
 // InH returns the set of servers with a forward image into h.
 func (g *Graph) InH(h Handle) []Handle {
-	if st, ok := g.srv[h]; ok {
+	if st := g.rec(h); st != nil {
 		return st.in
 	}
 	return nil
@@ -535,43 +542,7 @@ func (g *Graph) InH(h Handle) []Handle {
 // IsNeighborH reports whether the servers with handles hi and hj are
 // neighbours (or hi == hj).
 func (g *Graph) IsNeighborH(hi, hj Handle) bool {
-	if hi == hj {
-		return true
-	}
-	st, ok := g.srv[hi]
-	return ok && memSorted(st.adj, hj)
-}
-
-// toIndices converts a handle list to current sorted ring indices
-// (O(len·log n); an index-era convenience view for experiments and tests).
-func (g *Graph) toIndices(hs []Handle) []int {
-	out := make([]int, len(hs))
-	for i, h := range hs {
-		out[i], _ = g.Ring.IndexOfHandle(h)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Adj returns the sorted indices of server i's undirected neighbours (ring
-// edges included, self excluded). Index views are snapshots: they are
-// invalidated by the next churn event, unlike the handle lists backing
-// them.
-func (g *Graph) Adj(i int) []int { return g.toIndices(g.AdjH(g.Ring.HandleAt(i))) }
-
-// Out returns the sorted indices of server i's forward-image targets.
-func (g *Graph) Out(i int) []int { return g.toIndices(g.OutH(g.Ring.HandleAt(i))) }
-
-// In returns the sorted indices of servers with a forward image into i.
-func (g *Graph) In(i int) []int { return g.toIndices(g.InH(g.Ring.HandleAt(i))) }
-
-// IsNeighbor reports whether j is a neighbour of i (or j == i), addressed
-// by current ring index.
-func (g *Graph) IsNeighbor(i, j int) bool {
-	if i == j {
-		return true
-	}
-	return g.IsNeighborH(g.Ring.HandleAt(i), g.Ring.HandleAt(j))
+	return hi == hj || memSorted(g.AdjH(hi), hj)
 }
 
 // EdgeCountNoRing returns the number of continuous-derived undirected edges
@@ -595,29 +566,62 @@ func (g *Graph) MaxInNoRing() int {
 	return g.inDeg.max
 }
 
-// MaxDegree returns the maximum undirected degree including ring edges.
+// MaxDegree returns the maximum undirected degree including ring edges:
+// one O(n) ring scan that counts each server's AdjH without building it.
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, st := range g.srv {
-		if len(st.adj) > max {
-			max = len(st.adj)
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	best := 0
+	pred, h := g.Ring.HandleAt(n-1), g.Ring.HandleAt(0)
+	for i := 0; i < n; i++ {
+		succ := g.Ring.HandleAt(g.Ring.Successor(i))
+		best = max(best, g.degree(h, pred, succ))
+		pred, h = h, succ
+	}
+	return best
+}
+
+// degree returns len(AdjH(h)) for the server h between ring neighbours
+// pred and succ, counted without building the list: out and in are each
+// duplicate-free, so |out ∪ in| is |out| + |in| − |out ∩ in|.
+func (g *Graph) degree(h, pred, succ Handle) int {
+	out, in := g.srv[h].out, g.srv[h].in
+	listed := func(v Handle) bool { return memSorted(out, v) || memSorted(in, v) }
+	d := len(out) + len(in)
+	for _, v := range in {
+		if memSorted(out, v) {
+			d--
 		}
 	}
-	return max
+	if listed(h) { // a self-loop is no neighbour
+		d--
+	}
+	// With two servers, pred and succ are one neighbour.
+	if pred != h && !listed(pred) {
+		d++
+	}
+	if succ != h && succ != pred && !listed(succ) {
+		d++
+	}
+	return d
 }
 
 // Undirected converts to a generic index-addressed graph (for
 // diameter/connectivity checks).
 func (g *Graph) Undirected() *graph.Undirected {
 	n := g.N()
-	idx := make(map[Handle]int, n)
-	for i := 0; i < n; i++ {
-		idx[g.Ring.HandleAt(i)] = i
+	hs := make([]Handle, n)
+	idx := make([]int, len(g.srv))
+	for i := range hs {
+		hs[i] = g.Ring.HandleAt(i)
+		idx[hs[i]] = i
 	}
 	b := graph.NewBuilder(n)
-	for h, st := range g.srv {
-		for _, t := range st.adj {
-			b.AddEdge(idx[h], idx[t])
+	for i, h := range hs {
+		for _, t := range g.mergeAdj(h, i) {
+			b.AddEdge(i, idx[t])
 		}
 	}
 	return b.Build()

@@ -26,9 +26,10 @@ func TestDeBruijnIsomorphism(t *testing.T) {
 		seg := ring.Segment(i)
 		// ℓ and r images of the whole segment are each covered by exactly one
 		// segment (halving an aligned dyadic interval).
-		lCover := ring.Cover(seg.Start.Half())
-		rCover := ring.Cover(seg.Start.HalfPlus())
-		if !g.IsNeighbor(i, lCover) || !g.IsNeighbor(i, rCover) {
+		h := ring.HandleAt(i)
+		lCover := ring.CoverHandle(seg.Start.Half())
+		rCover := ring.CoverHandle(seg.Start.HalfPlus())
+		if !g.IsNeighborH(h, lCover) || !g.IsNeighborH(h, rCover) {
 			t.Fatalf("server %d missing de Bruijn neighbours %d/%d", i, lCover, rCover)
 		}
 	}
@@ -88,11 +89,11 @@ func TestEdgesMatchContinuousDefinition(t *testing.T) {
 		g := Build(ring, delta)
 		for trial := 0; trial < 2000; trial++ {
 			y := interval.Point(rng.Uint64())
-			from := ring.Cover(y)
+			from := ring.CoverHandle(y)
 			for d := uint64(0); d < delta; d++ {
 				img := interval.DeltaMap(y, delta, d)
-				to := ring.Cover(img)
-				if !g.IsNeighbor(from, to) {
+				to := ring.CoverHandle(img)
+				if !g.IsNeighborH(from, to) {
 					t.Fatalf("∆=%d: cover(%v)=%d and cover(f_%d)=%d not neighbours",
 						delta, y, from, d, to)
 				}
@@ -109,7 +110,7 @@ func TestBackwardEdgeNeighbor(t *testing.T) {
 	g := Build(ring, 2)
 	for trial := 0; trial < 2000; trial++ {
 		p := interval.Point(rng.Uint64())
-		if !g.IsNeighbor(ring.Cover(p), ring.Cover(p.Back())) {
+		if !g.IsNeighborH(ring.CoverHandle(p), ring.CoverHandle(p.Back())) {
 			t.Fatalf("backward edge of %v not present", p)
 		}
 	}
@@ -120,7 +121,7 @@ func TestRingEdgesPresent(t *testing.T) {
 	ring := partition.Grow(partition.New(), 100, partition.SingleChooser, rng)
 	g := Build(ring, 2)
 	for i := 0; i < ring.N(); i++ {
-		if !g.IsNeighbor(i, ring.Successor(i)) {
+		if !g.IsNeighborH(ring.HandleAt(i), ring.HandleAt(ring.Successor(i))) {
 			t.Fatalf("ring edge %d—%d missing", i, ring.Successor(i))
 		}
 	}

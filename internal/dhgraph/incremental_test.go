@@ -1,8 +1,10 @@
 package dhgraph
 
 import (
+	"maps"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"condisc/internal/interval"
@@ -18,14 +20,15 @@ func equalGraphs(t *testing.T, inc, fresh *Graph) {
 		t.Fatalf("n: inc %d != fresh %d", inc.N(), fresh.N())
 	}
 	for i := 0; i < inc.N(); i++ {
-		if !equalInts(inc.Adj(i), fresh.Adj(i)) {
-			t.Fatalf("adj[%d]: inc %v != fresh %v", i, inc.Adj(i), fresh.Adj(i))
+		h := inc.Ring.HandleAt(i)
+		if !slices.Equal(inc.AdjH(h), fresh.AdjH(h)) {
+			t.Fatalf("adj[%d]: inc %v != fresh %v", h, inc.AdjH(h), fresh.AdjH(h))
 		}
-		if !equalInts(inc.Out(i), fresh.Out(i)) {
-			t.Fatalf("out[%d]: inc %v != fresh %v", i, inc.Out(i), fresh.Out(i))
+		if !slices.Equal(inc.OutH(h), fresh.OutH(h)) {
+			t.Fatalf("out[%d]: inc %v != fresh %v", h, inc.OutH(h), fresh.OutH(h))
 		}
-		if !equalInts(inc.In(i), fresh.In(i)) {
-			t.Fatalf("in[%d]: inc %v != fresh %v", i, inc.In(i), fresh.In(i))
+		if !slices.Equal(inc.InH(h), fresh.InH(h)) {
+			t.Fatalf("in[%d]: inc %v != fresh %v", h, inc.InH(h), fresh.InH(h))
 		}
 	}
 	if inc.EdgeCountNoRing() != fresh.EdgeCountNoRing() {
@@ -39,21 +42,47 @@ func equalGraphs(t *testing.T, inc, fresh *Graph) {
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// checkDerived recomputes by brute force what the graph derives instead of
+// storing: every AdjH against out ∪ in ∪ ring edges − self, MaxDegree
+// against the longest AdjH, and the Theorem 2.1 edge count against the
+// distinct unordered out-pairs.
+func checkDerived(t *testing.T, g *Graph) {
+	t.Helper()
+	n := g.N()
+	longest := 0
+	pairs := map[[2]Handle]bool{}
+	for i := 0; i < n; i++ {
+		h := g.Ring.HandleAt(i)
+		nb := map[Handle]bool{
+			g.Ring.HandleAt(g.Ring.Predecessor(i)): true,
+			g.Ring.HandleAt(g.Ring.Successor(i)):   true,
 		}
+		for _, v := range g.OutH(h) {
+			nb[v] = true
+			pairs[[2]Handle{min(h, v), max(h, v)}] = true
+		}
+		for _, v := range g.InH(h) {
+			nb[v] = true
+		}
+		delete(nb, h)
+		want := slices.Sorted(maps.Keys(nb))
+		if got := g.AdjH(h); !slices.Equal(got, want) {
+			t.Fatalf("n=%d adj[%d] = %v, brute force %v", n, h, got, want)
+		}
+		longest = max(longest, len(want))
 	}
-	return true
+	if got := g.MaxDegree(); got != longest {
+		t.Fatalf("n=%d: MaxDegree %d, longest AdjH %d", n, got, longest)
+	}
+	if got := g.EdgeCountNoRing(); got != len(pairs) {
+		t.Fatalf("n=%d: EdgeCountNoRing %d, brute force %d", n, got, len(pairs))
+	}
 }
 
 // TestIncrementalMatchesBuild is the differential churn test: after every
 // operation of a random 10k-op join/leave trace, the incrementally patched
-// graph must be identical to a from-scratch Build over the same ring.
+// graph must be identical to a from-scratch Build over the same ring, and
+// what it derives must match a brute-force recount.
 func TestIncrementalMatchesBuild(t *testing.T) {
 	traces := []struct {
 		delta uint64
@@ -91,6 +120,7 @@ func TestIncrementalMatchesBuild(t *testing.T) {
 				g.Remove(rng.IntN(n))
 			}
 			equalGraphs(t, g, Build(ring, tc.delta))
+			checkDerived(t, g)
 			total++
 		}
 	}

@@ -45,6 +45,39 @@ func TestHandlesStableAcrossChurn(t *testing.T) {
 	}
 }
 
+// TestIndexOfHandleAbsent: a handle that names no live server resolves to
+// nothing. The last case is the one the handle table alone cannot tell:
+// a departed handle's slot still holds its point, and a later server now
+// sits at exactly that point.
+func TestIndexOfHandleAbsent(t *testing.T) {
+	r := FromPoints([]interval.Point{100, 200, 300, 400})
+	departed := r.HandleAt(1)
+	r.RemoveAt(1)
+	gone := r.HandleAt(2) // the server at 400
+	r.RemoveAt(2)
+	i, _ := r.Insert(400)
+	reissued := r.HandleAt(i)
+	if !r.checkHandles() {
+		t.Fatal("handle invariant broken")
+	}
+	for _, tc := range []struct {
+		name string
+		h    Handle
+	}{
+		{"handle 0", 0},
+		{"never issued", reissued + 1},
+		{"departed", departed},
+		{"departed, point re-inserted", gone},
+	} {
+		if idx, ok := r.IndexOfHandle(tc.h); ok {
+			t.Errorf("%s: IndexOfHandle(%d) = %d, want absent", tc.name, tc.h, idx)
+		}
+	}
+	if idx, ok := r.IndexOfHandle(reissued); !ok || idx != i {
+		t.Errorf("re-inserted point: IndexOfHandle = %d, %v; want %d", idx, ok, i)
+	}
+}
+
 // TestCloneCopiesHandles: clones share no handle state with the original.
 func TestCloneCopiesHandles(t *testing.T) {
 	r := FromPoints([]interval.Point{100, 200, 300})

@@ -24,6 +24,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -54,8 +55,11 @@ type view struct {
 // view published by the last Publish() (see snapshot.go).
 type Ring struct {
 	view
-	byH   map[Handle]interval.Point
-	nextH Handle
+	// byH[h-1] is the point handle h was issued at. Handles are issued 1,
+	// 2, 3, … and never reused, so the table costs 8 B per handle ever
+	// issued, not per live server: a departed handle's slot keeps its old
+	// point, and IndexOfHandle confirms the rank it finds still holds h.
+	byH []interval.Point
 
 	// epoch counts Publish calls; snap holds the latest published
 	// snapshot. Both are written only by the single mutating owner;
@@ -105,17 +109,7 @@ func (r *Ring) Points() []interval.Point {
 
 // Clone returns a deep copy of the ring, handles included.
 func (r *Ring) Clone() *Ring {
-	c := &Ring{
-		view:  view{ol: r.ol.clone()},
-		nextH: r.nextH,
-	}
-	if r.byH != nil {
-		c.byH = make(map[Handle]interval.Point, len(r.byH))
-		for h, p := range r.byH {
-			c.byH[h] = p
-		}
-	}
-	return c
+	return &Ring{view: view{ol: r.ol.clone()}, byH: slices.Clone(r.byH)}
 }
 
 // Insert adds a new server point, implementing the segment split of
@@ -125,26 +119,18 @@ func (r *Ring) Clone() *Ring {
 // changed shape; the new server's handle is HandleAt of the returned
 // index. Cost: O(log n) amortized.
 func (r *Ring) Insert(p interval.Point) (int, bool) {
-	h := r.nextH + 1
-	i, ok := r.ol.insert(p, h)
+	i, ok := r.ol.insert(p, Handle(len(r.byH)+1))
 	if !ok {
 		return i, false
 	}
-	r.nextH = h
-	if r.byH == nil {
-		r.byH = make(map[Handle]interval.Point)
-	}
-	r.byH[h] = p
+	r.byH = append(r.byH, p)
 	return i, true
 }
 
 // RemoveAt deletes the i-th server; its segment is absorbed by the ring
 // predecessor (the simple Leave of §2.1). The predecessor is the only
 // server whose segment changed shape. Cost: O(log n) amortized.
-func (r *Ring) RemoveAt(i int) {
-	delete(r.byH, r.ol.handleAt(i))
-	r.ol.removeAt(i)
-}
+func (r *Ring) RemoveAt(i int) { r.ol.removeAt(i) }
 
 // HandleAt returns the stable handle of the server currently at index i
 // (O(log n)).
@@ -153,11 +139,17 @@ func (v *view) HandleAt(i int) Handle { return v.ol.handleAt(i) }
 // IndexOfHandle returns the current sorted index of the server named by h,
 // or false if no such server exists (never joined, or already left).
 func (r *Ring) IndexOfHandle(h Handle) (int, bool) {
-	p, ok := r.byH[h]
-	if !ok {
+	if h == 0 || h > Handle(len(r.byH)) {
 		return 0, false
 	}
-	return r.ol.searchGT(p) - 1, true // p is present, so rank(p) = searchGT(p)-1
+	// The last point <= h's point is that point itself while h is live.
+	// Once h has left, it is some other server's: possibly a later one
+	// inserted at the very point h left behind.
+	i := r.ol.searchGT(r.byH[h-1]) - 1
+	if i < 0 || r.ol.handleAt(i) != h {
+		return 0, false
+	}
+	return i, true
 }
 
 // Remove deletes the server with the given point, reporting whether it was
@@ -175,17 +167,11 @@ func (r *Ring) Remove(p interval.Point) bool {
 }
 
 // checkHandles is the bookkeeping sanity check used by tests: the chunked
-// list, the handle map, and the rank queries all agree.
+// list, the handle table, and the rank queries all agree.
 func (r *Ring) checkHandles() bool {
-	if len(r.byH) != r.ol.size() {
-		return false
-	}
 	ok := true
 	r.ol.scan(func(i int, p interval.Point, h Handle) {
-		if r.byH[h] != p {
-			ok = false
-		}
-		if idx, found := r.IndexOfHandle(h); !found || idx != i {
+		if idx, found := r.IndexOfHandle(h); !found || idx != i || r.byH[h-1] != p {
 			ok = false
 		}
 	})

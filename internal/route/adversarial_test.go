@@ -35,7 +35,7 @@ func TestFastLookupOnClusteredRing(t *testing.T) {
 			t.Fatalf("clustered ring: lookup for %v misdelivered", y)
 		}
 		for j := 1; j < len(path); j++ {
-			if !nw.G.IsNeighbor(path[j-1], path[j]) {
+			if !isEdge(nw, path[j-1], path[j]) {
 				t.Fatalf("clustered ring: non-edge on path")
 			}
 		}

@@ -19,7 +19,7 @@
 // Concurrency: every lookup resolves the ring against one epoch snapshot
 // (partition.Ring.Snapshot) taken at entry, and decides neighbourhood
 // geometrically from that snapshot — it never reads the live ring, the
-// dhgraph srv map, or any state a churn wave mutates. Lookups are
+// dhgraph srv table, or any state a churn wave mutates. Lookups are
 // therefore wait-free under concurrent churn: a lookup sees exactly the
 // pre- or post-wave decomposition, never a torn mix.
 //
@@ -225,7 +225,7 @@ func clampSrc(snap *partition.Snapshot, src int) int {
 // of one's segment intersects the other's segment (§2.1: two cells are
 // connected iff they contain adjacent points of the continuous graph).
 // It reads only the snapshot, so phase-I termination never touches the
-// srv map a concurrent churn wave is patching.
+// srv table a concurrent churn wave is patching.
 func (nw *Network) snapNeighbor(snap *partition.Snapshot, i, j int) bool {
 	if i == j {
 		return true

@@ -17,6 +17,12 @@ func smoothNetwork(n int, delta uint64, seed uint64) (*Network, *rand.Rand) {
 	return NewNetwork(dhgraph.Build(ring, delta)), rng
 }
 
+// isEdge reports whether the servers at ring indices i and j are
+// neighbours in the discrete graph (or i == j).
+func isEdge(nw *Network, i, j int) bool {
+	return nw.G.IsNeighborH(nw.G.Ring.HandleAt(i), nw.G.Ring.HandleAt(j))
+}
+
 // TestFastLookupDelivers: the last server on the path covers y.
 func TestFastLookupDelivers(t *testing.T) {
 	nw, rng := smoothNetwork(512, 2, 1)
@@ -58,7 +64,7 @@ func TestFastLookupPathEdges(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		path := nw.FastLookup(rng.IntN(nw.G.N()), interval.Point(rng.Uint64()))
 		for j := 1; j < len(path); j++ {
-			if !nw.G.IsNeighbor(path[j-1], path[j]) {
+			if !isEdge(nw, path[j-1], path[j]) {
 				t.Fatalf("path step %d—%d is not an edge", path[j-1], path[j])
 			}
 		}
@@ -78,7 +84,7 @@ func TestDHLookupDelivers(t *testing.T) {
 			t.Fatalf("DH lookup for %v delivered to wrong server", y)
 		}
 		for j := 1; j < len(path); j++ {
-			if !nw.G.IsNeighbor(path[j-1], path[j]) {
+			if !isEdge(nw, path[j-1], path[j]) {
 				t.Fatalf("path step %d—%d is not an edge", path[j-1], path[j])
 			}
 		}

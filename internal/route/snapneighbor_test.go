@@ -53,7 +53,7 @@ func TestSnapNeighborMatchesGraph(t *testing.T) {
 		n := snap.N()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				want := nw.G.IsNeighbor(i, j)
+				want := isEdge(nw, i, j)
 				got := nw.snapNeighbor(snap, i, j)
 				if got != want {
 					t.Fatalf("%s ∆=%d n=%d: snapNeighbor(%d,%d)=%v, graph says %v",
