@@ -280,7 +280,7 @@ func runDoctor(client *p2p.Client, timeout time.Duration) {
 
 	fmt.Printf("%-21s %s\n", "NODE", "LOCAL VERDICT")
 	var hops telemetry.HistogramSnapshot
-	cs := doctor.ClusterStats{N: len(states), Delta: 2}
+	cs := doctor.ClusterStats{N: len(states), Delta: p2p.Delta}
 	for _, st := range states {
 		if st.AdminAddr == "" {
 			fmt.Printf("%-21s (no -admin)\n", st.Addr)

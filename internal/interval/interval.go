@@ -174,8 +174,8 @@ func (s Segment) Overlaps(o Segment) bool {
 // circle, silently aliasing the smallest possible segment to the largest.
 // This is the same degenerate-segment bug fixed by ceiling division in
 // continuous.DeltaImages; the audit of the remaining Segment consumers
-// (overlap.DegreeOf, p2p.notifyImageCovers) moved the fix here, to the
-// shared primitive. Over-approximating by at most one ulp is harmless:
+// (overlap.DegreeOf among them) moved the fix here, to the shared
+// primitive. Over-approximating by at most one ulp is harmless:
 // the paper's bounds tolerate polynomially small perturbations (§4).
 func (s Segment) Half() Segment {
 	if s.Len == 0 {

@@ -50,6 +50,7 @@ import (
 	"net"
 	"time"
 
+	"condisc/internal/continuous"
 	"condisc/internal/handoff"
 	"condisc/internal/interval"
 	"condisc/internal/journal"
@@ -286,10 +287,12 @@ func (n *Node) afterJoin() {
 	if succ.Addr != n.addr {
 		n.sendPatch(succ.Addr, request{Op: opSetPred, NewPoint: uint64(n.Point()), NewAddr: n.addr, NewID: n.id})
 	}
+	// Fill our own backward table first, so the image lookups below route
+	// on it instead of through the predecessor and ring-forward fallback.
+	_ = n.Stabilize()
 	// Incrementally announce the join to the nodes whose backward tables
 	// must now contain us: the covers of our segment's forward images.
 	n.notifyImageCovers(false)
-	_ = n.Stabilize()
 }
 
 // sessionWire is this node's line to the sender of one inbound session:
@@ -809,6 +812,16 @@ func (n *Node) absorbLeave(req request) {
 		return
 	}
 	rec.Finish()
+	// Our backward arc grew by the absorbed segment's. Add its covers now:
+	// until the next stabilization, a walk stepping from the absorbed range
+	// would otherwise go to our last entry and finish by a long ring walk.
+	if covers, err := n.coversOfArc(continuous.DeltaBackImage(seg, Delta)); err == nil {
+		n.mu.Lock()
+		for _, c := range covers {
+			n.patchBackLocked(c, false)
+		}
+		n.mu.Unlock()
+	}
 	if out == handoff.Committed {
 		// The absorbed range's replicas were placed by the DEPARTED node
 		// for its own successor chain; re-replicate for ours.

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"condisc/internal/continuous"
 	"condisc/internal/doctor"
 	"condisc/internal/handoff"
 	"condisc/internal/hashing"
@@ -408,7 +409,7 @@ func (n *Node) Doctor() doctor.Report {
 		SegLen:  seg.Len,
 		PredLen: predLen,
 		Degree:  deg,
-		Delta:   2,
+		Delta:   Delta,
 	}
 	if n.repl.Enabled() && n.succs != nil {
 		// Desired comes from the POLICY — K−1 replica targets — capped by
@@ -756,9 +757,16 @@ func (n *Node) sendPatch(addr string, req request) bool {
 
 // notifyImageCovers sends an incremental backward-table patch (add, or
 // remove when leaving) for this node to every node whose segment
-// intersects one of the ∆ = 2 forward images of our segment — exactly the
+// intersects one of the Delta forward images of our segment — exactly the
 // nodes whose backward image covers part of our segment, i.e. whose `back`
-// table must list us. O(ρ) recipients by Theorem 2.2.
+// table must list us. O(ρ·∆) recipients by Theorem 2.2.
+//
+// When leaving, the predecessor inherits our segment and must be listed
+// wherever we were. A cover whose backward arc starts before our segment
+// already lists it (a table is a contiguous run of ring covers); one whose
+// arc starts inside our segment listed us first and not it, and without
+// the predecessor it would wrap every point of our old segment to its
+// far end. That cover gets the predecessor before the retraction.
 func (n *Node) notifyImageCovers(remove bool) {
 	if n.noPatches {
 		return
@@ -766,15 +774,19 @@ func (n *Node) notifyImageCovers(remove bool) {
 	n.mu.Lock()
 	seg := n.segmentLocked()
 	self := request{Op: opPatchBack, NewID: n.id, NewPoint: uint64(n.x), NewAddr: n.addr, Remove: remove}
+	heir := request{Op: opPatchBack, NewID: n.pred.ID, NewPoint: n.pred.Point, NewAddr: n.pred.Addr}
 	n.mu.Unlock()
-	for _, img := range []interval.Segment{seg.Half(), seg.HalfPlus()} {
-		covers, err := n.coversOfArc(img)
+	for k := uint64(0); k < Delta; k++ {
+		covers, err := n.coversOfArc(continuous.DeltaImage(seg, Delta, k))
 		if err != nil {
 			continue
 		}
 		for _, c := range covers {
 			if c.Addr == n.addr {
 				continue
+			}
+			if remove && seg.Contains(interval.DeltaBack(interval.Point(c.Point), Delta)) {
+				n.sendPatch(c.Addr, heir)
 			}
 			n.sendPatch(c.Addr, self)
 		}

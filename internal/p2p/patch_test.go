@@ -1,10 +1,16 @@
 package p2p
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"condisc/internal/continuous"
 	"condisc/internal/interval"
+	"condisc/internal/telemetry"
 )
 
 // backIDs snapshots a node's ID-keyed backward table.
@@ -37,16 +43,34 @@ func TestJoinPatchesBackTablesIncrementally(t *testing.T) {
 	}
 	defer joiner.Close()
 
-	// NO StabilizeAll here: only the join-time patches have run. Some node
-	// whose backward image intersects the joiner's images must know it.
-	found := 0
+	// NO StabilizeAll here: only the join-time patches have run. Every node
+	// whose segment meets one of the joiner's ∆ forward images — every node
+	// whose backward image covers part of the joiner's segment — must know it.
+	pts, err := c.RingOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segOf := make(map[interval.Point]interval.Segment, len(pts))
+	for i, p := range pts {
+		segOf[p] = interval.Segment{Start: p, Len: uint64(pts[(i+1)%len(pts)] - p)}
+	}
+	jseg := segOf[joiner.Point()]
+	covers := 0
 	for _, n := range c.Nodes {
-		if _, ok := backIDs(n)[joiner.ID()]; ok {
-			found++
+		for k := uint64(0); k < Delta; k++ {
+			img := continuous.DeltaImage(jseg, Delta, k)
+			if !segOf[n.Point()].Overlaps(img) {
+				continue
+			}
+			covers++
+			if _, ok := backIDs(n)[joiner.ID()]; !ok {
+				t.Fatalf("node %s covers part of the joiner's image %v but its backward table does not list it",
+					n.Addr(), img)
+			}
 		}
 	}
-	if found == 0 {
-		t.Fatal("no backward table learned the joiner incrementally")
+	if covers == 0 {
+		t.Fatal("no node covers any of the joiner's images")
 	}
 
 	// Every node's ring pointers must carry real stable IDs: the succ
@@ -74,6 +98,32 @@ func TestJoinPatchesBackTablesIncrementally(t *testing.T) {
 	v, _, err := cl.Get("patched", c.Hash())
 	if err != nil || string(v) != "x" {
 		t.Fatalf("get after incremental join: %v %q", err, v)
+	}
+}
+
+// TestRingFormationRPCs bounds what membership maintenance costs at ∆:
+// forming a 32-node ring sends at most 1.1 × the 1,422 RPCs the ∆ = 2 node
+// sent. A wider backward table costs more image lookups and patches per
+// join; stabilizing before the image announcements, and stopping an arc
+// walk at a cover whose End lies outside the arc, pay for them.
+func TestRingFormationRPCs(t *testing.T) {
+	own := func(n *Node) { n.tel = telemetry.NewRegistry() }
+	c, err := StartCluster(32, 0xC0D15C, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	var rpcs int64
+	for _, n := range c.Nodes {
+		for name, v := range n.Telemetry().Snapshot().Counters {
+			if strings.HasPrefix(name, "condisc_p2p_rpc_total{") {
+				rpcs += v
+			}
+		}
+	}
+	t.Logf("forming the ring sent %d RPCs", rpcs)
+	if limit := int64(1422 * 11 / 10); rpcs > limit {
+		t.Fatalf("forming a 32-node ring sent %d RPCs, over %d", rpcs, limit)
 	}
 }
 
@@ -124,5 +174,95 @@ func TestLeaveRetractsFromBackTables(t *testing.T) {
 		if _, _, err := cl.Lookup(y); err != nil {
 			t.Fatalf("lookup %d failed after retraction: %v", i, err)
 		}
+	}
+}
+
+// missingCover names the first node of alive whose backward table lacks a
+// cover of its ∆-ary backward arc, or returns "" when every table is
+// complete. Segments come from the live ring, read through c.Nodes[0].
+func missingCover(t *testing.T, c *Cluster, alive []*Node) string {
+	t.Helper()
+	pts, err := c.RingOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segOf := make(map[interval.Point]interval.Segment, len(pts))
+	for i, p := range pts {
+		segOf[p] = interval.Segment{Start: p, Len: uint64(pts[(i+1)%len(pts)] - p)}
+	}
+	for _, n := range alive {
+		arc := continuous.DeltaBackImage(segOf[n.Point()], Delta)
+		table := backIDs(n)
+		for _, m := range alive {
+			if _, ok := table[m.ID()]; !ok && segOf[m.Point()].Overlaps(arc) {
+				return fmt.Sprintf("node %s does not list %s, which covers part of its arc %v", n.Addr(), m.Addr(), arc)
+			}
+		}
+	}
+	return ""
+}
+
+// TestLeaveHandsTableEntriesToHeir: after a graceful leave, with no
+// stabilization since, every survivor's backward table still lists every
+// cover of its arc. The predecessor inherits the leaver's segment, so it
+// must appear wherever the leaver did — also in the tables whose arc
+// starts inside the leaver's segment, which listed the leaver first — and
+// its own arc grows by the leaver's, whose covers it must add. A table
+// short of a cover sends a walk into that cover's range through the wrong
+// node, and the lookup finishes by a ring walk of O(n) hops.
+func TestLeaveHandsTableEntriesToHeir(t *testing.T) {
+	c, err := StartCluster(16, 83)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	alive := slices.Clone(c.Nodes)
+	for round := 0; missingCover(t, c, alive) != ""; round++ {
+		if round == 8 {
+			t.Fatalf("tables incomplete after %d stabilization rounds: %s", round, missingCover(t, c, alive))
+		}
+		if err := c.StabilizeAll(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// listedFirst counts the tables whose arc starts inside a victim's
+	// segment. Node 0 never leaves: RingOrder starts there.
+	listedFirst := 0
+	for _, vi := range []int{5, 9, 13} {
+		victim := c.Nodes[vi]
+		alive = slices.DeleteFunc(alive, func(n *Node) bool { return n == victim })
+		st := victim.Status()
+		vseg := interval.Segment{Start: interval.Point(st.Point), Len: uint64(st.End - st.Point)}
+		for _, n := range alive {
+			if vseg.Contains(interval.DeltaBack(n.Point(), Delta)) {
+				listedFirst++
+			}
+		}
+		if err := victim.Leave(); err != nil {
+			t.Fatal(err)
+		}
+		// Leave returns at the commit; the predecessor finishes its
+		// absorption, table extension included, after that.
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			busy := 0
+			for _, n := range alive {
+				n.mu.Lock()
+				busy += n.absorbing
+				n.mu.Unlock()
+			}
+			if busy == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("an absorption still running 2 s after the leave returned")
+			}
+		}
+		if m := missingCover(t, c, alive); m != "" {
+			t.Fatalf("after %s left: %s", victim.Addr(), m)
+		}
+	}
+	if listedFirst == 0 {
+		t.Fatal("no survivor's arc starts inside a victim's segment; the heir patch went unexercised")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"condisc/internal/continuous"
 	"condisc/internal/interval"
 	"condisc/internal/journal"
 	"condisc/internal/route"
@@ -14,6 +15,13 @@ import (
 
 // This file implements Fast Lookup (§2.2.1) over the wire, plus the
 // stabilization pass that refreshes the backward-neighbour tables.
+
+// Delta is the degree parameter ∆ of the DH graph the live node routes on
+// (§2.3): a lookup takes ≈ log_∆ n hops through a backward table of ≈ ∆+1
+// covers. A lookup's plan travels in Pos/StepsLeft and every hop advances
+// it with the same map, so all nodes of a ring must agree on ∆: it is a
+// constant, not an option, and changing it changes wireVersion.
+const Delta = 4
 
 // routeObserved wraps route with the node's observability: the routed-
 // message load counter, the entry-node hop histogram, and — for traced
@@ -50,7 +58,7 @@ func (n *Node) routeObserved(req request) response {
 // walk has finished), it serves locally; otherwise it advances the Fast
 // Lookup state one backward hop and forwards. The walk itself — the depth
 // chosen at the entry node, and which steps stay inside a segment — is
-// route.FastPlan/FastAdvance at ∆ = 2, shared with the simulator.
+// route.FastPlan/FastAdvance at Delta, shared with the simulator.
 func (n *Node) route(req request) response {
 	n.mu.Lock()
 	seg := n.segmentLocked()
@@ -59,12 +67,12 @@ func (n *Node) route(req request) response {
 	if !req.Started {
 		// Fresh lookup entering at this node: the paper's step 1, with z
 		// the middle of our own segment.
-		pos, t := route.FastPlan(seg, target, 2)
+		pos, t := route.FastPlan(seg, target, Delta)
 		req.Pos, req.StepsLeft, req.Started = uint64(pos), int(t), true
 	}
 
 	// Backward steps that stay inside our segment cost no network hop.
-	pos, left := route.FastAdvance(seg, interval.Point(req.Pos), uint(req.StepsLeft), 2)
+	pos, left := route.FastAdvance(seg, interval.Point(req.Pos), uint(req.StepsLeft), Delta)
 	if left == 0 {
 		// Walk done: we should cover the target; otherwise ring-forward.
 		req.Pos, req.StepsLeft = uint64(pos), 0
@@ -76,8 +84,8 @@ func (n *Node) route(req request) response {
 		return n.forward(next, req)
 	}
 
-	// The next step pos' = b(pos) leaves our segment: forward to its cover.
-	pos = pos.Back()
+	// The next step pos' = ∆·pos leaves our segment: forward to its cover.
+	pos = interval.DeltaBack(pos, Delta)
 	req.Pos, req.StepsLeft = uint64(pos), int(left)-1
 	next := n.nextHopLocked(pos)
 	ring := n.ringStepLocked(pos)
@@ -216,9 +224,9 @@ func (n *Node) tryForward(next NodeInfo, req request) (response, bool) {
 
 // Stabilize refreshes the node's view: re-reads the successor's state
 // (adopting a new successor if one joined in between), re-enumerates
-// the covers of the backward image b(s) by walking the ring from the
-// owner of the arc start, and — with replication on — refreshes the
-// successor chain and runs the repair pass.
+// the covers of the backward image b(s) — an arc ∆ times as long as s —
+// by walking the ring from the owner of the arc start, and — with
+// replication on — refreshes the successor chain and runs the repair pass.
 //
 // The successor probe doubles as the failure detector's heartbeat: no
 // extra message class exists, liveness piggybacks on the opState traffic
@@ -279,8 +287,7 @@ func (n *Node) Stabilize() error {
 	// refresh is the repair loop; between passes the ID-keyed table is
 	// kept current by the incremental opPatchBack messages joins and
 	// leaves send.
-	arc := seg.BackImage()
-	covers, err := n.coversOfArc(arc)
+	covers, err := n.coversOfArc(continuous.DeltaBackImage(seg, Delta))
 	if err != nil {
 		return err
 	}
@@ -296,16 +303,20 @@ func sortByPoint(entries []NodeInfo) {
 }
 
 // coversOfArc finds all nodes whose segments intersect the arc, by looking
-// up the arc start's owner and walking successor pointers.
+// up the arc start's owner and walking successor pointers. The lookup
+// enters at this node as a peer's request would, without dialing itself.
+// A cover's End is its successor's point (setEndSuccLocked sets the two
+// together), so the walk stops at the first cover whose End lies outside
+// the arc without asking that successor for its state.
 func (n *Node) coversOfArc(arc interval.Segment) ([]NodeInfo, error) {
-	first, err := n.wire.lookup(n.addr, arc.Start)
-	if err != nil {
-		return nil, err
+	first := n.handle(request{Op: opLookup, Target: uint64(arc.Start)})
+	if !first.OK {
+		return nil, fmt.Errorf("p2p: lookup of %v: %s", arc.Start, first.Err)
 	}
 	covers := []NodeInfo{{ID: first.ID, Point: first.Point, Addr: first.Addr}}
 	cur := first
 	for i := 0; i < 4096; i++ {
-		if cur.SuccAddr == "" || cur.SuccAddr == first.Addr {
+		if cur.SuccAddr == "" || cur.SuccAddr == first.Addr || !arc.Contains(interval.Point(cur.End)) {
 			break
 		}
 		st, err := n.rpc(cur.SuccAddr, request{Op: opState})

@@ -1,10 +1,12 @@
 package p2p
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
+	"condisc/internal/continuous"
 	"condisc/internal/dhgraph"
 	"condisc/internal/interval"
 	"condisc/internal/partition"
@@ -14,11 +16,13 @@ import (
 
 // TestFastLookupMatchesSimulator is the sim-vs-live differential: a live
 // 24-node ring with complete backward tables and the simulator's network
-// over the same decomposition must route every lookup through the same
-// nodes in the same order. Both plan with route.FastPlan/FastAdvance; what
-// this adds is everything around the plan — the live hop choice out of the
-// ID-keyed backward table, the wire carrying Pos/StepsLeft, and the final
-// delivery — agreeing with Snapshot.Cover on the same points.
+// at the same ∆ over the same decomposition must route every lookup
+// through the same nodes in the same order. Both plan with
+// route.FastPlan/FastAdvance; what this adds is everything around the
+// plan — the live hop choice out of the ID-keyed backward table, the wire
+// carrying Pos/StepsLeft, and the final delivery — agreeing with
+// Snapshot.Cover on the same points. The mean path must also stay within
+// Corollary 2.5's log_∆ n + O(1), here log_∆ n + ½.
 func TestFastLookupMatchesSimulator(t *testing.T) {
 	c, err := StartCluster(24, 77, WithTelemetry(telemetry.NewRegistry()))
 	if err != nil {
@@ -30,18 +34,18 @@ func TestFastLookupMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := partition.FromPoints(pts)
-	nw := route.NewNetwork(dhgraph.Build(ring, 2))
+	nw := route.NewNetwork(dhgraph.Build(ring, Delta))
 	nw.SetTelemetry(telemetry.NewRegistry())
 
 	// Stabilize until every node's backward table lists exactly the covers
-	// of b(s) the decomposition names; a table short of that would route
+	// of the ∆-ary b(s) the decomposition names; a table short of that would route
 	// by ring fallback and legitimately take other hops.
 	complete := func() bool {
 		for _, n := range c.Nodes {
 			st := n.Status()
 			seg := interval.Segment{Start: interval.Point(st.Point), Len: uint64(st.End - st.Point)}
 			var want []uint64
-			for _, h := range ring.CoverHandlesOfArc(seg.BackImage()) {
+			for _, h := range ring.CoverHandlesOfArc(continuous.DeltaBackImage(seg, Delta)) {
 				i, _ := ring.IndexOfHandle(h)
 				want = append(want, uint64(ring.Point(i)))
 			}
@@ -70,7 +74,9 @@ func TestFastLookupMatchesSimulator(t *testing.T) {
 		pointOf[n.Addr()] = n.Point()
 	}
 	rng := rand.New(rand.NewPCG(77, 78))
-	for i := 0; i < 2000; i++ {
+	const lookups = 2000
+	hops := 0
+	for i := 0; i < lookups; i++ {
 		entry := c.Nodes[rng.IntN(len(c.Nodes))]
 		y := interval.Point(rng.Uint64())
 		tr, err := (&Client{Bootstrap: entry.Addr(), Tel: telemetry.NewRegistry()}).Trace(y)
@@ -95,5 +101,11 @@ func TestFastLookupMatchesSimulator(t *testing.T) {
 			t.Fatalf("lookup %d: live reports %d hops, %d stale repairs; simulator path has %d hops",
 				i, tr.Hops, tr.Stale, len(want)-1)
 		}
+		hops += tr.Hops
+	}
+	mean, bound := float64(hops)/lookups, math.Log(float64(len(c.Nodes)))/math.Log(Delta)+0.5
+	t.Logf("%d lookups at ∆ = %d: %.2f hops on average, bound %.2f", lookups, Delta, mean, bound)
+	if mean > bound {
+		t.Fatalf("mean path %.2f hops, over log_∆ n + ½ = %.2f", mean, bound)
 	}
 }

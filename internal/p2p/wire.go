@@ -39,7 +39,9 @@ import (
 // and every length is checked against the bytes actually present before
 // anything is allocated for it.
 const (
-	wireVersion = 1
+	// wireVersion 2: Pos/StepsLeft carry a plan at Delta = 4, which a
+	// ∆ = 2 build would advance with the wrong map.
+	wireVersion = 2
 	tagResponse = 0xff // where a request carries its op
 
 	reqFixedLen  = 3 + 8*8 + 3*4

@@ -129,12 +129,12 @@ var (
 )
 
 const (
-	goldenRequestHex = "01041f" +
+	goldenRequestHex = "02041f" +
 		"0807060504030201" + "1817161514131211" + "3837363534333231" + "4847464544434241" +
 		"5857565554535251" + "6867666564636261" + "7877767574737271" + "8887868584838281" +
 		"21000000" + "22000000" + "23000000" +
 		"030000006b6579" + "050000006e65773a31" + "050000007372633a32" + "0400000066726f6d" + "0300000076616c"
-	goldenResponseHex = "01ff1f" +
+	goldenResponseHex = "02ff1f" +
 		"0807060504030201" + "1817161514131211" + "3837363534333231" + "4847464544434241" + "5857565554535251" +
 		"21000000" + "22000000" + "01000000" +
 		"03000000657272" + "06000000616464723a31" + "06000000737563633a32" + "06000000707265643a33" +
@@ -193,6 +193,7 @@ func TestWireRejectsDamage(t *testing.T) {
 		{"shorter than the fixed part", sealed(good[:reqFixedLen-1]), errWireLayout, "short"},
 		{"string longer than the body", sealed(edit(func(b []byte) []byte { b[reqFixedLen] = 0xff; return b })), errWireLayout, "short"},
 		{"unknown version", sealed(edit(func(b []byte) []byte { b[0] = wireVersion + 1; return b })), errWireVersion, "version"},
+		{"previous version", sealed(edit(func(b []byte) []byte { b[0] = 1; return b })), errWireVersion, "version"},
 		{"unknown op code", sealed(edit(func(b []byte) []byte { b[1] = byte(len(wireOps)) + 1; return b })), errWireVersion, "version"},
 		{"response tag in a request", sealed(edit(func(b []byte) []byte { b[1] = tagResponse; return b })), errWireVersion, "version"},
 		{"unknown flag", sealed(edit(func(b []byte) []byte { b[2] |= reqFlagsEnd; return b })), errWireVersion, "version"},
