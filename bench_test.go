@@ -11,7 +11,6 @@ package condisc
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -93,7 +92,7 @@ func benchChurnDHT(b *testing.B, n int) *DHT {
 	for i := 0; i < n*itemsPerServer; i++ {
 		k := fmt.Sprintf("item-%d", i)
 		p := d.hash.Point(k)
-		if err := d.stores[d.ring.CoverHandle(p)].Put(p, k, []byte("v")); err != nil {
+		if err := d.storeAt(d.ring.CoverHandle(p)).Put(p, k, []byte("v")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,43 +149,17 @@ func BenchmarkLeave(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnConcurrent sweeps the batch width of concurrent churn at
-// n = 100k: each iteration joins `width` servers through JoinBatch and
-// removes them again through LeaveBatch, so the network size is stable
-// and every iteration processes 2·width churn events. The derived
-// "ns/event" metric is the per-event cost at that width; width=1 is the
-// serial baseline (Join/Leave are the width-1 forms of the batch API).
-// "cpus" records GOMAXPROCS, which bounds the speed-up a width can show.
-func BenchmarkChurnConcurrent(b *testing.B) {
-	d := benchChurnDHT(b, 100_000)
-	for _, width := range []int{1, 2, 4, 8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ids := d.JoinBatch(width)
-				if err := d.LeaveBatch(ids); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			events := float64(b.N) * 2 * float64(width)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cpus")
-		})
-	}
-}
-
 // ---- read-under-churn: the wait-free read path's acceptance bench ----
 //
 // BenchmarkReadUnderChurn measures Get throughput on a 100k-server DHT
-// while a churn wave of the given width is continuously in flight, against
-// the quiescent baseline on the same instance. The read path resolves
-// owners against epoch snapshots and never takes the churn lock, so
-// throughput during a wave must stay within a small constant of quiescent
-// — TestGateReadsWaitFreeUnderChurn (perfgate_test.go) requires width-16
-// reads at >= 0.7x quiescent. Caching is disabled: cache hits would
-// measure the cache, not the snapshot-resolving owner read.
+// while a background goroutine runs batches of serial joins and leaves
+// back to back, against the quiescent baseline on the same instance. The
+// read path resolves owners against epoch snapshots and never takes the
+// churn lock, so throughput under churn must stay within a small constant
+// of quiescent — TestGateReadsWaitFreeUnderChurn (perfgate_test.go)
+// requires reads under 16 serial joins and leaves at >= 0.7x quiescent.
+// Caching is disabled: cache hits would measure the cache, not the
+// snapshot-resolving owner read.
 
 const readBenchKeys = 1024
 
@@ -203,7 +176,7 @@ func benchReadDHT() *DHT {
 		for i := 0; i < readBenchKeys; i++ {
 			k := fmt.Sprintf("read-%d", i)
 			p := d.hash.Point(k)
-			if err := d.stores[d.ring.CoverHandle(p)].Put(p, k, []byte("v")); err != nil {
+			if err := d.storeAt(d.ring.CoverHandle(p)).Put(p, k, []byte("v")); err != nil {
 				panic(err)
 			}
 		}
@@ -212,9 +185,10 @@ func benchReadDHT() *DHT {
 	return readDHT
 }
 
-// readUnderChurnLoop runs b.N Gets; width > 0 keeps a JoinBatch/LeaveBatch
-// wave of that width continuously in flight in the background. The wave
-// count is reported so a run where churn silently stalled is visible.
+// readUnderChurnLoop runs b.N Gets; width > 0 keeps JoinBatch(width)
+// followed by LeaveBatch of the same servers — 2·width serial churn
+// events — running back to back in the background. The batch count is
+// reported (as "waves") so a run where churn silently stalled is visible.
 func readUnderChurnLoop(b *testing.B, width int) {
 	d := benchReadDHT()
 	stop := make(chan struct{})
@@ -254,8 +228,8 @@ func readUnderChurnLoop(b *testing.B, width int) {
 	b.ReportMetric(float64(waves), "waves")
 }
 
-// BenchmarkReadUnderChurn sweeps the in-flight wave width; "quiescent" is
-// the no-churn baseline.
+// BenchmarkReadUnderChurn sweeps the churn batch width; "quiescent" is the
+// no-churn baseline.
 func BenchmarkReadUnderChurn(b *testing.B) {
 	b.Run("quiescent", func(b *testing.B) { readUnderChurnLoop(b, 0) })
 	for _, width := range []int{16, 64} {
@@ -267,7 +241,8 @@ func BenchmarkReadUnderChurn(b *testing.B) {
 // graph and network from scratch, recreate the caching system (discarding
 // all §3 state), and rehash every stored item.
 func fullRebuild(b *testing.B, d *DHT) {
-	old := d.stores
+	var old []store.Store
+	d.stores.each(func(_ ServerID, s store.Store) { old = append(old, s) })
 	d.net = route.NewNetwork(dhgraph.Build(d.ring, d.opts.Delta))
 	if d.opts.Delta == 2 && d.opts.CacheThreshold >= 0 {
 		c := d.opts.CacheThreshold
@@ -278,13 +253,13 @@ func fullRebuild(b *testing.B, d *DHT) {
 	} else {
 		d.cache = nil
 	}
-	d.stores = make(map[ServerID]store.Store, d.ring.N())
+	d.stores = storeTable{}
 	for i := 0; i < d.ring.N(); i++ {
-		d.stores[d.ring.HandleAt(i)] = d.newStore()
+		d.stores.set(d.ring.HandleAt(i), d.newStore())
 	}
 	for _, m := range old {
 		eachItem(b, m, func(it store.Item) {
-			d.stores[d.ring.CoverHandle(it.Point)].Put(it.Point, it.Key, it.Value)
+			d.storeAt(d.ring.CoverHandle(it.Point)).Put(it.Point, it.Key, it.Value)
 		})
 	}
 }
@@ -335,4 +310,10 @@ func BenchmarkDHTGet(b *testing.B) {
 			b.Fatal("miss")
 		}
 	}
+}
+
+// storeAt returns the store of the server with handle h, which must exist.
+func (d *DHT) storeAt(h ServerID) store.Store {
+	s, _ := d.stores.get(h)
+	return s
 }

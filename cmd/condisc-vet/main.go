@@ -1,11 +1,10 @@
-// Command condisc-vet runs this repository's seven project-specific
+// Command condisc-vet runs this repository's six project-specific
 // invariant analyzers (see README "Static analysis & invariants"):
 //
 //	segarith   — no raw arithmetic on interval lengths outside the
 //	             ceiling-division primitives (sub-ulp full-circle alias)
-//	applyphase — apply/retire churn phases must not write admit-only state
 //	epochpub   — epoch-published state changes only at sanctioned publish
-//	             points (no mid-phase Publish, immutable snapshots,
+//	             points (only Build publishes in dhgraph, immutable snapshots,
 //	             boundary moves only through setEndSuccLocked)
 //	fsyncack   — no acknowledgement over an unsynced framed WAL record
 //	detpath    — no wall clock / global rand / map-order leaks in the
@@ -42,7 +41,6 @@ import (
 	"strings"
 
 	"condisc/internal/analysis"
-	"condisc/internal/analysis/applyphase"
 	"condisc/internal/analysis/detpath"
 	"condisc/internal/analysis/epochpub"
 	"condisc/internal/analysis/fsyncack"
@@ -55,7 +53,6 @@ import (
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		segarith.Analyzer,
-		applyphase.Analyzer,
 		epochpub.Analyzer,
 		fsyncack.Analyzer,
 		detpath.Analyzer,

@@ -18,7 +18,7 @@
 //	internal/baselines   Chord, Tapestry-style, CAN, small worlds, butterfly
 //	internal/store       ordered item stores (in-memory + disk-backed WAL)
 //	internal/handoff     streaming two-phase churn transfer sessions
-//	internal/churntest   the differential concurrent-churn harness
+//	internal/churntest   seeded churn traces, pinned state digests, readers under churn
 //	internal/p2p         a real TCP implementation of the DH node
 //	internal/experiments drivers reproducing every table/figure/theorem
 //
@@ -106,8 +106,8 @@ type dhtMetrics struct {
 	puts        *telemetry.Counter   // Put calls
 	readRetries *telemetry.Counter   // epoch flips absorbed by Get/Put retry loops
 	fenceWaits  *telemetry.Counter   // writes that waited on the moving-range fence
-	waves       *telemetry.Counter   // published churn waves
-	waveNanos   *telemetry.Histogram // wall time per wave, fence to fence-lift
+	waves       *telemetry.Counter   // published churn events (one epoch each)
+	waveNanos   *telemetry.Histogram // wall time per churn event, fence to fence-lift
 	epoch       *telemetry.Gauge     // published epoch, stamped at publish time
 }
 
@@ -122,10 +122,10 @@ func newDHTMetrics(reg *telemetry.Registry) dhtMetrics {
 		epoch:       reg.Gauge("condisc_epoch"),
 	}
 	// Snapshot age is derived at scrape time from the epoch gauge's stamp
-	// (how long ago the last wave published — 0 forever on a churn-free
-	// instance). Re-registering after a second New replaces the closure,
-	// which is the right answer for the shared Default registry: the
-	// newest instance is the one being observed.
+	// (how long ago the last churn event published — 0 forever on a
+	// churn-free instance). Re-registering after a second New replaces the
+	// closure, which is the right answer for the shared Default registry:
+	// the newest instance is the one being observed.
 	reg.RegisterCollector("condisc_snapshot_age_seconds", func() float64 {
 		return m.epoch.Age().Seconds()
 	})
@@ -145,27 +145,17 @@ type DHT struct {
 	net      *route.Network
 	hash     *hashing.Func
 	cache    *cache.System
-	stores   map[ServerID]store.Store
+	stores   storeTable // the stores themselves are internally synchronized
 	newStore func() store.Store
 	storeSeq int
 	met      dhtMetrics
 	jrn      *journal.Journal // nil when no flight recorder is attached
 
-	// storesMu guards the stores MAP (insertion at join admit, deletion at
-	// wave cleanup); the stores themselves are internally synchronized.
-	// Readers resolve an owner's store through storeOf and never hold any
-	// churn lock.
-	storesMu sync.RWMutex
-
-	// churnMu serializes churn entry points (Join/Leave and the batch
-	// forms) against each other; inside a batch, disjoint events
-	// parallelize under arc leases (condisc_batch.go). The read path
-	// (Get/Put/Lookup/Owner) never takes it: reads resolve ownership
-	// against the ring's epoch snapshots and retry if an epoch flips
-	// mid-call.
-	churnMu   sync.Mutex
-	leases    *partition.Leases
-	schedHook func(event int, step string) // test-only interleaving hook
+	// churnMu serializes churn (Join/Leave and the batch forms; see
+	// condisc_churn.go). The read path (Get/Put/Lookup/Owner) never takes
+	// it: reads resolve ownership against the ring's epoch snapshots and
+	// retry if an epoch flips mid-call.
+	churnMu sync.Mutex
 
 	// readSeed/readCtr derive a private PCG stream per read-path call
 	// (stream = the call's ticket), so concurrent reads never share a
@@ -173,12 +163,12 @@ type DHT struct {
 	readSeed uint64
 	readCtr  atomic.Uint64
 
-	// moving, while a churn wave is in flight, holds the wave's
-	// owner-changing ranges (each event's invSeg). Put fences on it: a
-	// write into a mid-handoff range waits for the wave's publish, closing
-	// the window where a fresh key could land on the source store behind
-	// the copy cursor and vanish. nil when no wave is running.
-	moving atomic.Pointer[[]interval.Segment]
+	// moving, while a churn event is in flight, holds its owner-changing
+	// range. Put fences on it: a write into a mid-handoff range waits for
+	// the event's publish, closing the window where a fresh key could land
+	// on the source store behind the copy cursor and vanish. nil when no
+	// churn event is running.
+	moving atomic.Pointer[interval.Segment]
 }
 
 // New builds a DHT of n servers (n >= 2) with Multiple Choice IDs.
@@ -208,7 +198,6 @@ func New(n int, opts Options) *DHT {
 	d.net.SetTelemetry(opts.Telemetry)
 	d.jrn = opts.Journal
 	d.ring.SetJournal(d.jrn)
-	d.leases = partition.NewLeases()
 	if d.opts.Delta == 2 && d.opts.CacheThreshold >= 0 {
 		d.cache = cache.NewSystem(d.net, d.hash, d.autoThreshold())
 	}
@@ -237,9 +226,8 @@ func New(n int, opts Options) *DHT {
 	default:
 		panic(fmt.Sprintf("condisc: unknown storage engine %d", opts.Storage))
 	}
-	d.stores = make(map[ServerID]store.Store, n)
 	for i := 0; i < n; i++ {
-		d.stores[d.ring.HandleAt(i)] = d.newStore()
+		d.stores.set(d.ring.HandleAt(i), d.newStore())
 	}
 	return d
 }
@@ -247,24 +235,86 @@ func New(n int, opts Options) *DHT {
 // Close releases the per-server stores (the disk-backed engine holds open
 // WAL files). The DHT must not be used afterwards.
 func (d *DHT) Close() error {
-	d.storesMu.Lock()
-	defer d.storesMu.Unlock()
 	var first error
-	for _, s := range d.stores {
+	d.stores.each(func(_ ServerID, s store.Store) {
 		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
-	}
+	})
 	return first
 }
 
-// storeOf resolves the store of the server named by id without holding
-// any churn lock.
-func (d *DHT) storeOf(id ServerID) (store.Store, bool) {
-	d.storesMu.RLock()
-	s, ok := d.stores[id]
-	d.storesMu.RUnlock()
-	return s, ok
+// storePageBits sizes the store table's pages: 1<<10 slots, 8 KiB each.
+const storePageBits = 10
+
+type storePage [1 << storePageBits]atomic.Pointer[storeRef]
+
+// storeRef boxes a store so that a table slot can swap it atomically.
+type storeRef struct{ s store.Store }
+
+// storeTable maps a server's handle to its item store. Get and Put read it
+// without a lock — a reader-writer lock here would park readers behind
+// every join and leave — and churn, under churnMu, is its only writer.
+// Page i holds handles [i<<storePageBits, (i+1)<<storePageBits); growing
+// copies the page pointers, never the pages.
+type storeTable struct {
+	pages atomic.Pointer[[]*storePage]
+}
+
+// slot returns h's slot, or nil if h lies past the last page.
+func (t *storeTable) slot(h ServerID) *atomic.Pointer[storeRef] {
+	if p := t.pages.Load(); p != nil && uint64(h)>>storePageBits < uint64(len(*p)) {
+		return &(*p)[h>>storePageBits][h&(1<<storePageBits-1)]
+	}
+	return nil
+}
+
+// get returns the store of the server with handle h.
+func (t *storeTable) get(h ServerID) (store.Store, bool) {
+	if sl := t.slot(h); sl != nil {
+		if r := sl.Load(); r != nil {
+			return r.s, true
+		}
+	}
+	return nil, false
+}
+
+// set installs s as h's store, adding pages up to h's first. Owner-side.
+func (t *storeTable) set(h ServerID, s store.Store) {
+	if t.slot(h) == nil {
+		var dir []*storePage
+		if p := t.pages.Load(); p != nil {
+			dir = *p
+		}
+		dir = append([]*storePage(nil), dir...)
+		for uint64(len(dir)) <= uint64(h)>>storePageBits {
+			dir = append(dir, new(storePage))
+		}
+		t.pages.Store(&dir)
+	}
+	t.slot(h).Store(&storeRef{s})
+}
+
+// drop removes h's store from the table. Owner-side.
+func (t *storeTable) drop(h ServerID) {
+	if sl := t.slot(h); sl != nil {
+		sl.Store(nil)
+	}
+}
+
+// each calls fn for every installed store in handle order.
+func (t *storeTable) each(fn func(h ServerID, s store.Store)) {
+	p := t.pages.Load()
+	if p == nil {
+		return
+	}
+	for i, pg := range *p {
+		for j := range pg {
+			if r := pg[j].Load(); r != nil {
+				fn(ServerID(i<<storePageBits|j), r.s)
+			}
+		}
+	}
 }
 
 // readSource returns a fresh deterministic PRNG source for one read-path
@@ -280,39 +330,31 @@ func (d *DHT) readSource() *rand.PCG {
 
 // --- the moving-range fence ---
 
-// setMoving installs the wave's owner-changing ranges; writers into those
-// ranges wait out the wave.
-func (d *DHT) setMoving(segs []interval.Segment) { d.moving.Store(&segs) }
+// setMoving installs the churn event's owner-changing range; writers into
+// it wait out the event.
+func (d *DHT) setMoving(seg interval.Segment) { d.moving.Store(&seg) }
 
-// clearMoving lifts the fence after the wave's cleanup.
+// clearMoving lifts the fence after the event's cleanup.
 func (d *DHT) clearMoving() { d.moving.Store(nil) }
 
-// pointMoving reports whether p lies in a range whose owner is changing
-// in the wave currently in flight.
+// pointMoving reports whether p lies in the range whose owner the churn
+// event in flight is changing.
 func (d *DHT) pointMoving(p Point) bool {
-	segs := d.moving.Load()
-	if segs == nil {
-		return false
-	}
-	for _, s := range *segs {
-		if s.Contains(p) {
-			return true
-		}
-	}
-	return false
+	seg := d.moving.Load()
+	return seg != nil && seg.Contains(p)
 }
 
 // waitNotMoving spins (yielding) until p's range has no handoff in
-// flight. Waves are bounded (copy + publish + cleanup), so the wait is
-// too; the iteration bound turns a stuck wave into a loud failure instead
-// of a silent hang.
+// flight. A churn event is bounded (copy + publish + cleanup), so the wait
+// is too; the iteration bound turns a stuck event into a loud failure
+// instead of a silent hang.
 func (d *DHT) waitNotMoving(p Point) {
 	for i := 0; d.pointMoving(p); i++ {
 		if i == 0 {
 			d.met.fenceWaits.Inc() // one wait episode, however many spins
 		}
 		if i > 1<<26 {
-			panic("condisc: put stalled on an unfinished churn wave")
+			panic("condisc: put stalled on an unfinished churn event")
 		}
 		runtime.Gosched()
 	}
@@ -340,7 +382,7 @@ func (d *DHT) MaxDegree() int { return d.net.G.MaxDegree() }
 // decomposition, graph index, and load counters, and returns one
 // verdict per invariant (internal/doctor). It serializes against churn,
 // so the verdicts describe one quiescent instant; a breach shows up on
-// the first Doctor call after the wave that caused it.
+// the first Doctor call after the churn event that caused it.
 func (d *DHT) Doctor() doctor.Report {
 	d.churnMu.Lock()
 	defer d.churnMu.Unlock()
@@ -382,18 +424,18 @@ func (d *DHT) Lookup(src int, key string) []int {
 
 // readRetryLimit bounds the stale-owner retries of Get and Put. A retry
 // is only taken when the published epoch actually advanced, so the limit
-// is consumed only if distinct churn waves keep landing mid-call.
+// is consumed only if distinct churn events keep landing mid-call.
 const readRetryLimit = 8
 
 // Put stores a value from server src, returning the routing path length.
 //
 // Put is wait-free against churn except in one range: a write whose point
-// lies in a segment whose ownership is mid-handoff waits for the wave to
-// publish (the moving-range fence) — otherwise a fresh key could land on
-// the source store behind the copy cursor and be lost by the post-publish
-// DeleteRange. After writing, Put re-resolves the owner; if the epoch
-// flipped and moved the point's segment mid-write, the write is undone
-// and retried against the new owner (bounded by readRetryLimit).
+// lies in a segment whose ownership is mid-handoff waits for the churn
+// event to publish (the moving-range fence) — otherwise a fresh key could
+// land on the source store behind the copy cursor and be lost by the
+// post-publish DeleteRange. After writing, Put re-resolves the owner; if
+// the epoch flipped and moved the point's segment mid-write, the write is
+// undone and retried against the new owner (bounded by readRetryLimit).
 func (d *DHT) Put(src int, key string, value []byte) int {
 	d.met.puts.Inc()
 	p := d.hash.Point(key)
@@ -405,21 +447,22 @@ func (d *DHT) Put(src int, key string, value []byte) int {
 		d.waitNotMoving(p)
 		snap := d.ring.Snapshot()
 		owner := snap.CoverHandle(p)
-		st, ok := d.storeOf(owner)
+		st, ok := d.stores.get(owner)
 		if ok {
 			if err := st.Put(p, key, value); err != nil {
 				if d.ring.Snapshot().Epoch() == snap.Epoch() {
 					// Errors are only expected from a store being retired
-					// by a wave, which always advances the epoch first.
+					// by a leave, which always advances the epoch first.
 					panic(fmt.Sprintf("condisc: store put: %v", err))
 				}
 				// Store retired mid-call: re-resolve and retry.
 			} else if fresh := d.ring.Snapshot(); fresh.CoverHandle(p) != owner {
 				// The owner changed under the write (the snapshot was
-				// stale, or a wave published mid-put): reclaim the orphan
-				// before retrying at the real owner, so the old store
-				// never retains an item outside its segment. An error here
-				// is benign — a destroyed store takes the orphan with it.
+				// stale, or a churn event published mid-put): reclaim the
+				// orphan before retrying at the real owner, so the old
+				// store never retains an item outside its segment. An
+				// error here is benign — a destroyed store takes the
+				// orphan with it.
 				_ = st.Delete(p, key)
 			} else if !d.pointMoving(p) {
 				// Settled: the write landed on the store the current epoch
@@ -429,7 +472,7 @@ func (d *DHT) Put(src int, key string, value []byte) int {
 			// Owner unchanged but p's range is mid-handoff: the copy
 			// cursor may have passed p before the write landed. Leave the
 			// write in place (the post-publish cleanup wipes that range at
-			// the source), wait the wave out, and re-put on the settled
+			// the source), wait the event out, and re-put on the settled
 			// owner.
 		}
 		if attempt >= readRetryLimit {
@@ -454,7 +497,7 @@ func (d *DHT) Get(src int, key string) (value []byte, hops int, ok bool) {
 	var v []byte
 	for attempt := 0; ; attempt++ {
 		owner := snap.CoverHandle(p)
-		st, live := d.storeOf(owner)
+		st, live := d.stores.get(owner)
 		var found bool
 		var err error
 		if live {
@@ -464,7 +507,7 @@ func (d *DHT) Get(src int, key string) (value []byte, hops int, ok bool) {
 			break
 		}
 		// Miss, vanished store, or store error: all are expected exactly
-		// when a churn wave republished mid-call. Re-resolve and retry.
+		// when a churn event republished mid-call. Re-resolve and retry.
 		fresh := d.ring.Snapshot()
 		if fresh.Epoch() != snap.Epoch() && attempt < readRetryLimit {
 			d.met.readRetries.Inc()
@@ -492,31 +535,6 @@ func (d *DHT) EndEpoch() {
 	if d.cache != nil {
 		d.cache.EndEpoch()
 	}
-}
-
-// Join adds a server with a Multiple Choice ID (§4), patching the routing
-// graph locally and migrating only the items of the split segment (§2.1
-// Join step 3). It returns the new server's stable identifier.
-//
-// Because every layer keys its state by ServerID, the join is a pure
-// range handoff: the graph patches the O(ρ·∆) servers around the split,
-// the load and supply counters are untouched (the newcomer simply has no
-// entries yet), and the item split moves the new segment's items out of
-// the predecessor's ordered store in O(log S + moved) — no scan of the
-// items that stay behind, no other server's state read or written. Join
-// is the width-1 form of JoinBatch; disjoint joins batch and run
-// concurrently (condisc_batch.go).
-func (d *DHT) Join() ServerID {
-	return d.JoinBatch(1)[0]
-}
-
-// Leave removes the server named by id; its segment, items and routing
-// edges are absorbed by the ring predecessor (§2.1), touching only that
-// neighbourhood. The id stays valid across unrelated churn, so the caller
-// can never remove the wrong server. Leave is the width-1 form of
-// LeaveBatch.
-func (d *DHT) Leave(id ServerID) error {
-	return d.LeaveBatch([]ServerID{id})
 }
 
 // Servers returns the stable identifiers of all current servers in index
@@ -556,7 +574,7 @@ func (d *DHT) ResetLoad() { d.net.ResetLoad() }
 
 // Items returns how many items server i currently stores.
 func (d *DHT) Items(i int) int {
-	st, ok := d.storeOf(d.ring.HandleAt(i))
+	st, ok := d.stores.get(d.ring.HandleAt(i))
 	if !ok {
 		return 0
 	}

@@ -1,11 +1,8 @@
 package condisc
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// TestJoinBatchLeaveBatchRoundTrip: the batch API grows and shrinks the
+// TestJoinBatchLeaveBatchRoundTrip: the batch forms grow and shrink the
 // network, ids are distinct and stable, and the per-server invariants
 // (every key still owned, counters for newcomers zero) hold.
 func TestJoinBatchLeaveBatchRoundTrip(t *testing.T) {
@@ -91,40 +88,5 @@ func TestJoinAtExplicitPoint(t *testing.T) {
 	}
 	if d.N() != 5 {
 		t.Fatalf("N = %d, want 5", d.N())
-	}
-}
-
-// TestWidth1BatchMatchesSerialSingles: Join/Leave are defined as the
-// width-1 batch forms; a fresh DHT driven by singles and another by
-// width-1 batches from the same seed end in byte-identical state.
-func TestWidth1BatchMatchesSerialSingles(t *testing.T) {
-	a := New(32, Options{Seed: 9})
-	defer a.Close()
-	b := New(32, Options{Seed: 9})
-	defer b.Close()
-	for i := 0; i < 20; i++ {
-		ida := a.Join()
-		idb := b.JoinBatch(1)[0]
-		if ida != idb {
-			t.Fatalf("single vs width-1 batch diverged: %d vs %d", ida, idb)
-		}
-		if i%3 == 0 {
-			if err := a.Leave(ida); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.LeaveBatch([]ServerID{idb}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var da, db bytes.Buffer
-	if err := a.WriteState(&da); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteState(&db); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(da.Bytes(), db.Bytes()) {
-		t.Fatal("singles and width-1 batches diverged")
 	}
 }

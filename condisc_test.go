@@ -135,7 +135,7 @@ func TestChurnItemConservation(t *testing.T) {
 	}
 	check := func(op int) {
 		total := 0
-		for id, s := range d.stores {
+		d.stores.each(func(id ServerID, s store.Store) {
 			total += s.Len()
 			eachItem(t, s, func(it store.Item) {
 				if own := d.IDAt(d.Owner(it.Key)); own != id {
@@ -145,7 +145,7 @@ func TestChurnItemConservation(t *testing.T) {
 					t.Fatalf("op %d: %q stored under point %v, hashes to %v", op, it.Key, it.Point, d.hash.Point(it.Key))
 				}
 			})
-		}
+		})
 		if total != items {
 			t.Fatalf("op %d: %d items stored, want %d", op, total, items)
 		}

@@ -161,10 +161,10 @@ func TestJournalAndDoctorEndpoints(t *testing.T) {
 	}
 }
 
-// TestScrapeUnderChurn runs width-16 churn waves on a live DHT while
-// hammering /statusz, /journalz, and /doctorz: the observability plane
-// must stay consistent (and race-free under -race) while the state it
-// reports is being rewritten underneath it.
+// TestScrapeUnderChurn runs batches of 16 serial joins and leaves on a
+// live DHT while hammering /statusz, /journalz, and /doctorz: the
+// observability plane must stay consistent (and race-free under -race)
+// while the state it reports is being rewritten underneath it.
 func TestScrapeUnderChurn(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	jrn := journal.New(1 << 14)
@@ -185,10 +185,10 @@ func TestScrapeUnderChurn(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for wave := 0; wave < 8; wave++ {
+		for round := 0; round < 8; round++ {
 			ids := d.JoinBatch(16)
 			if err := d.LeaveBatch(ids); err != nil {
-				t.Errorf("wave %d leave: %v", wave, err)
+				t.Errorf("round %d leave: %v", round, err)
 				return
 			}
 		}
@@ -222,8 +222,8 @@ func TestScrapeUnderChurn(t *testing.T) {
 	<-done
 	wg.Wait()
 
-	// The journal must have captured the churn: every wave emits admits,
-	// applies, retires, and a publish.
+	// The journal must have captured the churn: every event emits an admit,
+	// an apply and a publish, and every leave a retire.
 	var admits, applies, retires, publishes int
 	for _, r := range jrn.Records() {
 		switch r.Kind {

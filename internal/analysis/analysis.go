@@ -13,14 +13,13 @@
 //
 //   - sub-ulp segment arithmetic must go through the ceiling-division
 //     primitives (segarith),
-//   - the PR 5 admit/apply churn split: apply-phase code must not touch
-//     admit-only state (applyphase),
 //   - the PR 7 epoch-publication contract of the wait-free read path:
-//     publishes only at sanctioned points, snapshots immutable,
+//     publishes only at sanctioned points (in dhgraph, only Build),
+//     snapshots immutable,
 //     boundary moves only through setEndSuccLocked (epochpub),
 //   - WAL discipline: no acknowledgement may be returned over an
 //     unsynced framed record (fsyncack),
-//   - the determinism contract of the churn differential harness: no
+//   - the determinism contract of the churn harness: no
 //     wall clock, global randomness, or map-order leaks (detpath), and
 //     no churn-unstable ring indices in long-lived keys (handlekey).
 //

@@ -1,5 +1,5 @@
 // Package detpath machine-checks the determinism contract of the
-// churn differential harness (internal/churntest): the packages it
+// churn harness (internal/churntest): the packages it
 // replays — condisc, internal/dhgraph, internal/partition and
 // internal/handoff — must produce byte-identical state from a seed, so
 // their production code may not read the wall clock, draw from the

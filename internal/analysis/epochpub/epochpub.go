@@ -5,13 +5,12 @@
 //
 // Three rules:
 //
-//  1. No epoch publish from a churn phase function. The batch path's
-//     single sanctioned publish point is runWave, AFTER every apply and
-//     retire of the wave (copy → publish → delete); the serial path
-//     publishes at the end of dhgraph.Build/Insert/Remove. A
-//     ring.Publish() inside an admit*/apply*/retire* (or
-//     *Admit/*Apply/*Retire) function would flip readers onto a
-//     half-applied wave.
+//  1. Inside dhgraph, only Build publishes. Insert and Remove mutate the
+//     ring and patch the graph for a churn event whose items have not
+//     moved yet; the churn owner publishes after its item copy
+//     (copy → publish → delete). A ring.Publish() in any other dhgraph
+//     function would flip readers onto owners that do not hold their
+//     items yet.
 //  2. No writes to Snapshot fields outside package partition. A
 //     published snapshot is immutable forever; copy-on-write happens in
 //     partition.Ring before the epoch flip, never on the snapshot a
@@ -37,45 +36,31 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "epochpub",
 	Doc: "epoch-published state changes only at sanctioned publish points: no ring.Publish " +
-		"from admit/apply/retire phase functions, no Snapshot field writes outside partition, " +
+		"in dhgraph outside Build, no Snapshot field writes outside partition, " +
 		"no Node.end/Node.succ writes outside setEndSuccLocked (PR 7 read-path contract)",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	inPartition := pass.Pkg != nil && pass.Pkg.Name() == "partition"
+	pkg := ""
+	if pass.Pkg != nil {
+		pkg = pass.Pkg.Name()
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkBody(pass, fd, inPartition)
+			checkBody(pass, fd, pkg)
 		}
 	}
 	return nil
 }
 
-// phaseFunc reports whether name matches the admit/apply/retire phase
-// naming contract (see applyphase): those functions either run
-// concurrently for lease-disjoint patches or run serially BEFORE the
-// wave's publish point, so neither may publish an epoch itself.
-func phaseFunc(name string) bool {
-	for _, p := range []string{"admit", "apply", "retire"} {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	for _, s := range []string{"Admit", "Apply", "Retire"} {
-		if strings.HasSuffix(name, s) {
-			return true
-		}
-	}
-	return false
-}
-
-func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, inPartition bool) {
+func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, pkg string) {
 	fname := fd.Name.Name
+	inPartition := pkg == "partition"
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -85,11 +70,10 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, inPartition bool) {
 		case *ast.IncDecStmt:
 			checkWrite(pass, fd, n.X, inPartition)
 		case *ast.CallExpr:
-			if phaseFunc(fname) && isRingPublish(pass, n) {
+			if pkg == "dhgraph" && fname != "Build" && isRingPublish(pass, n) {
 				pass.Reportf(n.Pos(),
-					"%s publishes an epoch from a churn phase function: the wave's single "+
-						"sanctioned publish point is after every apply and retire "+
-						"(copy → publish → delete; PR 7 contract)", fname)
+					"%s publishes an epoch inside dhgraph: only Build may; a churn event "+
+						"publishes after its item copy (copy → publish → delete; PR 7 contract)", fname)
 			}
 		}
 		return true

@@ -1,40 +1,9 @@
-// Package epochpubdata is the epochpub exemplar: a miniature ring with
-// an epoch publish, an immutable snapshot, and a p2p-style node with a
-// version-stamped boundary, exercised by functions that violate (and
-// respect) the PR 7 epoch-publication contract.
+// Package epochpubdata is the epochpub exemplar for rules 2 and 3: an
+// immutable snapshot and a p2p-style node with a version-stamped
+// boundary, exercised by functions that violate (and respect) the PR 7
+// epoch-publication contract. Rule 1 is scoped by package name, so its
+// exemplar is a package of its own, dhgraph.
 package epochpubdata
-
-type Ring struct{ epoch uint64 }
-
-func (r *Ring) Publish() { r.epoch++ }
-
-type wave struct {
-	ring *Ring
-}
-
-// runWave is the sanctioned publish point: every apply and retire of
-// the wave has finished, so flipping readers to the new epoch is safe.
-func (w *wave) runWave() {
-	w.ring.Publish()
-}
-
-// admitSplit runs on the serial admit path BEFORE the wave's items are
-// copied; publishing here would expose a decomposition whose items are
-// still on their old owners.
-func (w *wave) admitSplit() {
-	w.ring.Publish() // want `admitSplit publishes an epoch from a churn phase function`
-}
-
-// applyMove runs concurrently for lease-disjoint events; publishing
-// from one event would expose the other events half-applied.
-func (w *wave) applyMove(r *Ring) {
-	r.Publish() // want `applyMove publishes an epoch from a churn phase function`
-}
-
-// RemoveRetire runs serially but still before the wave publishes.
-func (w *wave) RemoveRetire() {
-	w.ring.Publish() // want `RemoveRetire publishes an epoch from a churn phase function`
-}
 
 // Snapshot models partition.Snapshot: immutable once published. Only
 // package partition may build one; everyone else holds it read-only.

@@ -165,7 +165,7 @@ type System struct {
 	// critical sections: churn mutators (InvalidateRegion, Forget) for the
 	// whole mutation, the request path only around tree bookkeeping — the
 	// routing itself runs lock-free against a ring snapshot, so a request
-	// never waits out a churn wave, only a map update.
+	// never waits out a churn event, only a map update.
 	mu     sync.Mutex
 	trees  map[string]*activeTree
 	copies copyIndex

@@ -131,12 +131,14 @@ func TestSuppliedPreservedAcross1kChurnEvents(t *testing.T) {
 			if !ok {
 				continue
 			}
+			ring.Publish()
 			s.InvalidateRegion(ring.Segment(idx))
 		} else {
 			victim := rng.IntN(ring.N())
 			h := ring.HandleAt(victim)
 			seg := ring.Segment(victim)
 			s.Net.G.Remove(victim)
+			ring.Publish()
 			s.Net.Forget(h)
 			s.Forget(h)
 			s.InvalidateRegion(seg)

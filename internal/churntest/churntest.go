@@ -1,22 +1,16 @@
-// Package churntest is the deterministic concurrency harness for churn:
-// it generates seeded traces of join, leave, put, and get events, applies
-// each trace twice — once serially, once through the concurrent batch API
-// under a seeded schedule perturbation — and demands the two final states
-// be byte-identical.
-//
-// The differential oracle works because batched churn is *defined* to be
-// interleaving-independent: a batch admits events in trace order (so ring
-// handles, store numbering, and RNG consumption match the serial run
-// exactly) and only parallelizes work that disjoint arc leases prove
-// commutes. Any under-covered lease span, lost counter update, or racy
-// container therefore shows up as either a digest mismatch here or a data
-// race under `go test -race` — this package is the regression net every
-// future concurrency change must pass.
+// Package churntest is the deterministic churn harness: it generates
+// seeded traces of join, leave, put, and get events, replays them against
+// a simulated DHT, and returns the canonical dump of the final state
+// (condisc.DHT.WriteState). Tests pin digests of those dumps, so a
+// refactor that moves a ring point, a graph edge, a load counter, a cache
+// entry or an item fails loudly; and they compare a replay with reader
+// goroutines running inside the churn against a reader-free one, so a
+// torn snapshot or an unfenced write surfaces (run them with -race).
 //
 // Determinism contract: a Trace is a pure function of its seed and
 // options, and both runners derive every random decision (the DHT seed,
-// lookup digits, schedule perturbation) from seeds carried in the trace
-// or the runner config. A failure reproduces from three integers.
+// lookup digits) from seeds carried in the trace. A failure reproduces
+// from two integers.
 package churntest
 
 import (
@@ -72,16 +66,12 @@ type GenOptions struct {
 	JoinFrac  float64
 	LeaveFrac float64
 	PutFrac   float64
-	// Adjacent biases join points into tight clusters so consecutive
-	// events overlap: the wave-draining (refused leases) path is exercised
-	// instead of pure disjoint parallelism.
-	Adjacent bool
 }
 
 // Generate builds the trace for a seed. Handle prediction: the initial
 // ring holds handles 1..Initial; every successful join takes the next
-// handle in admission (= trace) order. Join points are distinct uniform
-// draws, so every join succeeds and the prediction is exact.
+// handle in trace order. Join points are distinct uniform draws, so every
+// join succeeds and the prediction is exact.
 func Generate(seed uint64, opt GenOptions) Trace {
 	rng := rand.New(rand.NewPCG(seed, seed^0x51a3c0de))
 	tr := Trace{Seed: seed | 1, Initial: opt.Initial}
@@ -93,19 +83,14 @@ func Generate(seed uint64, opt GenOptions) Trace {
 	used := make(map[condisc.Point]struct{})
 	nKeys := 0
 	var keys []string
-	base := condisc.Point(rng.Uint64())
+	rng.Uint64() // reserved draw: keeps every seed's trace, and the pinned digests, unchanged
 	for len(tr.Events) < opt.Events {
 		r := rng.Float64()
 		switch {
 		case r < opt.JoinFrac:
 			var p condisc.Point
 			for {
-				if opt.Adjacent && rng.IntN(4) > 0 {
-					// Cluster near the base so neighbourhoods collide.
-					p = base + condisc.Point(rng.Uint64N(1<<20))
-				} else {
-					p = condisc.Point(rng.Uint64())
-				}
+				p = condisc.Point(rng.Uint64())
 				if _, dup := used[p]; !dup {
 					break
 				}
@@ -142,17 +127,8 @@ func Generate(seed uint64, opt GenOptions) Trace {
 	return tr
 }
 
-// Config selects how a runner applies a trace.
+// Config selects the DHT a runner applies a trace to.
 type Config struct {
-	// Width caps the batch size of the concurrent runner: maximal runs of
-	// same-kind churn events are grouped into batches of at most Width.
-	// Width <= 1 applies every event serially.
-	Width int
-	// SchedSeed != 0 installs a seeded schedule perturbation: each
-	// event's worker yields the scheduler a seeded number of times at
-	// every sub-step boundary, shuffling interleavings reproducibly. The
-	// digest must not depend on it — that is the harness's core claim.
-	SchedSeed uint64
 	// Storage / DataDir select the item-store engine (default StorageMem).
 	Storage condisc.StorageEngine
 	DataDir string
@@ -163,80 +139,18 @@ type Config struct {
 	Journal *journal.Journal
 }
 
-func (c Config) newDHT(tr Trace) *condisc.DHT {
-	return condisc.New(tr.Initial, condisc.Options{
-		Seed: tr.Seed, Storage: c.Storage, DataDir: c.DataDir,
-		Journal: c.Journal,
-	})
-}
-
-// Run applies the trace under the config and returns the canonical dump
-// of the final state (condisc.DHT.WriteState). Churn events are grouped
-// into batches of at most Width; puts and gets flush the pending batch
-// and run in place, so the logical event order — and with it RNG
-// consumption, handle assignment, and store numbering — is identical at
-// every width.
+// Run applies the trace's events in order and returns the canonical dump
+// of the final state (condisc.DHT.WriteState).
 func Run(tr Trace, cfg Config) ([]byte, error) {
-	d := cfg.newDHT(tr)
+	d := condisc.New(tr.Initial, condisc.Options{
+		Seed: tr.Seed, Storage: cfg.Storage, DataDir: cfg.DataDir,
+		Journal: cfg.Journal,
+	})
 	defer d.Close()
-	if cfg.SchedSeed != 0 {
-		d.SetChurnSchedHook(schedPerturb(cfg.SchedSeed))
-	}
-
-	var joinPts []condisc.Point
-	var leaveIDs []condisc.ServerID
-	flush := func() error {
-		if len(joinPts) > 0 {
-			for _, id := range d.JoinAtBatch(joinPts) {
-				if id == 0 {
-					return fmt.Errorf("churntest: join point already present")
-				}
-			}
-			joinPts = joinPts[:0]
-		}
-		if len(leaveIDs) > 0 {
-			if err := d.LeaveBatch(leaveIDs); err != nil {
-				return err
-			}
-			leaveIDs = leaveIDs[:0]
-		}
-		return nil
-	}
-
-	width := cfg.Width
-	if width < 1 {
-		width = 1
-	}
 	for _, ev := range tr.Events {
-		switch ev.Kind {
-		case EvJoin:
-			if len(leaveIDs) > 0 || len(joinPts) >= width {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-			}
-			joinPts = append(joinPts, ev.Point)
-		case EvLeave:
-			if len(joinPts) > 0 || len(leaveIDs) >= width {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-			}
-			leaveIDs = append(leaveIDs, ev.ID)
-		case EvPut:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			d.Put(ev.Src, ev.Key, ev.Val)
-		case EvGet:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			d.Get(ev.Src, ev.Key)
+		if err := apply(d, ev); err != nil {
+			return nil, err
 		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
 	}
 	var b bytes.Buffer
 	if err := d.WriteState(&b); err != nil {
@@ -245,20 +159,36 @@ func Run(tr Trace, cfg Config) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// RunInterleaved is the read-path arm of the differential oracle: it
-// applies the trace's churn exactly as Run does, while `readers` extra
-// goroutines hammer Get, Put, and Lookup on keys that were pre-loaded
-// before the first event — INSIDE the churn waves, not between them.
-// Caching is disabled (readers would make cache state depend on the
-// interleaving) and the load counters are reset before the dump (routing
-// work is interleaving-dependent by design); everything else — ring,
-// graph, item placement — must remain byte-identical to a width-1 run
-// with no readers at all.
+// apply applies one trace event to d.
+func apply(d *condisc.DHT, ev Event) error {
+	switch ev.Kind {
+	case EvJoin:
+		if _, ok := d.JoinAt(ev.Point); !ok {
+			return fmt.Errorf("churntest: join point %d already present", uint64(ev.Point))
+		}
+	case EvLeave:
+		return d.Leave(ev.ID)
+	case EvPut:
+		d.Put(ev.Src, ev.Key, ev.Val)
+	case EvGet:
+		d.Get(ev.Src, ev.Key)
+	}
+	return nil
+}
+
+// RunInterleaved is the read-path arm of the harness: it applies the
+// trace exactly as Run does, while `readers` extra goroutines hammer Get,
+// Put, and Lookup on keys that were pre-loaded before the first event —
+// INSIDE the churn events, not between them. Caching is disabled (readers
+// would make cache state depend on the interleaving) and the load
+// counters are reset before the dump (routing work is
+// interleaving-dependent by design); everything else — ring, graph, item
+// placement — must remain byte-identical to a run with no readers at all.
 //
 // Each reader also checks the epoch consistency contract on every
 // operation: a Get of a pre-loaded key must return exactly its value
 // (the key exists at its owner in every published epoch — a reader sees
-// the pre- or the post-wave owner, never a gap), a re-Put of the same
+// the pre- or the post-event owner, never a gap), a re-Put of the same
 // value must settle, and a Lookup must return a non-empty path. Any
 // violation fails the run. Run it with -race: a torn snapshot or an
 // unfenced write surfaces here.
@@ -268,9 +198,6 @@ func RunInterleaved(tr Trace, cfg Config, readers int) ([]byte, error) {
 		CacheThreshold: -1, Journal: cfg.Journal,
 	})
 	defer d.Close()
-	if cfg.SchedSeed != 0 {
-		d.SetChurnSchedHook(schedPerturb(cfg.SchedSeed))
-	}
 
 	// Pre-load every key the trace will ever put, in trace order, so the
 	// readers have a stable key universe whose values never change (the
@@ -304,11 +231,10 @@ func RunInterleaved(tr Trace, cfg Config, readers int) ([]byte, error) {
 					return
 				default:
 				}
-				// Yield between operations: a reader spinning through full
-				// preemption quanta would starve the churn goroutine's own
-				// yield points (the sched-perturbation hook) on small
-				// GOMAXPROCS, inflating wall time by readers×quantum per
-				// churn yield.
+				// Yield between operations: readers spinning through full
+				// preemption quanta would starve the churn goroutine on
+				// small GOMAXPROCS, inflating wall time by readers×quantum
+				// per churn event.
 				runtime.Gosched()
 				it := universe[rng.IntN(len(universe))]
 				src := rng.IntN(tr.Initial)
@@ -335,61 +261,12 @@ func RunInterleaved(tr Trace, cfg Config, readers int) ([]byte, error) {
 		}(r)
 	}
 
-	runChurn := func() error {
-		var joinPts []condisc.Point
-		var leaveIDs []condisc.ServerID
-		flush := func() error {
-			if len(joinPts) > 0 {
-				for _, id := range d.JoinAtBatch(joinPts) {
-					if id == 0 {
-						return fmt.Errorf("churntest: join point already present")
-					}
-				}
-				joinPts = joinPts[:0]
-			}
-			if len(leaveIDs) > 0 {
-				if err := d.LeaveBatch(leaveIDs); err != nil {
-					return err
-				}
-				leaveIDs = leaveIDs[:0]
-			}
-			return nil
+	var churnErr error
+	for _, ev := range tr.Events {
+		if churnErr = apply(d, ev); churnErr != nil {
+			break
 		}
-		width := cfg.Width
-		if width < 1 {
-			width = 1
-		}
-		for _, ev := range tr.Events {
-			switch ev.Kind {
-			case EvJoin:
-				if len(leaveIDs) > 0 || len(joinPts) >= width {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-				joinPts = append(joinPts, ev.Point)
-			case EvLeave:
-				if len(joinPts) > 0 || len(leaveIDs) >= width {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-				leaveIDs = append(leaveIDs, ev.ID)
-			case EvPut:
-				if err := flush(); err != nil {
-					return err
-				}
-				d.Put(ev.Src, ev.Key, ev.Val)
-			case EvGet:
-				if err := flush(); err != nil {
-					return err
-				}
-				d.Get(ev.Src, ev.Key)
-			}
-		}
-		return flush()
 	}
-	churnErr := runChurn()
 	close(stop)
 	wg.Wait()
 	if churnErr != nil {
@@ -411,23 +288,8 @@ func RunInterleaved(tr Trace, cfg Config, readers int) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// schedPerturb returns a seeded interleaving hook: each call yields the
-// scheduler 0–3 times, the count drawn from one shared seeded stream.
-func schedPerturb(seed uint64) func(int, string) {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	return func(event int, step string) {
-		mu.Lock()
-		n := rng.IntN(4)
-		mu.Unlock()
-		for i := 0; i < n; i++ {
-			runtime.Gosched()
-		}
-	}
-}
-
 // FirstDiff locates the first line where two dumps diverge, for failure
-// reports ("-" serial, "+" concurrent).
+// reports ("-" first dump, "+" second).
 func FirstDiff(a, b []byte) string {
 	al := bytes.Split(a, []byte("\n"))
 	bl := bytes.Split(b, []byte("\n"))

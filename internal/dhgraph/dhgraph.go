@@ -31,8 +31,6 @@ package dhgraph
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"condisc/internal/continuous"
 	"condisc/internal/graph"
@@ -55,31 +53,21 @@ type serverState struct {
 // either frozen (built once with Build) or incrementally maintained through
 // Insert/Remove, which mutate the underlying Ring and patch the graph.
 //
-// Concurrency: churn is two-phase. The admit phase (InsertAdmit /
-// RemoveAdmit) mutates the ring and the srv table and must be serialized
-// by the caller; the apply phase (InsertApply / RemoveApply / RemoveRetire)
-// recomputes edge lists and is safe to run concurrently for patches whose
-// lease spans (partition.Ring.LeaseSpan) are disjoint — disjoint patches
-// touch disjoint serverState records and only read the (quiescent) ring
-// and table, while the shared degree multisets and edge counter are
-// guarded below. Insert and Remove run both phases back to back and
-// remain the plain serial API.
+// Concurrency: Insert and Remove are single-writer, like the Ring they
+// mutate; the caller serializes churn. Concurrent readers never touch the
+// graph: they resolve covers against the ring's published epoch snapshot.
 type Graph struct {
 	Ring  *partition.Ring
 	Delta uint64
 
 	// srv[h] holds the edge lists of the server with handle h, nil once it
 	// has left (slot 0 is never used: handles start at 1). The table costs
-	// 8 B per handle ever issued. It grows only in rebuild and the serial
-	// admit phase, and RemoveRetire stores nil; the apply phase mutates the
-	// records in place (disjoint ones, by lease).
+	// 8 B per handle ever issued.
 	srv []*serverState
 
-	contEdges atomic.Int64 // continuous-derived undirected edges excl. ring, incl. self-loops (Thm 2.1)
-
-	statsMu sync.Mutex // guards the degree multisets and lastTouched
-	outDeg  degBag     // multiset of out-list lengths (Thm 2.2 max in O(1))
-	inDeg   degBag     // multiset of in-list lengths
+	contEdges int    // continuous-derived undirected edges excl. ring, incl. self-loops (Thm 2.1)
+	outDeg    degBag // multiset of out-list lengths (Thm 2.2 max in O(1))
+	inDeg     degBag // multiset of in-list lengths
 
 	lastTouched int // servers whose lists were recomputed by the last Insert/Remove
 }
@@ -93,9 +81,9 @@ func Build(ring *partition.Ring, delta uint64) *Graph {
 	}
 	g := &Graph{Ring: ring, Delta: delta}
 	g.rebuild()
-	// Sanctioned publish point: construction is complete, so readers may
-	// now resolve covers against the epoch snapshot. rebuild() itself never
-	// publishes — mid-wave rebuilds must stay invisible to readers.
+	// The package's one publish point: construction is complete, so readers
+	// may now resolve covers against the epoch snapshot. Insert and Remove
+	// never publish — the churn owner does, after the event's item copy.
 	ring.Publish()
 	return g
 }
@@ -124,7 +112,7 @@ func (g *Graph) rebuild() {
 			g.srv[t].in = append(g.srv[t].in, hs[i])
 		}
 	}
-	g.contEdges.Store(0)
+	g.contEdges = 0
 	for _, h := range hs {
 		st := g.srv[h]
 		slices.Sort(st.in)
@@ -135,7 +123,7 @@ func (g *Graph) rebuild() {
 			// Count each unordered pair {h,t} once: always when t >= h, and
 			// for t < h only if the pair was not already seen as t -> h.
 			if t >= h || !memSorted(g.srv[t].out, h) {
-				g.contEdges.Add(1)
+				g.contEdges++
 			}
 		}
 	}
@@ -189,19 +177,15 @@ func (g *Graph) mergeAdj(h Handle, i int) []Handle {
 
 // replaceOut swaps a server's out-list, keeping the degree multiset true.
 func (g *Graph) replaceOut(st *serverState, lst []Handle) {
-	g.statsMu.Lock()
 	g.outDeg.sub(len(st.out))
 	g.outDeg.add(len(lst))
-	g.statsMu.Unlock()
 	st.out = lst
 }
 
 // replaceIn swaps a server's in-list, keeping the degree multiset true.
 func (g *Graph) replaceIn(st *serverState, lst []Handle) {
-	g.statsMu.Lock()
 	g.inDeg.sub(len(st.in))
 	g.inDeg.add(len(lst))
-	g.statsMu.Unlock()
 	st.in = lst
 }
 
@@ -221,7 +205,7 @@ func (g *Graph) setOut(k Handle, newT []Handle, dirty map[Handle]struct{}) {
 			st := g.srv[t]
 			g.replaceIn(st, delSorted(st.in, k))
 			if !memSorted(st.out, k) { // pair {k,t} gone (covers t == k)
-				g.contEdges.Add(-1)
+				g.contEdges--
 			}
 			dirty[t] = struct{}{}
 		case i >= len(old) || newT[j] < old[i]:
@@ -230,7 +214,7 @@ func (g *Graph) setOut(k Handle, newT []Handle, dirty map[Handle]struct{}) {
 			st := g.srv[t]
 			g.replaceIn(st, insSorted(st.in, k))
 			if t == k || !memSorted(st.out, k) { // pair {k,t} is new
-				g.contEdges.Add(1)
+				g.contEdges++
 			}
 			dirty[t] = struct{}{}
 		default:
@@ -256,15 +240,6 @@ func (g *Graph) affectedSources(seg interval.Segment) []Handle {
 	return g.Ring.CoverHandlesOfArc(continuous.DeltaBackImage(padded, g.Delta))
 }
 
-// InsertPatch is the deferred half of a two-phase Insert: everything the
-// concurrent apply phase needs, captured while the ring mutation was
-// serial. A nil patch means the admit phase already completed the insert
-// (the tiny-ring rebuild path).
-type InsertPatch struct {
-	hNew, hPred, hSucc Handle
-	oldSeg             interval.Segment // pred's pre-split segment: the changed region
-}
-
 // Insert splits the segment covering p by adding a new server there
 // (Algorithm Join step 3) and patches the graph locally: only servers whose
 // forward images or preimages intersect the split segment — O(ρ·∆) of them
@@ -272,125 +247,59 @@ type InsertPatch struct {
 // every untouched server's lists are byte-identical before and after. It
 // reports the new server's index and whether the point was inserted (false
 // if present).
+//
+// Insert does not publish an epoch: the owner of the churn event publishes
+// once the event's item copies have landed (see Build).
 func (g *Graph) Insert(p interval.Point) (int, bool) {
-	pt, idx, ok := g.InsertAdmit(p)
-	if !ok {
-		return idx, false
-	}
-	if pt != nil {
-		g.InsertApply(pt)
-	}
-	// Sanctioned publish point: the serial Insert is fully applied. Batched
-	// churn (condisc) publishes once per wave instead, after item copies.
-	g.Ring.Publish()
-	return idx, true
-}
-
-// InsertAdmit is the serial phase of an Insert: it mutates the ring,
-// registers the new server's (empty) record, and captures the patch the
-// apply phase completes. On tiny rings the whole graph is rebuilt here and
-// the returned patch is nil (nothing left to apply). ok is false when the
-// point was already present.
-func (g *Graph) InsertAdmit(p interval.Point) (*InsertPatch, int, bool) {
 	idx, ok := g.Ring.Insert(p)
 	if !ok {
-		return nil, idx, false
+		return idx, false
 	}
 	n := g.Ring.N()
 	if n <= 3 {
 		g.rebuild()
-		return nil, idx, true
+		return idx, true
 	}
 	predIdx := (idx - 1 + n) % n
 	succIdx := (idx + 1) % n
-	pt := &InsertPatch{
-		hNew:  g.Ring.HandleAt(idx),
-		hPred: g.Ring.HandleAt(predIdx),
-		hSucc: g.Ring.HandleAt(succIdx),
-	}
+	hNew, hPred, hSucc := g.Ring.HandleAt(idx), g.Ring.HandleAt(predIdx), g.Ring.HandleAt(succIdx)
 	// The segment that was split: pred's pre-insert segment [x_pred, x_succ).
 	predPt := g.Ring.Point(predIdx)
-	pt.oldSeg = interval.Segment{
-		Start: predPt,
-		Len:   interval.CWDist(predPt, g.Ring.Point(succIdx)),
-	}
+	oldSeg := interval.Segment{Start: predPt, Len: interval.CWDist(predPt, g.Ring.Point(succIdx))}
 	// Handles are issued in order, so the new one lies past the table's end.
-	g.srv = append(g.srv, make([]*serverState, int(pt.hNew)+1-len(g.srv))...)
-	g.srv[pt.hNew] = &serverState{}
-	return pt, idx, true
-}
+	g.srv = append(g.srv, make([]*serverState, int(hNew)+1-len(g.srv))...)
+	g.srv[hNew] = &serverState{}
 
-// InsertApply is the patch phase of an Insert: recompute the edge lists of
-// the servers the split touched. It only reads the ring and the srv table,
-// and writes serverState records inside the patch's lease span — so
-// patches over disjoint spans may run concurrently, and the final lists
-// are byte-identical to applying the same inserts serially.
-func (g *Graph) InsertApply(pt *InsertPatch) {
 	// Affected sources: the two servers whose segments changed shape, plus
 	// every server with a forward image into the split segment.
-	affected := map[Handle]struct{}{pt.hPred: {}, pt.hNew: {}}
-	for _, k := range g.affectedSources(pt.oldSeg) {
+	affected := map[Handle]struct{}{hPred: {}, hNew: {}}
+	for _, k := range g.affectedSources(oldSeg) {
 		affected[k] = struct{}{}
 	}
-	dirty := map[Handle]struct{}{pt.hPred: {}, pt.hNew: {}, pt.hSucc: {}} // ring edges changed here
+	dirty := map[Handle]struct{}{hPred: {}, hNew: {}, hSucc: {}} // ring edges changed here
 	for k := range affected {
 		g.setOut(k, g.computeOutH(k), dirty)
 	}
-	g.statsMu.Lock()
 	g.lastTouched = len(dirty)
-	g.statsMu.Unlock()
-}
-
-// RemovePatch is the deferred half of a two-phase Remove; see InsertPatch.
-// (The lease a caller acquires before RemoveAdmit covers the union of the
-// absorbed segment and the absorbing predecessor's — computed by the
-// caller from the pre-removal ring, since the lease must be held before
-// the ring mutates.)
-type RemovePatch struct {
-	h, hPred, hSucc Handle
-	absorbed        interval.Segment // the departing server's segment
+	return idx, true
 }
 
 // Remove deletes the server at index idx; its segment is absorbed by the
 // ring predecessor (§2.1 Leave). As with Insert, only the servers whose
-// forward images or preimages intersect the absorbed segment are patched.
+// forward images or preimages intersect the absorbed segment are patched,
+// and no epoch is published.
 func (g *Graph) Remove(idx int) {
-	if pt := g.RemoveAdmit(idx); pt != nil {
-		g.RemoveApply(pt)
-		g.RemoveRetire(pt)
-	}
-	// Sanctioned publish point, mirroring Insert.
-	g.Ring.Publish()
-}
-
-// RemoveAdmit is the serial phase of a Remove: capture the patch and
-// delete the server's point from the ring. On tiny rings the whole graph
-// is rebuilt here and nil is returned.
-func (g *Graph) RemoveAdmit(idx int) *RemovePatch {
 	n := g.Ring.N()
 	if n <= 3 {
 		g.Ring.RemoveAt(idx)
 		g.rebuild()
-		return nil
+		return
 	}
 	predIdx := (idx - 1 + n) % n
-	pt := &RemovePatch{
-		h:        g.Ring.HandleAt(idx),
-		hPred:    g.Ring.HandleAt(predIdx),
-		hSucc:    g.Ring.HandleAt((idx + 1) % n),
-		absorbed: g.Ring.Segment(idx),
-	}
+	h, hPred, hSucc := g.Ring.HandleAt(idx), g.Ring.HandleAt(predIdx), g.Ring.HandleAt((idx+1)%n)
+	absorbed := g.Ring.Segment(idx)
 	g.Ring.RemoveAt(idx)
-	return pt
-}
 
-// RemoveApply is the patch phase of a Remove: unlink every edge incident
-// to the departed server and recompute the lists its absorption touched.
-// Like InsertApply it is concurrency-safe across disjoint lease spans.
-// The departed record stays in the srv table (empty) until RemoveRetire
-// so this phase performs no table writes.
-func (g *Graph) RemoveApply(pt *RemovePatch) {
-	h := pt.h
 	// Affected sources: the absorbing predecessor plus every server with a
 	// forward image into the absorbed segment. Handles stay valid across
 	// the removal, so this set needs no index remapping. (The covers are
@@ -398,8 +307,8 @@ func (g *Graph) RemoveApply(pt *RemovePatch) {
 	// pre-removal one minus the departed server, which is excluded anyway,
 	// because removing the point only extends the predecessor's segment —
 	// and the predecessor is explicitly included.)
-	affected := map[Handle]struct{}{pt.hPred: {}}
-	for _, k := range g.affectedSources(pt.absorbed) {
+	affected := map[Handle]struct{}{hPred: {}}
+	for _, k := range g.affectedSources(absorbed) {
 		if k != h {
 			affected[k] = struct{}{}
 		}
@@ -407,31 +316,23 @@ func (g *Graph) RemoveApply(pt *RemovePatch) {
 
 	// Drop every edge incident to the departing server so no list retains a
 	// reference to its handle.
-	dirty := map[Handle]struct{}{pt.hPred: {}, pt.hSucc: {}} // new ring edge pred—succ
+	dirty := map[Handle]struct{}{hPred: {}, hSucc: {}} // new ring edge pred—succ
 	g.setOut(h, nil, dirty)
 	sh := g.srv[h]
-	for _, s := range append([]Handle(nil), sh.in...) {
+	for _, s := range sh.in {
 		st := g.srv[s]
 		g.replaceOut(st, delSorted(st.out, h))
-		g.contEdges.Add(-1) // out[h] is empty, so the pair {s, h} is gone
+		g.contEdges-- // out[h] is empty, so the pair {s, h} is gone
 		dirty[s] = struct{}{}
 	}
 	g.replaceIn(sh, nil)
+	g.srv[h] = nil
 	delete(dirty, h)
 
 	for k := range affected {
 		g.setOut(k, g.computeOutH(k), dirty)
 	}
-	g.statsMu.Lock()
 	g.lastTouched = len(dirty)
-	g.statsMu.Unlock()
-}
-
-// RemoveRetire drops the departed server's (now empty) record from the
-// srv table — the one table write of a Remove, run serially after every
-// concurrent apply of the wave has finished.
-func (g *Graph) RemoveRetire(pt *RemovePatch) {
-	g.srv[pt.h] = nil
 }
 
 // LastTouched returns how many servers had their edge lists or ring
@@ -439,13 +340,8 @@ func (g *Graph) RemoveRetire(pt *RemovePatch) {
 // radius the §2.1 locality claim bounds by O(ρ·∆). Since the edge lists
 // are handle-keyed, this is the complete set of servers whose neighbours
 // changed: no other server's lists are rewritten, renumbered, or even
-// read. (Under a concurrent batch the value is that of whichever apply
-// finished last.)
-func (g *Graph) LastTouched() int {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.lastTouched
-}
+// read.
+func (g *Graph) LastTouched() int { return g.lastTouched }
 
 // degBag is a multiset of degrees supporting O(1) max queries under the
 // local updates churn performs. Only nonzero degrees are tracked; max
@@ -548,23 +444,15 @@ func (g *Graph) IsNeighborH(hi, hj Handle) bool {
 // EdgeCountNoRing returns the number of continuous-derived undirected edges
 // (self-loops included), excluding the ring edges — the quantity Theorem
 // 2.1 bounds by 3n-1 for ∆ = 2.
-func (g *Graph) EdgeCountNoRing() int { return int(g.contEdges.Load()) }
+func (g *Graph) EdgeCountNoRing() int { return g.contEdges }
 
 // MaxOutNoRing returns the maximum out-degree without ring edges, bounded
 // by ρ+4 for ∆ = 2 (Theorem 2.2).
-func (g *Graph) MaxOutNoRing() int {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.outDeg.max
-}
+func (g *Graph) MaxOutNoRing() int { return g.outDeg.max }
 
 // MaxInNoRing returns the maximum in-degree without ring edges, bounded by
 // ⌈2ρ⌉+1 for ∆ = 2 (Theorem 2.2).
-func (g *Graph) MaxInNoRing() int {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.inDeg.max
-}
+func (g *Graph) MaxInNoRing() int { return g.inDeg.max }
 
 // MaxDegree returns the maximum undirected degree including ring edges:
 // one O(n) ring scan that counts each server's AdjH without building it.

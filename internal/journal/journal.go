@@ -34,15 +34,15 @@ type Kind uint8
 const (
 	// KindUnknown is the zero value; no emit site uses it.
 	KindUnknown Kind = iota
-	// KindChurnAdmit: a churn event passed serial admission (ring handle
-	// reserved, lease granted). A = server id, B = segment start, C = 1
-	// for a join, 0 for a leave.
+	// KindChurnAdmit: a churn event mutated the ring and patched the graph
+	// (not yet published). A = server id, B = segment start, C = 1 for a
+	// join, 0 for a leave.
 	KindChurnAdmit
-	// KindChurnApply: the parallel apply phase finished for one admitted
-	// event (graph patched, items moved). A = server id, C = 1 join / 0 leave.
+	// KindChurnApply: a churn event's items were copied to their new owner
+	// and its cache region cleared. A = server id, C = 1 join / 0 leave.
 	KindChurnApply
-	// KindChurnRetire: a leave's ring handle was retired at wave end,
-	// just before the epoch publish. A = server id.
+	// KindChurnRetire: a leave is retired, just before its epoch publish.
+	// A = server id.
 	KindChurnRetire
 	// KindEpochPublish: partition.Ring.Publish made a new immutable
 	// snapshot visible. Epoch = the new epoch, A = ring size n.

@@ -39,24 +39,6 @@ func ChoiceProbes(n, t int) int {
 	return probes
 }
 
-// ChooseBest returns the Multiple Choice point for a set of pre-probed
-// segments: the middle of the longest (first wins ties, matching
-// MultipleChoice's scan order; a full-circle probe wins outright). It is
-// the selection half of MultipleChoice, split out so a batch caller can
-// probe many draws in parallel and still select identically.
-func ChooseBest(segs []interval.Segment) interval.Point {
-	best := segs[0]
-	for _, seg := range segs[1:] {
-		if best.Len == 0 {
-			break
-		}
-		if seg.Len == 0 || seg.Len > best.Len {
-			best = seg
-		}
-	}
-	return best.Mid()
-}
-
 // MultipleChoice implements the Multiple Choice Algorithm: sample t·log n
 // uniform points, find the longest segment among those covering them, and
 // take its middle. Lemma 4.3 (t >= 2): the shortest segment stays >= 1/(4n)

@@ -50,23 +50,29 @@ func checkAgainstRef(t *testing.T, op int, l *olist, ref *refList) {
 	if seen != len(ref.pts) {
 		t.Fatalf("op %d: scan visited %d of %d", op, seen, len(ref.pts))
 	}
-	// Directory invariants: non-empty chunks, sizes within bounds, maxs
-	// match, Fenwick consistent.
+	// Directory invariants: non-empty chunks within the size bounds, and
+	// every level's maxima and starting ranks matching the chunks.
 	total := 0
-	for c, ck := range l.chunks {
-		if len(ck.pts) == 0 {
-			t.Fatalf("op %d: empty chunk %d", op, c)
+	for b, bl := range l.blocks {
+		if l.start[b] != total || l.maxs[b] != bl.maxs[len(bl.maxs)-1] {
+			t.Fatalf("op %d: block %d: start %d, max %v; want %d, %v",
+				op, b, l.start[b], l.maxs[b], total, bl.maxs[len(bl.maxs)-1])
 		}
-		if len(ck.pts) >= chunkMax {
-			t.Fatalf("op %d: chunk %d oversized (%d)", op, c, len(ck.pts))
+		inBlock := 0
+		for c, ck := range bl.chunks {
+			if len(ck.pts) == 0 || len(ck.pts) >= chunkMax {
+				t.Fatalf("op %d: chunk (%d,%d) has %d pairs", op, b, c, len(ck.pts))
+			}
+			if bl.maxs[c] != ck.pts[len(ck.pts)-1] || bl.start[c] != inBlock {
+				t.Fatalf("op %d: chunk (%d,%d): max %v, start %d; want %v, %d",
+					op, b, c, bl.maxs[c], bl.start[c], ck.pts[len(ck.pts)-1], inBlock)
+			}
+			inBlock += len(ck.pts)
 		}
-		if l.maxs[c] != ck.pts[len(ck.pts)-1] {
-			t.Fatalf("op %d: maxs[%d] = %v, want %v", op, c, l.maxs[c], ck.pts[len(ck.pts)-1])
+		if bl.n != inBlock {
+			t.Fatalf("op %d: block %d counts %d pairs, holds %d", op, b, bl.n, inBlock)
 		}
-		if l.fenPrefix(c) != total {
-			t.Fatalf("op %d: fenPrefix(%d) = %d, want %d", op, c, l.fenPrefix(c), total)
-		}
-		total += len(ck.pts)
+		total += inBlock
 	}
 }
 
@@ -170,18 +176,21 @@ func TestCoverHandlesOfArc(t *testing.T) {
 }
 
 // TestOlistGrowShrink pushes the list through a full grow/shrink cycle so
-// every split/merge path fires.
+// every split/merge path fires, across several directory blocks.
 func TestOlistGrowShrink(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	var l olist
 	var ref refList
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < 20000; i++ {
 		p := interval.Point(rng.Uint64())
 		h := Handle(i + 1)
 		l.insert(p, h)
 		ref.insert(p, h)
 	}
-	checkAgainstRef(t, 5000, &l, &ref)
+	if len(l.blocks) < 3 {
+		t.Fatalf("grown list spans %d directory blocks, want >= 3", len(l.blocks))
+	}
+	checkAgainstRef(t, 20000, &l, &ref)
 	for len(ref.pts) > 0 {
 		var i int
 		switch rng.IntN(3) {
@@ -198,8 +207,8 @@ func TestOlistGrowShrink(t *testing.T) {
 			checkAgainstRef(t, len(ref.pts), &l, &ref)
 		}
 	}
-	if l.size() != 0 || len(l.chunks) != 0 {
-		t.Fatalf("drained list not empty: size %d, %d chunks", l.size(), len(l.chunks))
+	if l.size() != 0 || len(l.blocks) != 0 {
+		t.Fatalf("drained list not empty: size %d, %d blocks", l.size(), len(l.blocks))
 	}
 	// The list must be reusable after draining.
 	if i, ok := l.insert(42, 1); !ok || i != 0 {

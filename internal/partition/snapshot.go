@@ -7,12 +7,12 @@ import "condisc/internal/journal"
 // segments against a Snapshot instead of the live Ring: the snapshot's
 // chunks are frozen by copy-on-write (olist.publishCopy), so a reader
 // holding one sees exactly the decomposition as of some Publish — never a
-// torn mix of pre- and post-wave state.
+// torn mix of pre- and post-event state.
 //
-// Snapshots are cheap: a publish copies only the chunk directory (O(m)
-// for m ≈ n/chunkTarget chunks) and marks chunks shared; the (point,
-// handle) payload is copied lazily, one chunk at a time, only when churn
-// actually mutates it.
+// Snapshots are cheap: a publish copies only the top level of the chunk
+// directory (O(m/blockLen) for m ≈ n/chunkTarget chunks); directory blocks
+// and the (point, handle) payload are copied lazily, one block and one
+// chunk at a time, only when churn actually mutates them.
 //
 // Its ring-order queries (N, Point, HandleAt, Cover, Segment, …) are the
 // embedded view's — the same code the live Ring answers with.
@@ -24,9 +24,9 @@ type Snapshot struct {
 // Publish freezes the current ring state into a new Snapshot, stamps it
 // with the next epoch, and makes it the value returned by Snapshot().
 // It must be called only by the (externally serialized) mutating owner,
-// and only at a sanctioned publish point: after a churn wave's item
+// and only at a sanctioned publish point: after a churn event's item
 // copies have landed, so that every owner the snapshot names can serve
-// its items. Cost: O(m) chunks, independent of n.
+// its items. Cost: O(m/blockLen) for m chunks.
 func (r *Ring) Publish() *Snapshot {
 	r.epoch++
 	s := &Snapshot{view: view{ol: r.ol.publishCopy()}, epoch: r.epoch}

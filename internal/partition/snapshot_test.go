@@ -17,9 +17,9 @@ func dumpSnap(s *Snapshot) (pts []interval.Point, hs []Handle) {
 	return
 }
 
-// TestSnapshotImmutableUnderChurn publishes a snapshot, then churns the
-// live ring hard enough to split, merge, and drop chunks; the snapshot
-// must keep answering exactly as of its publish.
+// TestSnapshotImmutableUnderChurn takes a snapshot, then churns the live
+// ring hard enough to split, merge, and drop chunks, publishing often;
+// every snapshot must keep answering exactly as of its publish.
 func TestSnapshotImmutableUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0))
 	r := New()
@@ -32,29 +32,44 @@ func TestSnapshotImmutableUnderChurn(t *testing.T) {
 	}
 	wantPts, wantHs := dumpSnap(snap)
 
-	// Churn: enough removes to force merges/drops, enough inserts to split.
-	for i := 0; i < 3500; i++ {
-		r.RemoveAt(int(rng.Uint64() % uint64(r.N())))
+	// Churn: enough removes to force merges/drops, enough inserts to split,
+	// publishing along the way as serial churn does after every event.
+	type published struct {
+		s   *Snapshot
+		pts []interval.Point
+		hs  []Handle
 	}
-	for i := 0; i < 8000; i++ {
-		r.Insert(interval.Point(rng.Uint64()))
+	snaps := []published{{snap, wantPts, wantHs}}
+	for i := 0; i < 11500; i++ {
+		if i < 3500 {
+			r.RemoveAt(int(rng.Uint64() % uint64(r.N())))
+		} else {
+			r.Insert(interval.Point(rng.Uint64()))
+		}
+		if i%97 == 0 {
+			s := r.Publish()
+			pts, hs := dumpSnap(s)
+			snaps = append(snaps, published{s, pts, hs})
+		}
 	}
 	s2 := r.Publish()
-	if s2.Epoch() != 1 {
-		t.Fatalf("publish epoch = %d, want 1", s2.Epoch())
+	if s2.Epoch() != uint64(len(snaps)) {
+		t.Fatalf("publish epoch = %d, want %d", s2.Epoch(), len(snaps))
 	}
 	if got := r.Snapshot(); got != s2 {
 		t.Fatalf("Snapshot() did not return the latest publish")
 	}
 
-	gotPts, gotHs := dumpSnap(snap)
-	if len(gotPts) != len(wantPts) {
-		t.Fatalf("old snapshot N changed: %d -> %d", len(wantPts), len(gotPts))
-	}
-	for i := range wantPts {
-		if gotPts[i] != wantPts[i] || gotHs[i] != wantHs[i] {
-			t.Fatalf("old snapshot mutated at rank %d: (%d,%d) -> (%d,%d)",
-				i, wantPts[i], wantHs[i], gotPts[i], gotHs[i])
+	for _, p := range snaps {
+		gotPts, gotHs := dumpSnap(p.s)
+		if len(gotPts) != len(p.pts) {
+			t.Fatalf("epoch %d snapshot N changed: %d -> %d", p.s.Epoch(), len(p.pts), len(gotPts))
+		}
+		for i := range p.pts {
+			if gotPts[i] != p.pts[i] || gotHs[i] != p.hs[i] {
+				t.Fatalf("epoch %d snapshot mutated at rank %d: (%d,%d) -> (%d,%d)",
+					p.s.Epoch(), i, p.pts[i], p.hs[i], gotPts[i], gotHs[i])
+			}
 		}
 	}
 }

@@ -33,6 +33,7 @@ func TestChurnPreservesLoadAndRouting(t *testing.T) {
 	if !ok {
 		t.Fatal("insert failed")
 	}
+	ring.Publish()
 	if nw.LoadOf(ring.HandleAt(idx)) != 0 || sum() != before {
 		t.Fatalf("join corrupted load accounting (sum %d -> %d)", before, sum())
 	}
@@ -41,6 +42,7 @@ func TestChurnPreservesLoadAndRouting(t *testing.T) {
 	h := ring.HandleAt(victim)
 	dropped := nw.LoadOf(h)
 	nw.G.Remove(victim)
+	ring.Publish()
 	nw.Forget(h)
 	if sum() != before-dropped {
 		t.Fatalf("leave corrupted load accounting")
@@ -87,6 +89,7 @@ func TestLoadPreservedAcross1kChurnEvents(t *testing.T) {
 			nw.Forget(h)
 			delete(want, h)
 		}
+		ring.Publish()
 		got := nw.LoadMap()
 		if len(got) != len(want) {
 			t.Fatalf("op %d: %d load entries, want %d", op, len(got), len(want))

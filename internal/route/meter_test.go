@@ -56,9 +56,11 @@ func TestLoadMeterUnderChurn(t *testing.T) {
 			victim := rng.IntN(ring.N())
 			gone = append(gone, ring.HandleAt(victim))
 			nw.G.Remove(victim)
+			ring.Publish()
 			continue
 		}
 		if idx, ok := nw.G.Insert(partition.MultipleChoice(ring, rng, 2)); ok {
+			ring.Publish()
 			last = ring.HandleAt(idx)
 		}
 	}

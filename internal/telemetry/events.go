@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// An Event is one structured lifecycle record: a churn wave phase, a
+// An Event is one structured lifecycle record: a churn step, a
 // handoff prepare/stream/commit, a WAL rotation — the infrequent,
 // narratable state changes /statusz shows and dhnode dumps on shutdown.
 type Event struct {

@@ -174,7 +174,7 @@ func (g *Gauge) Add(n int64) {
 // SetStamped stores the value and records the clock, so Age can report
 // how stale the value is. It reads the injected clock and therefore is
 // not a hot-path call — it is meant for infrequent publishes (the epoch
-// gauge is stamped once per churn wave).
+// gauge is stamped once per churn event).
 func (g *Gauge) SetStamped(v int64) {
 	if !enabled.Load() {
 		return

@@ -52,19 +52,19 @@ func TestGateChurnCostFlatInN(t *testing.T) {
 	}
 }
 
-// TestGateReadsWaitFreeUnderChurn: the read path takes no churn lock, so a
-// width-16 wave continuously in flight may cost reads at most ~30% of
-// their quiescent throughput (CPU shared with the churn goroutine,
+// TestGateReadsWaitFreeUnderChurn: the read path takes no churn lock, so
+// 16 serial joins and leaves running back to back may cost reads at most
+// ~30% of their quiescent throughput (CPU shared with the churn goroutine,
 // snapshot retries at epoch flips).
 func TestGateReadsWaitFreeUnderChurn(t *testing.T) {
 	quiescent := nsPerOp(bestOf3(t, "20000x", func(b *testing.B) { readUnderChurnLoop(b, 0) }))
 	under := bestOf3(t, "20000x", func(b *testing.B) { readUnderChurnLoop(b, 16) })
 	if under.Extra["waves"] == 0 {
-		t.Fatal("the churn goroutine completed no waves: nothing was measured")
+		t.Fatal("the churn goroutine completed no batches: nothing was measured")
 	}
 	churning := nsPerOp(under)
-	t.Logf("reads: quiescent %.0f ns, under width-16 churn %.0f ns, throughput %.2fx", quiescent, churning, quiescent/churning)
+	t.Logf("reads: quiescent %.0f ns, under 16 serial joins and leaves %.0f ns, throughput %.2fx", quiescent, churning, quiescent/churning)
 	if churning > quiescent/0.7 {
-		t.Fatalf("reads under width-16 churn at %.2fx quiescent throughput (bar 0.70x)", quiescent/churning)
+		t.Fatalf("reads under 16 serial joins and leaves at %.2fx quiescent throughput (bar 0.70x)", quiescent/churning)
 	}
 }
