@@ -255,7 +255,7 @@ func fullRebuild(b *testing.B, d *DHT) {
 	}
 	d.stores = storeTable{}
 	for i := 0; i < d.ring.N(); i++ {
-		d.stores.set(d.ring.HandleAt(i), d.newStore())
+		d.stores.grow(d.ring.HandleAt(i))
 	}
 	for _, m := range old {
 		eachItem(b, m, func(it store.Item) {
@@ -312,8 +312,8 @@ func BenchmarkDHTGet(b *testing.B) {
 	}
 }
 
-// storeAt returns the store of the server with handle h, which must exist.
+// storeAt returns the store of the live server with handle h, creating it
+// if h holds no item yet.
 func (d *DHT) storeAt(h ServerID) store.Store {
-	s, _ := d.stores.get(h)
-	return s
+	return d.stores.open(h, d.newStore)
 }

@@ -137,7 +137,8 @@ func newDHTMetrics(reg *telemetry.Registry) dhtMetrics {
 // server covering their hash point. All per-server state — routing edges,
 // load counters, cache supply counts, and the item stores — is keyed by
 // the stable ServerID, so a churn event rewrites exactly the state of the
-// servers adjacent to the changed segment and nothing else.
+// servers adjacent to the changed segment and nothing else. A server's
+// item store is created with its first item; until then it reads as empty.
 type DHT struct {
 	opts     Options
 	rng      *rand.Rand
@@ -147,7 +148,7 @@ type DHT struct {
 	cache    *cache.System
 	stores   storeTable // the stores themselves are internally synchronized
 	newStore func() store.Store
-	storeSeq int
+	storeSeq atomic.Int64 // StorageLog directory names; Put may open a store
 	met      dhtMetrics
 	jrn      *journal.Journal // nil when no flight recorder is attached
 
@@ -216,8 +217,7 @@ func New(n int, opts Options) *DHT {
 			panic(fmt.Sprintf("condisc: DataDir %s is not empty; the simulated DHT does not adopt prior state", opts.DataDir))
 		}
 		d.newStore = func() store.Store {
-			d.storeSeq++
-			s, err := store.OpenLog(filepath.Join(opts.DataDir, fmt.Sprintf("s-%06d", d.storeSeq)), store.LogOptions{})
+			s, err := store.OpenLog(filepath.Join(opts.DataDir, fmt.Sprintf("s-%06d", d.storeSeq.Add(1))), store.LogOptions{})
 			if err != nil {
 				panic(fmt.Sprintf("condisc: open log store: %v", err))
 			}
@@ -227,7 +227,7 @@ func New(n int, opts Options) *DHT {
 		panic(fmt.Sprintf("condisc: unknown storage engine %d", opts.Storage))
 	}
 	for i := 0; i < n; i++ {
-		d.stores.set(d.ring.HandleAt(i), d.newStore())
+		d.stores.grow(d.ring.HandleAt(i))
 	}
 	return d
 }
@@ -252,11 +252,18 @@ type storePage [1 << storePageBits]atomic.Pointer[storeRef]
 // storeRef boxes a store so that a table slot can swap it atomically.
 type storeRef struct{ s store.Store }
 
-// storeTable maps a server's handle to its item store. Get and Put read it
-// without a lock — a reader-writer lock here would park readers behind
-// every join and leave — and churn, under churnMu, is its only writer.
-// Page i holds handles [i<<storePageBits, (i+1)<<storePageBits); growing
-// copies the page pointers, never the pages.
+// departed is the tombstone a leaver's slot keeps, so that a Put resolved
+// against a stale epoch cannot re-create the leaver's store.
+var departed = new(storeRef)
+
+// storeTable maps a server's handle to its item store. A slot is nil until
+// the server's first item, then holds its store, and holds departed once
+// the server has left. Get and Put read it without a lock — a
+// reader-writer lock here would park readers behind every join and leave.
+// Churn, under churnMu, adds pages and retires slots; a server's first
+// item, from churn or from a Put, fills its slot by CAS. Page i holds
+// handles [i<<storePageBits, (i+1)<<storePageBits); growing copies the
+// page pointers, never the pages.
 type storeTable struct {
 	pages atomic.Pointer[[]*storePage]
 }
@@ -269,37 +276,59 @@ func (t *storeTable) slot(h ServerID) *atomic.Pointer[storeRef] {
 	return nil
 }
 
-// get returns the store of the server with handle h.
-func (t *storeTable) get(h ServerID) (store.Store, bool) {
+// get returns the store of the server with handle h, or nil if it holds
+// none: it has had no item yet, or it has left.
+func (t *storeTable) get(h ServerID) store.Store {
 	if sl := t.slot(h); sl != nil {
 		if r := sl.Load(); r != nil {
-			return r.s, true
+			return r.s
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// set installs s as h's store, adding pages up to h's first. Owner-side.
-func (t *storeTable) set(h ServerID, s store.Store) {
-	if t.slot(h) == nil {
-		var dir []*storePage
-		if p := t.pages.Load(); p != nil {
-			dir = *p
+// open returns h's store, creating it with mk if h has none yet; nil if h
+// has left. h's page must exist (grow). Racing first items meet at one
+// CAS, and the loser's store is destroyed unused.
+func (t *storeTable) open(h ServerID, mk func() store.Store) store.Store {
+	sl := t.slot(h)
+	for {
+		if r := sl.Load(); r != nil {
+			return r.s
 		}
-		dir = append([]*storePage(nil), dir...)
-		for uint64(len(dir)) <= uint64(h)>>storePageBits {
-			dir = append(dir, new(storePage))
+		r := &storeRef{mk()}
+		if sl.CompareAndSwap(nil, r) {
+			return r.s
 		}
-		t.pages.Store(&dir)
+		if err := store.Destroy(r.s); err != nil {
+			panic(fmt.Sprintf("condisc: destroy unused store: %v", err))
+		}
 	}
-	t.slot(h).Store(&storeRef{s})
 }
 
-// drop removes h's store from the table. Owner-side.
-func (t *storeTable) drop(h ServerID) {
-	if sl := t.slot(h); sl != nil {
-		sl.Store(nil)
+// grow adds pages up to h's. Owner-side.
+func (t *storeTable) grow(h ServerID) {
+	if t.slot(h) != nil {
+		return
 	}
+	var dir []*storePage
+	if p := t.pages.Load(); p != nil {
+		dir = *p
+	}
+	dir = append([]*storePage(nil), dir...)
+	for uint64(len(dir)) <= uint64(h)>>storePageBits {
+		dir = append(dir, new(storePage))
+	}
+	t.pages.Store(&dir)
+}
+
+// retire marks h as departed and returns the store it held, if any.
+// Owner-side.
+func (t *storeTable) retire(h ServerID) store.Store {
+	if r := t.slot(h).Swap(departed); r != nil {
+		return r.s
+	}
+	return nil
 }
 
 // each calls fn for every installed store in handle order.
@@ -310,7 +339,7 @@ func (t *storeTable) each(fn func(h ServerID, s store.Store)) {
 	}
 	for i, pg := range *p {
 		for j := range pg {
-			if r := pg[j].Load(); r != nil {
+			if r := pg[j].Load(); r != nil && r != departed {
 				fn(ServerID(i<<storePageBits|j), r.s)
 			}
 		}
@@ -436,6 +465,8 @@ const readRetryLimit = 8
 // post-publish DeleteRange. After writing, Put re-resolves the owner; if
 // the epoch flipped and moved the point's segment mid-write, the write is
 // undone and retried against the new owner (bounded by readRetryLimit).
+// A server's first item creates its store; a Put resolved against a stale
+// epoch to a server that has since left finds its tombstone and retries.
 func (d *DHT) Put(src int, key string, value []byte) int {
 	d.met.puts.Inc()
 	p := d.hash.Point(key)
@@ -447,8 +478,7 @@ func (d *DHT) Put(src int, key string, value []byte) int {
 		d.waitNotMoving(p)
 		snap := d.ring.Snapshot()
 		owner := snap.CoverHandle(p)
-		st, ok := d.stores.get(owner)
-		if ok {
+		if st := d.stores.open(owner, d.newStore); st != nil {
 			if err := st.Put(p, key, value); err != nil {
 				if d.ring.Snapshot().Epoch() == snap.Epoch() {
 					// Errors are only expected from a store being retired
@@ -496,18 +526,18 @@ func (d *DHT) Get(src int, key string) (value []byte, hops int, ok bool) {
 	snap := d.ring.Snapshot()
 	var v []byte
 	for attempt := 0; ; attempt++ {
-		owner := snap.CoverHandle(p)
-		st, live := d.stores.get(owner)
 		var found bool
 		var err error
-		if live {
+		if st := d.stores.get(snap.CoverHandle(p)); st != nil {
 			v, found, err = st.Get(p, key)
 		}
-		if live && err == nil && found {
+		if err == nil && found {
 			break
 		}
 		// Miss, vanished store, or store error: all are expected exactly
-		// when a churn event republished mid-call. Re-resolve and retry.
+		// when a churn event republished mid-call. Re-resolve and retry. A
+		// server with no store holds no item, so a stable-epoch miss there
+		// is as genuine as one in its store.
 		fresh := d.ring.Snapshot()
 		if fresh.Epoch() != snap.Epoch() && attempt < readRetryLimit {
 			d.met.readRetries.Inc()
@@ -516,9 +546,6 @@ func (d *DHT) Get(src int, key string) (value []byte, hops int, ok bool) {
 		}
 		if err != nil {
 			panic(fmt.Sprintf("condisc: store get: %v", err))
-		}
-		if !live {
-			panic(fmt.Sprintf("condisc: epoch %d names server %d, which has no store", snap.Epoch(), owner))
 		}
 		return nil, 0, false
 	}
@@ -574,9 +601,8 @@ func (d *DHT) ResetLoad() { d.net.ResetLoad() }
 
 // Items returns how many items server i currently stores.
 func (d *DHT) Items(i int) int {
-	st, ok := d.stores.get(d.ring.HandleAt(i))
-	if !ok {
-		return 0
+	if st := d.stores.get(d.ring.HandleAt(i)); st != nil {
+		return st.Len()
 	}
-	return st.Len()
+	return 0
 }

@@ -109,12 +109,10 @@ func (d *DHT) join(p Point) (ServerID, bool) {
 	}
 	id := d.ring.HandleAt(idx)
 	seg := d.ring.Segment(idx)
-	src, _ := d.stores.get(d.ring.HandleAt(d.ring.Predecessor(idx)))
-	dst := d.newStore()
-	d.stores.set(id, dst)
+	d.stores.grow(id)
 	d.jrn.Record(journal.KindChurnAdmit, d.ring.Epoch(), d.ring.Epoch(),
 		uint64(id), uint64(seg.Start), 1)
-	d.handOver(id, src, dst, seg, seg, true)
+	d.handOver(id, d.ring.HandleAt(d.ring.Predecessor(idx)), id, seg, seg, true)
 	return id, true
 }
 
@@ -134,30 +132,34 @@ func (d *DHT) leave(id ServerID) {
 	// The leaver's store stays in the table (and intact) until after the
 	// publish: readers resolving against the previous epoch must keep
 	// finding its items there.
-	src, _ := d.stores.get(id)
-	dst, _ := d.stores.get(predH)
-	d.handOver(id, src, dst, interval.FullCircle, seg, false)
+	d.handOver(id, id, predH, interval.FullCircle, seg, false)
 }
 
-// handOver moves one churn event's items and publishes the event, with
-// the ring and graph already mutated (unpublished). The order is the
-// copy → publish → delete protocol the wait-free read path depends on:
+// handOver moves one churn event's items, the range move of server srcH,
+// to server dstH and publishes the event, with the ring and graph already
+// mutated (unpublished). The order is the copy → publish → delete
+// protocol the wait-free read path depends on:
 //
 //  1. setMoving fences Put against the range changing owner (readers
 //     keep being served from the previous epoch's owners);
 //  2. handoff.Copy copies the items to their new owner — the source stays
-//     intact, so both epochs' owners hold them;
+//     intact, so both epochs' owners hold them. A source with no item in
+//     the range copies nothing, and creates no store at dstH;
 //  3. the cache region of the changed segment is cleared;
 //  4. ring.Publish flips readers to the new decomposition;
 //  5. the source-side copies go away — a join's source drops the
-//     handed-off range, a leaver's store is destroyed — which only the
-//     retired epoch could ever have resolved to;
+//     handed-off range, a leaver's slot is tombstoned and its store
+//     destroyed — which only the retired epoch could ever have resolved
+//     to. The source's store is looked up again here: a Put that raced
+//     the copy may have created it since;
 //  6. clearMoving lifts the fence.
-func (d *DHT) handOver(id ServerID, src, dst store.Store, move, changed interval.Segment, join bool) {
+func (d *DHT) handOver(id, srcH, dstH ServerID, move, changed interval.Segment, join bool) {
 	sw := telemetry.StartTimer() // telemetry owns the clock; detpath stays clean
 	d.setMoving(changed)
-	if _, err := handoff.Copy(src, dst, move); err != nil {
-		panic(fmt.Sprintf("condisc: churn handoff: %v", err))
+	if src := d.stores.get(srcH); src != nil && holds(src, move) {
+		if _, err := handoff.Copy(src, d.stores.open(dstH, d.newStore), move); err != nil {
+			panic(fmt.Sprintf("condisc: churn handoff: %v", err))
+		}
 	}
 	if d.cache != nil {
 		d.cache.InvalidateRegion(changed)
@@ -176,17 +178,26 @@ func (d *DHT) handOver(id ServerID, src, dst store.Store, move, changed interval
 	d.met.epoch.SetStamped(int64(d.ring.Snapshot().Epoch()))
 	d.met.waves.Inc()
 	if join {
-		if err := src.DeleteRange(move); err != nil {
-			panic(fmt.Sprintf("condisc: post-publish delete: %v", err))
+		if src := d.stores.get(srcH); src != nil {
+			if err := src.DeleteRange(move); err != nil {
+				panic(fmt.Sprintf("condisc: post-publish delete: %v", err))
+			}
 		}
-	} else {
+	} else if src := d.stores.retire(srcH); src != nil {
 		if err := store.Destroy(src); err != nil {
 			panic(fmt.Sprintf("condisc: store destroy: %v", err))
 		}
-		d.stores.drop(id)
 	}
 	d.clearMoving()
 	d.met.waveNanos.Observe(sw.Nanos())
+}
+
+// holds reports whether s has an item in seg.
+func holds(s store.Store, seg interval.Segment) bool {
+	cur := s.Cursor(seg)
+	defer cur.Close()
+	items, err := cur.Next(1)
+	return err != nil || len(items) > 0 // an error surfaces in the copy
 }
 
 // settleCache re-derives the caching threshold for the current size.
@@ -211,9 +222,9 @@ func (d *DHT) WriteState(w io.Writer) error {
 		fmt.Fprintf(w, "server i=%d p=%d h=%d\n", i, uint64(d.ring.Point(i)), h)
 		fmt.Fprintf(w, "  out=%v\n  in=%v\n  adj=%v\n", d.net.G.OutH(h), d.net.G.InH(h), d.net.G.AdjH(h))
 		fmt.Fprintf(w, "  load=%d\n", d.net.LoadOf(h))
-		s, ok := d.stores.get(h)
-		if !ok {
-			return fmt.Errorf("condisc: server %d has no store", h)
+		s := d.stores.get(h)
+		if s == nil {
+			continue // no item yet
 		}
 		if err := store.Scan(s, interval.FullCircle, func(items []store.Item) error {
 			for _, it := range items {
@@ -224,10 +235,14 @@ func (d *DHT) WriteState(w io.Writer) error {
 			return err
 		}
 	}
-	nStores := 0
-	d.stores.each(func(ServerID, store.Store) { nStores++ })
-	if nStores != n {
-		return fmt.Errorf("condisc: %d stores for %d servers", nStores, n)
+	var stray error
+	d.stores.each(func(h ServerID, _ store.Store) {
+		if _, ok := d.ring.IndexOfHandle(h); !ok && stray == nil {
+			stray = fmt.Errorf("condisc: departed server %d still has a store", h)
+		}
+	})
+	if stray != nil {
+		return stray
 	}
 	if d.cache != nil {
 		return d.cache.DumpState(w)

@@ -262,13 +262,15 @@ func TestGetAllocs(t *testing.T) {
 
 // TestSimulatorHeapPerServer holds the simulator's footprint per server:
 // a 20,000-server DHT holding 4,000 items of 128 B, the same items per
-// server as README's 100k-server table. The graph keeps each server's out-
-// and in-lists and derives the adjacency on demand; the ring and the graph
-// find a server's state by indexing a slice with its handle. A stored
-// adjacency list or a handle map per server breaks the budget.
+// server as README's 100k-server table. The graph keeps each server's
+// out-list and in-degree and derives the in-list and the adjacency on
+// demand; the ring and the graph find a server's state by indexing a slice
+// with its handle; a server gets an item store with its first item. A
+// stored in-list, an empty store per server or a handle map per server
+// breaks the budget.
 func TestSimulatorHeapPerServer(t *testing.T) {
-	// budget: 288 B per server measured (go1.24 linux/amd64), plus 10 %.
-	const n, items, budget = 20_000, 4_000, 317
+	// budget: 164 B per server measured (go1.24 linux/amd64), plus 10 %.
+	const n, items, budget = 20_000, 4_000, 181
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -21,12 +21,14 @@
 // are maintained by a multiset of degrees, so they too cost O(1) per
 // patched list rather than an O(n) rescan.
 //
-// Only the forward edges and their reverses are stored: each server's
-// record holds its out- and in-lists, the quantities Theorem 2.2 bounds.
-// The undirected adjacency (out ∪ in ∪ ring edges) is derived on demand
-// by AdjH, and MaxDegree is one O(n) ring scan that counts it without
-// materializing it. Records live in a table indexed by handle, 8 B per
-// handle ever issued, like the ring's own handle table.
+// Only the forward edges are stored: each server's record holds its
+// out-list and its in-degree, and records live by value in a table
+// indexed by handle, 32 B per handle ever issued. The in-list is derived
+// on demand by InH the way §2 defines it — the covers of the segment's
+// preimage, kept if their out-list names the server — so it is exact, not
+// a re-derivation in floating point. The undirected adjacency (out ∪ in ∪
+// ring edges) is derived by AdjH, and MaxDegree is one O(n) ring scan
+// that counts it through the out-lists without materializing anything.
 package dhgraph
 
 import (
@@ -41,12 +43,12 @@ import (
 // Handle re-exports the ring's stable server identifier for brevity.
 type Handle = partition.Handle
 
-// serverState bundles one server's edge lists, both sorted by handle
-// value. Keeping them in one record means a churn patch loads a server's
-// whole edge state with a single table probe.
+// serverState is one server's stored edge state: its out-list, sorted by
+// handle value, and how many servers list it in theirs (Theorem 2.2's
+// in-degree; the list itself is InH's to derive).
 type serverState struct {
 	out []Handle // forward-image targets (may include self)
-	in  []Handle // forward-image sources (may include self)
+	in  int      // forward-image sources (may include self)
 }
 
 // Graph is a discrete Distance Halving graph over a ring of segments. It is
@@ -60,10 +62,10 @@ type Graph struct {
 	Ring  *partition.Ring
 	Delta uint64
 
-	// srv[h] holds the edge lists of the server with handle h, nil once it
+	// srv[h] holds the edge state of the server with handle h, zero once it
 	// has left (slot 0 is never used: handles start at 1). The table costs
-	// 8 B per handle ever issued.
-	srv []*serverState
+	// 32 B per handle ever issued.
+	srv []serverState
 
 	contEdges int    // continuous-derived undirected edges excl. ring, incl. self-loops (Thm 2.1)
 	outDeg    degBag // multiset of out-list lengths (Thm 2.2 max in O(1))
@@ -100,23 +102,18 @@ func (g *Graph) rebuild() {
 		hs[i] = g.Ring.HandleAt(i)
 		top = max(top, hs[i])
 	}
-	g.srv = make([]*serverState, top+1)
-	for _, h := range hs {
-		g.srv[h] = &serverState{}
-	}
+	g.srv = make([]serverState, top+1)
 	for i := 0; i < n; i++ {
 		targets := g.computeOut(i)
 		g.srv[hs[i]].out = targets
 		g.outDeg.add(len(targets))
 		for _, t := range targets {
-			g.srv[t].in = append(g.srv[t].in, hs[i])
+			g.srv[t].in++
 		}
 	}
 	g.contEdges = 0
 	for _, h := range hs {
-		st := g.srv[h]
-		slices.Sort(st.in)
-		g.inDeg.add(len(st.in))
+		g.inDeg.add(g.srv[h].in)
 	}
 	for _, h := range hs {
 		for _, t := range g.srv[h].out {
@@ -155,10 +152,7 @@ func (g *Graph) computeOutH(h Handle) []Handle {
 // edges.
 func (g *Graph) mergeAdj(h Handle, i int) []Handle {
 	n := g.Ring.N()
-	st := g.srv[h]
-	lst := make([]Handle, 0, len(st.out)+len(st.in)+2)
-	lst = append(lst, st.out...)
-	lst = append(lst, st.in...)
+	lst := append(g.inAt(h, i), g.srv[h].out...)
 	if n > 1 {
 		lst = append(lst, g.Ring.HandleAt(g.Ring.Successor(i)), g.Ring.HandleAt(g.Ring.Predecessor(i)))
 	}
@@ -182,28 +176,27 @@ func (g *Graph) replaceOut(st *serverState, lst []Handle) {
 	st.out = lst
 }
 
-// replaceIn swaps a server's in-list, keeping the degree multiset true.
-func (g *Graph) replaceIn(st *serverState, lst []Handle) {
-	g.inDeg.sub(len(st.in))
-	g.inDeg.add(len(lst))
-	st.in = lst
+// addIn moves a server's in-degree by d, keeping the degree multiset true.
+func (g *Graph) addIn(st *serverState, d int) {
+	g.inDeg.sub(st.in)
+	st.in += d
+	g.inDeg.add(st.in)
 }
 
-// setOut replaces server k's forward-target list, patching the reverse
-// lists and the Theorem 2.1 edge count, and marking every server whose
-// lists changed in dirty.
+// setOut replaces server k's forward-target list, patching the targets'
+// in-degrees and the Theorem 2.1 edge count, and marking every server
+// whose lists changed in dirty.
 func (g *Graph) setOut(k Handle, newT []Handle, dirty map[Handle]struct{}) {
-	sk := g.srv[k]
-	old := sk.out
-	g.replaceOut(sk, newT)
+	old := g.srv[k].out
+	g.replaceOut(&g.srv[k], newT)
 	i, j := 0, 0
 	for i < len(old) || j < len(newT) {
 		switch {
 		case j >= len(newT) || (i < len(old) && old[i] < newT[j]):
 			t := old[i] // removed forward edge k -> t
 			i++
-			st := g.srv[t]
-			g.replaceIn(st, delSorted(st.in, k))
+			st := &g.srv[t]
+			g.addIn(st, -1)
 			if !memSorted(st.out, k) { // pair {k,t} gone (covers t == k)
 				g.contEdges--
 			}
@@ -211,8 +204,8 @@ func (g *Graph) setOut(k Handle, newT []Handle, dirty map[Handle]struct{}) {
 		case i >= len(old) || newT[j] < old[i]:
 			t := newT[j] // added forward edge k -> t
 			j++
-			st := g.srv[t]
-			g.replaceIn(st, insSorted(st.in, k))
+			st := &g.srv[t]
+			g.addIn(st, +1)
 			if t == k || !memSorted(st.out, k) { // pair {k,t} is new
 				g.contEdges++
 			}
@@ -267,8 +260,7 @@ func (g *Graph) Insert(p interval.Point) (int, bool) {
 	predPt := g.Ring.Point(predIdx)
 	oldSeg := interval.Segment{Start: predPt, Len: interval.CWDist(predPt, g.Ring.Point(succIdx))}
 	// Handles are issued in order, so the new one lies past the table's end.
-	g.srv = append(g.srv, make([]*serverState, int(hNew)+1-len(g.srv))...)
-	g.srv[hNew] = &serverState{}
+	g.srv = append(g.srv, make([]serverState, int(hNew)+1-len(g.srv))...)
 
 	// Affected sources: the two servers whose segments changed shape, plus
 	// every server with a forward image into the split segment.
@@ -298,35 +290,38 @@ func (g *Graph) Remove(idx int) {
 	predIdx := (idx - 1 + n) % n
 	h, hPred, hSucc := g.Ring.HandleAt(idx), g.Ring.HandleAt(predIdx), g.Ring.HandleAt((idx+1)%n)
 	absorbed := g.Ring.Segment(idx)
-	g.Ring.RemoveAt(idx)
 
 	// Affected sources: the absorbing predecessor plus every server with a
 	// forward image into the absorbed segment. Handles stay valid across
-	// the removal, so this set needs no index remapping. (The covers are
-	// enumerated on the post-removal ring; the set is identical to the
-	// pre-removal one minus the departed server, which is excluded anyway,
-	// because removing the point only extends the predecessor's segment —
-	// and the predecessor is explicitly included.)
+	// the removal, so this set needs no index remapping. The covers are
+	// enumerated on the pre-removal ring, where they are also the
+	// candidates of h's own in-list (inAt); the post-removal set would be
+	// the same minus h, because removing the point only extends the
+	// predecessor's segment — and the predecessor is explicitly included.
 	affected := map[Handle]struct{}{hPred: {}}
+	var sources []Handle // h's in-list, self-loop excluded
 	for _, k := range g.affectedSources(absorbed) {
 		if k != h {
 			affected[k] = struct{}{}
+			if memSorted(g.srv[k].out, h) {
+				sources = append(sources, k)
+			}
 		}
 	}
+	g.Ring.RemoveAt(idx)
 
 	// Drop every edge incident to the departing server so no list retains a
 	// reference to its handle.
 	dirty := map[Handle]struct{}{hPred: {}, hSucc: {}} // new ring edge pred—succ
 	g.setOut(h, nil, dirty)
-	sh := g.srv[h]
-	for _, s := range sh.in {
-		st := g.srv[s]
+	for _, s := range sources {
+		st := &g.srv[s]
 		g.replaceOut(st, delSorted(st.out, h))
 		g.contEdges-- // out[h] is empty, so the pair {s, h} is gone
 		dirty[s] = struct{}{}
 	}
-	g.replaceIn(sh, nil)
-	g.srv[h] = nil
+	g.inDeg.sub(g.srv[h].in)
+	g.srv[h] = serverState{}
 	delete(dirty, h)
 
 	for k := range affected {
@@ -380,14 +375,6 @@ func memSorted(lst []Handle, v Handle) bool {
 	return ok
 }
 
-func insSorted(lst []Handle, v Handle) []Handle {
-	i, ok := slices.BinarySearch(lst, v)
-	if ok {
-		return lst
-	}
-	return slices.Insert(lst, i, v)
-}
-
 func delSorted(lst []Handle, v Handle) []Handle {
 	i, ok := slices.BinarySearch(lst, v)
 	if !ok {
@@ -410,29 +397,37 @@ func (g *Graph) AdjH(h Handle) []Handle {
 	return g.mergeAdj(h, i)
 }
 
-// rec returns the record of the server with handle h, or nil if none.
-func (g *Graph) rec(h Handle) *serverState {
-	if h < Handle(len(g.srv)) {
-		return g.srv[h]
-	}
-	return nil
-}
-
 // OutH returns the forward-image target set of the server with handle h
 // (the directed edges Theorem 2.2 bounds; may include h itself).
 func (g *Graph) OutH(h Handle) []Handle {
-	if st := g.rec(h); st != nil {
-		return st.out
+	if h < Handle(len(g.srv)) {
+		return g.srv[h].out
 	}
 	return nil
 }
 
-// InH returns the set of servers with a forward image into h.
+// InH returns the set of servers with a forward image into h, sorted by
+// handle: a fresh slice, derived on each call.
 func (g *Graph) InH(h Handle) []Handle {
-	if st := g.rec(h); st != nil {
-		return st.in
+	i, ok := g.Ring.IndexOfHandle(h)
+	if !ok {
+		return nil
 	}
-	return nil
+	return g.inAt(h, i)
+}
+
+// inAt derives the in-list of the server with handle h, currently at ring
+// index i: of the servers whose forward image can reach its segment
+// (affectedSources), those whose out-list names h.
+func (g *Graph) inAt(h Handle, i int) []Handle {
+	var in []Handle
+	for _, t := range g.affectedSources(g.Ring.Segment(i)) {
+		if memSorted(g.srv[t].out, h) {
+			in = append(in, t)
+		}
+	}
+	slices.Sort(in)
+	return in
 }
 
 // IsNeighborH reports whether the servers with handles hi and hj are
@@ -473,13 +468,14 @@ func (g *Graph) MaxDegree() int {
 
 // degree returns len(AdjH(h)) for the server h between ring neighbours
 // pred and succ, counted without building the list: out and in are each
-// duplicate-free, so |out ∪ in| is |out| + |in| − |out ∩ in|.
+// duplicate-free, so |out ∪ in| is |out| + |in| − |out ∩ in|, and v is in
+// h's in-list iff h is in v's out-list.
 func (g *Graph) degree(h, pred, succ Handle) int {
-	out, in := g.srv[h].out, g.srv[h].in
-	listed := func(v Handle) bool { return memSorted(out, v) || memSorted(in, v) }
-	d := len(out) + len(in)
-	for _, v := range in {
-		if memSorted(out, v) {
+	out := g.srv[h].out
+	listed := func(v Handle) bool { return memSorted(out, v) || memSorted(g.srv[v].out, h) }
+	d := len(out) + g.srv[h].in
+	for _, v := range out {
+		if memSorted(g.srv[v].out, h) {
 			d--
 		}
 	}

@@ -10,9 +10,10 @@ import (
 
 // FuzzIncremental feeds a random interleaving of Insert/Remove, decoded
 // from the fuzz input, to the incrementally maintained graph and asserts it
-// stays identical to a from-scratch Build of the same ring — the
-// differential oracle of incremental_test.go driven by
-// coverage-guided inputs instead of a fixed PRNG trace.
+// stays identical to a from-scratch Build of the same ring, with every
+// derived list matching its brute-force recount — the differential oracle
+// of incremental_test.go driven by coverage-guided inputs instead of a
+// fixed PRNG trace.
 //
 // Input encoding: 9-byte records. Byte 0 selects the operation
 // (even = Insert, odd = Remove); bytes 1-8 are a big-endian uint64 that is
@@ -65,6 +66,7 @@ func FuzzIncremental(f *testing.F) {
 				g.Remove(int(arg % uint64(ring.N())))
 			}
 			equalGraphs(t, g, Build(ring, 2))
+			checkDerived(t, g)
 		}
 	})
 }

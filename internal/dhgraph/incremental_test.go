@@ -43,12 +43,32 @@ func equalGraphs(t *testing.T, inc, fresh *Graph) {
 }
 
 // checkDerived recomputes by brute force what the graph derives instead of
-// storing: every AdjH against out ∪ in ∪ ring edges − self, MaxDegree
-// against the longest AdjH, and the Theorem 2.1 edge count against the
-// distinct unordered out-pairs.
+// storing: every InH against the reverse of all out-lists, MaxInNoRing
+// against the longest InH, every AdjH against out ∪ in ∪ ring edges − self,
+// MaxDegree against the longest AdjH, and the Theorem 2.1 edge count
+// against the distinct unordered out-pairs.
 func checkDerived(t *testing.T, g *Graph) {
 	t.Helper()
 	n := g.N()
+	rev := map[Handle][]Handle{}
+	for i := 0; i < n; i++ {
+		h := g.Ring.HandleAt(i)
+		for _, v := range g.OutH(h) {
+			rev[v] = append(rev[v], h)
+		}
+	}
+	longestIn := 0
+	for i := 0; i < n; i++ {
+		h := g.Ring.HandleAt(i)
+		want := slices.Sorted(slices.Values(rev[h]))
+		if got := g.InH(h); !slices.Equal(got, want) {
+			t.Fatalf("n=%d in[%d] = %v, reverse of the out-lists %v", n, h, got, want)
+		}
+		longestIn = max(longestIn, len(want))
+	}
+	if got := g.MaxInNoRing(); got != longestIn {
+		t.Fatalf("n=%d: MaxInNoRing %d, longest InH %d", n, got, longestIn)
+	}
 	longest := 0
 	pairs := map[[2]Handle]bool{}
 	for i := 0; i < n; i++ {
@@ -82,19 +102,23 @@ func checkDerived(t *testing.T, g *Graph) {
 // TestIncrementalMatchesBuild is the differential churn test: after every
 // operation of a random 10k-op join/leave trace, the incrementally patched
 // graph must be identical to a from-scratch Build over the same ring, and
-// what it derives must match a brute-force recount.
+// what it derives must match a brute-force recount. The blast radius of
+// every operation (LastTouched) is pinned per trace as a rolling digest,
+// so a change to how lists are stored cannot silently widen or narrow it.
 func TestIncrementalMatchesBuild(t *testing.T) {
 	traces := []struct {
-		delta uint64
-		ops   int
-		seed  uint64
+		delta   uint64
+		ops     int
+		seed    uint64
+		touched uint64 // digest of the LastTouched sequence
 	}{
-		{2, 8000, 1},
-		{3, 1000, 2},
-		{4, 1000, 3},
+		{2, 8000, 1, 14189377098798804805},
+		{3, 1000, 2, 18030096806480289812},
+		{4, 1000, 3, 2911654876186039045},
 	}
 	total := 0
 	for _, tc := range traces {
+		touched := uint64(0)
 		rng := rand.New(rand.NewPCG(tc.seed, tc.seed*977))
 		ring := partition.Grow(partition.New(), 64, partition.MultipleChooser(2), rng)
 		g := Build(ring, tc.delta)
@@ -119,9 +143,13 @@ func TestIncrementalMatchesBuild(t *testing.T) {
 			} else {
 				g.Remove(rng.IntN(n))
 			}
+			touched = touched*1_000_003 + uint64(g.LastTouched())
 			equalGraphs(t, g, Build(ring, tc.delta))
 			checkDerived(t, g)
 			total++
+		}
+		if touched != tc.touched {
+			t.Errorf("∆=%d: LastTouched digest %d, pinned %d", tc.delta, touched, tc.touched)
 		}
 	}
 	if total < 9000 {
@@ -156,6 +184,9 @@ func TestIncrementalTheoremBounds(t *testing.T) {
 		check()
 	}
 	equalGraphs(t, g, Build(ring, 2))
+	if allocs := testing.AllocsPerRun(10, func() { g.MaxDegree() }); allocs != 0 {
+		t.Fatalf("MaxDegree allocates %.0f times per call, want 0", allocs)
+	}
 }
 
 // TestIncrementalLocality: the blast radius of one churn event on a smooth
