@@ -16,21 +16,27 @@ import (
 // TestStreamMemoryBounded) is that peakB stays ≤ 4× the chunk budget while
 // the transferred volume grows 1000× — churn transfers are O(chunk), not
 // O(range), so a handoff larger than RAM streams through a node without
-// capping at it.
+// capping at it. At 10k items it also sweeps the value size (64 B, 1 KiB,
+// 4 KiB); MB/s counts each item's point, key and value, the bytes
+// benchmark/'s handoff.stream_mb_s counts.
 func BenchmarkHandoff(b *testing.B) {
-	val := make([]byte, 64)
 	for _, sz := range []struct {
 		name  string
 		items int
+		val   int
 	}{
-		{"items=1k", 1_000},
-		{"items=10k", 10_000},
-		{"items=100k", 100_000},
-		{"items=1M", 1_000_000},
+		{"items=1k", 1_000, 64},
+		{"items=10k", 10_000, 64},
+		{"items=10k/val=1KiB", 10_000, 1 << 10},
+		{"items=10k/val=4KiB", 10_000, 4 << 10},
+		{"items=100k", 100_000, 64},
+		{"items=1M", 1_000_000, 64},
 	} {
 		b.Run(sz.name, func(b *testing.B) {
+			val := make([]byte, sz.val)
 			src := store.NewMem()
 			fill(b, src, sz.items, val)
+			b.SetBytes(int64(sz.items) * (8 + 10 + int64(sz.val))) // itemBytes of fill's items
 			b.ReportAllocs()
 			b.ResetTimer()
 			var peak int64

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"sync"
+	"unsafe"
 
 	"condisc/internal/frame"
 	"condisc/internal/interval"
@@ -21,7 +24,11 @@ import (
 // A stream is ftItems* followed by exactly one ftEOF (or ftErr at any
 // point). The EOF's count/sum cover the items sent on this connection —
 // a resumed connection restarts both — so the receiver verifies every
-// connection independently.
+// connection independently. The sum is sumItems over the items in stream
+// order: CRC-32C in its high word, CRC-32 (IEEE) in its low word. Two
+// builds that fold the sum differently cannot tell each other apart any
+// other way: the receiver's EOF check fails, the session aborts, and the
+// sender keeps the range.
 const (
 	ftItems byte = 1
 	ftEOF   byte = 2
@@ -43,31 +50,64 @@ type streamFrame struct {
 	err   string       // ftErr
 }
 
-// sumItems folds items into the rolling order-sensitive FNV-1a checksum
-// both ends of a stream maintain; length prefixes keep the encoding
-// prefix-free so distinct item sequences cannot collide trivially.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sumBatchLen sizes the buffer sumItems gathers small pieces of the
+// checksummed sequence in, so that one CRC call covers many of them.
+const sumBatchLen = 1 << 10
+
+// sumBatches holds those buffers: crc32 reaches its hardware kernels
+// through function values, so a buffer on sumItems' stack would be moved
+// to the heap on every call.
+var sumBatches = sync.Pool{New: func() any { return new([sumBatchLen]byte) }}
+
+// sumItems folds items into the rolling checksum both ends of a stream
+// maintain. It covers, per item in stream order, the byte sequence
+// u64 point | u64 klen | key | u64 vlen | value (little-endian), folded
+// into CRC-32C (high word) and CRC-32 IEEE (low word) at once; the
+// length prefixes keep the sequence prefix-free, so distinct item lists
+// do not collide trivially. Folding a list part by part equals folding
+// it whole. It is an integrity check against bugs and torn state, not a
+// MAC: anyone can forge it.
 func sumItems(sum uint64, items []store.Item) uint64 {
-	if sum == 0 {
-		sum = 14695981039346656037
+	batch := sumBatches.Get().(*[sumBatchLen]byte)
+	c, ieee := uint32(sum>>32), uint32(sum)
+	b := batch[:0]
+	fold := func(p []byte) {
+		c = crc32.Update(c, castagnoli, p)
+		ieee = crc32.Update(ieee, crc32.IEEETable, p)
 	}
-	var b [8]byte
-	mix := func(p []byte) {
-		for _, c := range p {
-			sum ^= uint64(c)
-			sum *= 1099511628211
+	// room folds the batch unless n more bytes fit in it.
+	room := func(n int) {
+		if len(b)+n > sumBatchLen {
+			fold(b)
+			b = b[:0]
 		}
 	}
-	for _, it := range items {
-		binary.LittleEndian.PutUint64(b[:], uint64(it.Point))
-		mix(b[:])
-		binary.LittleEndian.PutUint64(b[:], uint64(len(it.Key)))
-		mix(b[:])
-		mix([]byte(it.Key))
-		binary.LittleEndian.PutUint64(b[:], uint64(len(it.Value)))
-		mix(b[:])
-		mix(it.Value)
+	// add appends p to the batch, or, when it does not fit, folds the
+	// batch and then p itself.
+	add := func(p []byte) {
+		if len(b)+len(p) <= sumBatchLen {
+			b = append(b, p...)
+			return
+		}
+		fold(b)
+		fold(p)
+		b = b[:0]
 	}
-	return sum
+	for _, it := range items {
+		room(16)
+		b = binary.LittleEndian.AppendUint64(b, uint64(it.Point))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(it.Key)))
+		// A read-only view: []byte(it.Key) would copy the key.
+		add(unsafe.Slice(unsafe.StringData(it.Key), len(it.Key)))
+		room(8)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(it.Value)))
+		add(it.Value)
+	}
+	fold(b)
+	sumBatches.Put(batch)
+	return uint64(c)<<32 | uint64(ieee)
 }
 
 // newFrame returns a frame buffer for a body of bodyLen bytes and the
@@ -77,13 +117,18 @@ func newFrame(bodyLen int) (buf, body []byte) {
 	return buf, buf[frame.HeaderLen:]
 }
 
-// encodeItems encodes one ftItems frame.
-func encodeItems(items []store.Item) []byte {
-	n := 5
+// encodeItems encodes one ftItems frame into buf's storage, allocating
+// only when the frame does not fit in cap(buf), and returns the frame.
+func encodeItems(buf []byte, items []store.Item) []byte {
+	n := frame.HeaderLen + 5
 	for _, it := range items {
 		n += 8 + 4 + len(it.Key) + 4 + len(it.Value)
 	}
-	buf, body := newFrame(n)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	body := buf[frame.HeaderLen:]
 	body[0] = ftItems
 	binary.LittleEndian.PutUint32(body[1:5], uint32(len(items)))
 	off := 5
@@ -194,25 +239,30 @@ func decodeBody(body []byte) (streamFrame, error) {
 // accumulated until the chunk budget is reached, flushed as one ftItems
 // frame, and finished with an ftEOF carrying the connection's item count
 // and checksum. Memory held at any instant is one pending batch set plus
-// one encoded frame — O(chunkBytes), never O(range). tick, if non-nil, is
-// called after every flushed frame (deadline extension, session
-// keep-alive, progress hooks).
+// the stream's one frame buffer, which every frame is encoded into —
+// O(chunkBytes), never O(range). w must not retain the slice it is
+// handed (the io.Writer contract). tick, if non-nil, is called after
+// every flushed frame (deadline extension, session keep-alive, progress
+// hooks).
 func Stream(w io.Writer, cur store.Cursor, chunkBytes int, tick func()) (count, sum uint64, err error) {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
 	var pending []store.Item
 	var pendingBytes int64
-	// Whatever is still accounted when we return — the not-yet-emitted
-	// tail on a cursor or write error — is released here, so a failed
-	// stream cannot permanently inflate the watermark gauge.
-	defer func() { transferMem.release(pendingBytes) }()
+	var buf []byte // the frame buffer, held for the whole stream
+	// Whatever is still accounted when we return — the frame buffer, and
+	// the not-yet-emitted tail on a cursor or write error — is released
+	// here, so a failed stream cannot permanently inflate the watermark
+	// gauge.
+	defer func() { transferMem.release(pendingBytes + int64(cap(buf))) }()
 	// emit writes pending[:cut] as one frame and drops it from pending.
 	emit := func(cut int, cutBytes int64) error {
-		buf := encodeItems(pending[:cut])
-		transferMem.add(int64(len(buf)))
+		held := cap(buf)
+		buf = encodeItems(buf, pending[:cut])
+		transferMem.add(int64(cap(buf) - held))
 		_, werr := w.Write(buf)
-		transferMem.release(int64(len(buf)) + cutBytes)
+		transferMem.release(cutBytes)
 		count += uint64(cut)
 		sum = sumItems(sum, pending[:cut])
 		pending = pending[cut:]

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"condisc/internal/frame"
 	"condisc/internal/interval"
 	"condisc/internal/store"
 )
@@ -38,7 +39,7 @@ func FuzzHandoffFrames(f *testing.F) {
 					Value: bytes.Repeat([]byte{script[i+1]}, int(script[i])%32),
 				}
 			}
-			wire.Write(encodeItems(items))
+			wire.Write(encodeItems(nil, items))
 			frames = append(frames, items)
 			count += uint64(len(items))
 			sum = sumItems(sum, items)
@@ -139,21 +140,48 @@ func errorsAs(err error, target **RemoteError) bool {
 	return false
 }
 
-// TestStreamEOFTamper: corrupting the EOF count is detected by the
-// receiver's verification.
+// TestStreamEOFTamper: corrupting the EOF count, reordering frames, or
+// re-sealing a frame after editing a value is detected by the receiver's
+// verification; a missing EOF by the stream's end.
 func TestStreamEOFTamper(t *testing.T) {
 	items := []store.Item{{Point: 1, Key: "a", Value: []byte("v")}}
 	var wire bytes.Buffer
-	wire.Write(encodeItems(items))
+	wire.Write(encodeItems(nil, items))
 	wire.Write(encodeEOF(2, sumItems(0, items))) // wrong count
 	_, err := ReadStream(bufio.NewReader(&wire), func([]store.Item) error { return nil }, nil)
 	if err == nil || !strings.Contains(err.Error(), "verification failed") {
 		t.Fatalf("tampered EOF not detected: %v", err)
 	}
 	var torn bytes.Buffer
-	torn.Write(encodeItems(items)) // no EOF at all
+	torn.Write(encodeItems(nil, items)) // no EOF at all
 	_, err = ReadStream(bufio.NewReader(&torn), func([]store.Item) error { return nil }, nil)
 	if err == nil || !strings.Contains(err.Error(), "without EOF") {
 		t.Fatalf("missing EOF not detected: %v", err)
+	}
+
+	// Frames that each pass their CRC, but whose items are not the ones
+	// the EOF vouches for: the stream checksum is what catches them.
+	a := []store.Item{{Point: 1, Key: "a", Value: []byte("value-a")}}
+	b := []store.Item{{Point: 2, Key: "b", Value: []byte("value-b")}}
+	eof := encodeEOF(2, sumItems(sumItems(0, a), b))
+	var swapped bytes.Buffer
+	swapped.Write(encodeItems(nil, b))
+	swapped.Write(encodeItems(nil, a))
+	swapped.Write(eof)
+	_, err = ReadStream(bufio.NewReader(&swapped), func([]store.Item) error { return nil }, nil)
+	if err == nil || !strings.Contains(err.Error(), "verification failed") {
+		t.Fatalf("swapped frames not detected: %v", err)
+	}
+	resealed := encodeItems(nil, a)
+	i := bytes.Index(resealed, []byte("value-a"))
+	copy(resealed[i:], "value-z")
+	frame.Seal(resealed)
+	var replaced bytes.Buffer
+	replaced.Write(resealed)
+	replaced.Write(encodeItems(nil, b))
+	replaced.Write(eof)
+	_, err = ReadStream(bufio.NewReader(&replaced), func([]store.Item) error { return nil }, nil)
+	if err == nil || !strings.Contains(err.Error(), "verification failed") {
+		t.Fatalf("re-sealed frame with a replaced value not detected: %v", err)
 	}
 }

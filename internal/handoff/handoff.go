@@ -45,8 +45,10 @@
 //	          promotes a live session itself (Run does, before the commit),
 //	          never calls Finish before a commit or Abort after one.
 //
-// Memory: the sender holds one cursor batch and one encoded frame at a
-// time; the receiver holds one decoded frame. Peak transfer memory is
+// Memory: the sender holds one cursor batch and one frame buffer, which it
+// reuses for every frame of a stream (it grows only when a frame does not
+// fit); the receiver holds one decoded frame, fresh per frame, since the
+// items it hands to apply alias it. Peak transfer memory is
 // O(chunk budget) however large the range is (BenchmarkHandoff sweeps
 // 1k → 1M items; TestStreamMemoryBounded holds the watermark to 4× the
 // chunk budget). Promote keeps the same bound on the way from staging to
@@ -74,7 +76,7 @@ const (
 )
 
 // transferMem is the package-wide accounting of bytes the transfer path
-// holds in memory at an instant: cursor batches and encoded frames on the
+// holds in memory at an instant: cursor batches and the frame buffer on the
 // sender, decoded frame bodies on the receiver. It is what BenchmarkHandoff
 // gates — an explicit watermark rather than a heap sample, so the
 // O(chunk) claim is checked deterministically.

@@ -50,8 +50,10 @@ const (
 	// KindHandPrepare: a handoff session was prepared (sender side).
 	// A = session id, B = segment start, C = segment length.
 	KindHandPrepare
-	// KindHandStream: one streamed handoff chunk left the sender.
-	// A = session id, B = items in the chunk, C = bytes in the chunk.
+	// KindHandStream: one pass of a session's chunk stream ended at the
+	// sender (one per connection the receiver opened, so a resumed
+	// stream records one per pass). A = session id, B = items streamed,
+	// C = bytes the connection accepted.
 	KindHandStream
 	// KindHandCommit: a handoff session committed; the segment changed
 	// owner. A = session id, C = 1 join / 0 leave.

@@ -450,10 +450,10 @@ func (n *Node) handleStream(req request, conn net.Conn) {
 	w := &deadlineWriter{conn: conn, timeout: n.wire.timeout}
 	// A failed write just drops the connection: the receiver reconnects
 	// and resumes; the session stays alive until commit or TTL expiry.
-	count, sum, _ := handoff.Stream(w, cur, n.chunkBytes, func() { n.sessions.Touch(sess) })
+	count, _, _ := handoff.Stream(w, cur, n.chunkBytes, func() { n.sessions.Touch(sess) })
 	n.met.handBytesOut.Add(w.wrote)
 	n.jrn.Record(journal.KindHandStream, n.ringVer.Load(), 0,
-		req.Session, count, sum)
+		req.Session, count, uint64(w.wrote))
 }
 
 // deadlineWriter extends the connection's write deadline before every

@@ -9,6 +9,7 @@ import (
 
 	"condisc/internal/handoff"
 	"condisc/internal/interval"
+	"condisc/internal/journal"
 	"condisc/internal/store"
 	"condisc/internal/telemetry"
 )
@@ -322,11 +323,13 @@ func TestFencedPutRefusedDuringStream(t *testing.T) {
 // an operator divides: stream_bytes_total is what the stream put on the
 // wire (frame headers, item records and the EOF frame — not the stream's
 // checksum), and every session, a leave's as much as a join's, counts one
-// prepare for its one commit.
+// prepare for its one commit. Each pass's hand_stream journal record
+// carries the same byte count as C.
 func TestHandoffTelemetryCountsBytesAndPrepares(t *testing.T) {
 	const items = 200
 	st := store.NewMem()
-	owner, err := NewNode("127.0.0.1:0", 91, WithStore(st), WithTelemetry(telemetry.NewRegistry()))
+	ownerJrn, joinerJrn := journal.New(0), journal.New(0)
+	owner, err := NewNode("127.0.0.1:0", 91, WithStore(st), WithTelemetry(telemetry.NewRegistry()), WithJournal(ownerJrn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,9 +341,33 @@ func TestHandoffTelemetryCountsBytesAndPrepares(t *testing.T) {
 		}
 	}
 	owner.StartFirst(interval.FromFloat(0.3))
-	joiner, err := NewNode("127.0.0.1:0", 91, WithTelemetry(telemetry.NewRegistry()))
+	joiner, err := NewNode("127.0.0.1:0", 91, WithTelemetry(telemetry.NewRegistry()), WithJournal(joinerJrn))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// streamPass waits for the sender's one hand_stream record (written
+	// just after its bytes are counted: the receiver can outrun both) and
+	// checks that its C is the bytes counter's move since before.
+	streamPass := func(name string, n *Node, jrn *journal.Journal, before int64) {
+		t.Helper()
+		var recs []journal.Record
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			recs = recs[:0]
+			for _, rec := range jrn.Records() {
+				if rec.Kind == journal.KindHandStream {
+					recs = append(recs, rec)
+				}
+			}
+			if len(recs) > 0 || time.Now().After(deadline) {
+				break
+			}
+		}
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d hand_stream records, want 1", name, len(recs))
+		}
+		if delta := n.met.handBytesOut.Value() - before; recs[0].C != uint64(delta) {
+			t.Errorf("%s: hand_stream C = %d, stream_bytes_total moved %d", name, recs[0].C, delta)
+		}
 	}
 	if err := joiner.StartJoin(owner.Addr(), rand.New(rand.NewPCG(92, 92))); err != nil {
 		t.Fatal(err)
@@ -364,10 +391,13 @@ func TestHandoffTelemetryCountsBytesAndPrepares(t *testing.T) {
 	if got := owner.met.handBytesOut.Value(); got < lo || got > hi {
 		t.Fatalf("stream_bytes_total = %d after streaming %d items, want within [%d, %d]", got, moved, lo, hi)
 	}
+	streamPass("owner (join session)", owner, ownerJrn, 0)
 
+	before := joiner.met.handBytesOut.Value()
 	if err := joiner.Leave(); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
+	streamPass("leaver (leave session)", joiner, joinerJrn, before)
 	if got := owner.NumItems(); got != items {
 		t.Fatalf("owner has %d items after the leave, want %d", got, items)
 	}
