@@ -110,9 +110,9 @@ func (d *DHT) join(p Point) (ServerID, bool) {
 	id := d.ring.HandleAt(idx)
 	seg := d.ring.Segment(idx)
 	d.stores.grow(id)
-	d.jrn.Record(journal.KindChurnAdmit, d.ring.Epoch(), d.ring.Epoch(),
+	d.jrn.Record(journal.KindChurn, d.ring.Epoch(), d.ring.Epoch(),
 		uint64(id), uint64(seg.Start), 1)
-	d.handOver(id, d.ring.HandleAt(d.ring.Predecessor(idx)), id, seg, seg, true)
+	d.handOver(d.ring.HandleAt(d.ring.Predecessor(idx)), id, seg, seg, true)
 	return id, true
 }
 
@@ -127,12 +127,12 @@ func (d *DHT) leave(id ServerID) {
 	if d.cache != nil {
 		d.cache.Forget(id)
 	}
-	d.jrn.Record(journal.KindChurnAdmit, d.ring.Epoch(), d.ring.Epoch(),
+	d.jrn.Record(journal.KindChurn, d.ring.Epoch(), d.ring.Epoch(),
 		uint64(id), uint64(seg.Start), 0)
 	// The leaver's store stays in the table (and intact) until after the
 	// publish: readers resolving against the previous epoch must keep
 	// finding its items there.
-	d.handOver(id, id, predH, interval.FullCircle, seg, false)
+	d.handOver(id, predH, interval.FullCircle, seg, false)
 }
 
 // handOver moves one churn event's items, the range move of server srcH,
@@ -153,7 +153,7 @@ func (d *DHT) leave(id ServerID) {
 //     to. The source's store is looked up again here: a Put that raced
 //     the copy may have created it since;
 //  6. clearMoving lifts the fence.
-func (d *DHT) handOver(id, srcH, dstH ServerID, move, changed interval.Segment, join bool) {
+func (d *DHT) handOver(srcH, dstH ServerID, move, changed interval.Segment, join bool) {
 	sw := telemetry.StartTimer() // telemetry owns the clock; detpath stays clean
 	d.setMoving(changed)
 	if src := d.stores.get(srcH); src != nil && holds(src, move) {
@@ -163,14 +163,6 @@ func (d *DHT) handOver(id, srcH, dstH ServerID, move, changed interval.Segment, 
 	}
 	if d.cache != nil {
 		d.cache.InvalidateRegion(changed)
-	}
-	isJoin := uint64(0)
-	if join {
-		isJoin = 1
-	}
-	d.jrn.Record(journal.KindChurnApply, d.ring.Epoch(), d.ring.Epoch(), uint64(id), 0, isJoin)
-	if !join {
-		d.jrn.Record(journal.KindChurnRetire, d.ring.Epoch(), d.ring.Epoch(), uint64(id), 0, 0)
 	}
 	d.ring.Publish()
 	// Stamp the new epoch (SetStamped feeds the snapshot-age collector) and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -194,5 +195,45 @@ func TestStoresOpenOnFirstItem(t *testing.T) {
 	d.Put(0, "first", []byte("v"))
 	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
 		t.Fatalf("after the first Put: %d store directories (err %v), want 1", len(ents), err)
+	}
+}
+
+// TestChurnAllocsFlatInN: a Join+Leave pair costs the same allocations,
+// in count and nearly in bytes, at n = 32k as at n = 1k. The churn path
+// touches the O(ρ·∆) servers around the changed segment (Theorem 2.2).
+// The renumber bug — state keyed by ring position, rebuilt on every
+// event — allocates in proportion to n: as a map it grows the count, as a
+// slice the bytes. (Work that grows with n without allocating, such as an
+// in-place shift, is TestGateChurnCostFlatInN's.)
+func TestChurnAllocsFlatInN(t *testing.T) {
+	const pairs = 200
+	perPair := func(n int) (allocs, bytes float64) {
+		d := New(n, Options{Seed: 4242})
+		defer d.Close()
+		for i := 0; i < 2*n; i++ {
+			d.Put(i%n, fmt.Sprintf("item-%d", i), []byte("v"))
+		}
+		churn := func() {
+			if err := d.Leave(d.Join()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		churn() // warm up
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			churn()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / pairs, float64(after.TotalAlloc-before.TotalAlloc) / pairs
+	}
+	smallN, smallB := perPair(1_000)
+	bigN, bigB := perPair(32_000)
+	t.Logf("per Join+Leave: n=1k %.1f allocations, %.0f B; n=32k %.1f allocations, %.0f B", smallN, smallB, bigN, bigB)
+	if bigN > 1.25*smallN {
+		t.Errorf("a Join+Leave pair allocates %.1f times at n=32k against %.1f at n=1k (bar 1.25x)", bigN, smallN)
+	}
+	if bigB > 2*smallB {
+		t.Errorf("a Join+Leave pair allocates %.0f B at n=32k against %.0f B at n=1k (bar 2x)", bigB, smallB)
 	}
 }

@@ -94,7 +94,7 @@ func TestAdminEndpoints(t *testing.T) {
 func TestJournalAndDoctorEndpoints(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	jrn := journal.New(64)
-	jrn.Record(journal.KindChurnAdmit, 3, 1, 42, 0, 1)
+	jrn.Record(journal.KindChurn, 3, 1, 42, 0, 1)
 	jrn.Record(journal.KindEpochPublish, 4, 2, 7, 0, 0)
 
 	report := doctor.Report{Healthy: true, Verdicts: []doctor.Verdict{
@@ -126,7 +126,7 @@ func TestJournalAndDoctorEndpoints(t *testing.T) {
 	if stream.Node != 9 || stream.Addr != "127.0.0.1:7009" {
 		t.Fatalf("/journalz identity = %d %q", stream.Node, stream.Addr)
 	}
-	if len(stream.Records) != 2 || stream.Records[0].Kind != journal.KindChurnAdmit ||
+	if len(stream.Records) != 2 || stream.Records[0].Kind != journal.KindChurn ||
 		stream.Records[1].Kind != journal.KindEpochPublish {
 		t.Fatalf("/journalz records = %+v", stream.Records)
 	}
@@ -222,23 +222,22 @@ func TestScrapeUnderChurn(t *testing.T) {
 	<-done
 	wg.Wait()
 
-	// The journal must have captured the churn: every event emits an admit,
-	// an apply and a publish, and every leave a retire.
-	var admits, applies, retires, publishes int
+	// The journal must have captured the churn: every event emits one churn
+	// record and a publish; the leaves are its records with C = 0.
+	var churn, leaves, publishes int
 	for _, r := range jrn.Records() {
 		switch r.Kind {
-		case journal.KindChurnAdmit:
-			admits++
-		case journal.KindChurnApply:
-			applies++
-		case journal.KindChurnRetire:
-			retires++
+		case journal.KindChurn:
+			churn++
+			if r.C == 0 {
+				leaves++
+			}
 		case journal.KindEpochPublish:
 			publishes++
 		}
 	}
-	if admits < 256 || applies < 256 || retires < 128 || publishes < 16 {
-		t.Fatalf("journal undercounts churn: admits=%d applies=%d retires=%d publishes=%d",
-			admits, applies, retires, publishes)
+	if churn < 256 || leaves < 128 || publishes < 16 {
+		t.Fatalf("journal undercounts churn: churn=%d leaves=%d publishes=%d",
+			churn, leaves, publishes)
 	}
 }

@@ -3,25 +3,32 @@
 // vet suite needs: an Analyzer is a named check with a Run function, a
 // Pass hands it one type-checked package, and diagnostics are positions
 // plus messages. The container this project builds in has no module
-// proxy access, so rather than vendoring x/tools (~10k files) the six
+// proxy access, so rather than vendoring x/tools (~10k files) the five
 // project analyzers run on this shim; their Run functions are written
 // against the same shape (pass.Fset / pass.TypesInfo / pass.Reportf) so
 // they would port to the real framework by changing one import.
 //
-// The suite machine-checks the codebase's four load-bearing invariant
-// families (see README "Static analysis & invariants"):
+// The suite machine-checks invariants that a code shape states and a
+// test run would not reliably show (see README "Static analysis &
+// invariants"):
 //
 //   - sub-ulp segment arithmetic must go through the ceiling-division
 //     primitives (segarith),
 //   - the PR 7 epoch-publication contract of the wait-free read path:
-//     publishes only at sanctioned points (in dhgraph, only Build),
-//     snapshots immutable,
-//     boundary moves only through setEndSuccLocked (epochpub),
+//     snapshots immutable, boundary moves only through
+//     setEndSuccLocked (epochpub),
 //   - WAL discipline: no acknowledgement may be returned over an
 //     unsynced framed record (fsyncack),
-//   - the determinism contract of the churn harness: no
-//     wall clock, global randomness, or map-order leaks (detpath), and
-//     no churn-unstable ring indices in long-lived keys (handlekey).
+//   - determinism: no wall clock, global randomness, or map-order
+//     leaks in the packages that feed the pinned state digests
+//     (detpath),
+//   - the telemetry record path neither allocates nor locks
+//     (telemetryhot).
+//
+// Invariants that behaviour states are tests instead: churn cost flat
+// in n (condisc's TestChurnAllocsFlatInN, dhgraph's
+// TestIncrementalLocality) and only Build publishing inside dhgraph
+// (dhgraph's TestOnlyBuildPublishes).
 //
 // Opt-outs are explicit comment directives that must carry a
 // justification:

@@ -35,15 +35,7 @@ type expectation struct {
 // comments. Failures are reported on t.
 func Run(t *testing.T, dir, importPath string, a *analysis.Analyzer) {
 	t.Helper()
-	root, err := load.ModuleRoot(".")
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	l, err := load.New(root)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	src, err := l.LoadDir(dir, importPath)
+	src, err := load.Dir(dir, importPath)
 	if err != nil {
 		t.Fatalf("analysistest: load %s: %v", dir, err)
 	}

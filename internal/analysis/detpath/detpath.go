@@ -1,9 +1,11 @@
 // Package detpath machine-checks the determinism contract of the
-// churn harness (internal/churntest): the packages it
-// replays — condisc, internal/dhgraph, internal/partition and
-// internal/handoff — must produce byte-identical state from a seed, so
-// their production code may not read the wall clock, draw from the
-// global math/rand source, or let map iteration order leak into
+// churn harness (internal/churntest): the packages whose state feeds
+// its pinned digests — condisc, internal/dhgraph, internal/partition and
+// internal/handoff, plus internal/route, internal/cache and
+// internal/store, whose load counters, cache dump and items
+// DHT.WriteState prints — must produce byte-identical state from a
+// seed, so their production code may not read the wall clock, draw from
+// the global math/rand source, or let map iteration order leak into
 // ordered output.
 //
 // Legitimate wall-clock uses (session TTLs, commit-record timestamps,
@@ -31,12 +33,16 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // contractPaths are the package paths (exact, or parents of testdata
-// exemplars) bound by the churntest determinism contract.
+// exemplars) bound by the churntest determinism contract: the packages
+// whose state DHT.WriteState dumps into the pinned digests.
 var contractPaths = []string{
 	"condisc",
 	"condisc/internal/dhgraph",
 	"condisc/internal/partition",
 	"condisc/internal/handoff",
+	"condisc/internal/route",
+	"condisc/internal/cache",
+	"condisc/internal/store",
 }
 
 func inContract(path string) bool {

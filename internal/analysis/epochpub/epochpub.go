@@ -3,23 +3,21 @@
 // immutable epoch snapshots behind an atomic pointer, so the states a
 // snapshot captures may only change at sanctioned publish points.
 //
-// Three rules:
+// Two rules:
 //
-//  1. Inside dhgraph, only Build publishes. Insert and Remove mutate the
-//     ring and patch the graph for a churn event whose items have not
-//     moved yet; the churn owner publishes after its item copy
-//     (copy → publish → delete). A ring.Publish() in any other dhgraph
-//     function would flip readers onto owners that do not hold their
-//     items yet.
-//  2. No writes to Snapshot fields outside package partition. A
+//  1. No writes to Snapshot fields outside package partition. A
 //     published snapshot is immutable forever; copy-on-write happens in
 //     partition.Ring before the epoch flip, never on the snapshot a
 //     reader may already hold.
-//  3. No direct writes to Node.end / Node.succ outside
+//  2. No direct writes to Node.end / Node.succ outside
 //     setEndSuccLocked. The p2p node's segment boundary is a
 //     version-stamped pointer update: every boundary move must bump
 //     ringVer so in-flight handoff commits stamped with the old version
 //     fast-fail instead of committing against a moved boundary.
+//
+// Where dhgraph publishes (only Build; a churn event's owner publishes
+// after its item copy) is a behaviour, stated by dhgraph's
+// TestOnlyBuildPublishes.
 //
 // The opt-out is //condisc:allow epochpub <why> on the same or the
 // previous line, and the justification is mandatory.
@@ -35,75 +33,38 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "epochpub",
-	Doc: "epoch-published state changes only at sanctioned publish points: no ring.Publish " +
-		"in dhgraph outside Build, no Snapshot field writes outside partition, " +
+	Doc: "epoch-published state changes only at sanctioned publish points: " +
+		"no Snapshot field writes outside partition, " +
 		"no Node.end/Node.succ writes outside setEndSuccLocked (PR 7 read-path contract)",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	pkg := ""
-	if pass.Pkg != nil {
-		pkg = pass.Pkg.Name()
-	}
+	inPartition := pass.Pkg != nil && pass.Pkg.Name() == "partition"
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkBody(pass, fd, pkg)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						checkWrite(pass, fd, lhs, inPartition)
+					}
+				case *ast.IncDecStmt:
+					checkWrite(pass, fd, n.X, inPartition)
+				}
+				return true
+			})
 		}
 	}
 	return nil
 }
 
-func checkBody(pass *analysis.Pass, fd *ast.FuncDecl, pkg string) {
-	fname := fd.Name.Name
-	inPartition := pkg == "partition"
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				checkWrite(pass, fd, lhs, inPartition)
-			}
-		case *ast.IncDecStmt:
-			checkWrite(pass, fd, n.X, inPartition)
-		case *ast.CallExpr:
-			if pkg == "dhgraph" && fname != "Build" && isRingPublish(pass, n) {
-				pass.Reportf(n.Pos(),
-					"%s publishes an epoch inside dhgraph: only Build may; a churn event "+
-						"publishes after its item copy (copy → publish → delete; PR 7 contract)", fname)
-			}
-		}
-		return true
-	})
-}
-
-// isRingPublish matches ring.Publish() / g.Ring.Publish(): a Publish
-// call whose receiver is a partition.Ring by type, or names a ring/Ring
-// variable or field when type information is unavailable.
-func isRingPublish(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Publish" {
-		return false
-	}
-	if tv, ok := pass.TypesInfo.Types[sel.X]; ok && tv.Type != nil {
-		if namedIs(tv.Type, "Ring") {
-			return true
-		}
-	}
-	switch x := analysis.Unparen(sel.X).(type) {
-	case *ast.Ident:
-		return x.Name == "ring" || x.Name == "Ring"
-	case *ast.SelectorExpr:
-		return x.Sel.Name == "ring" || x.Sel.Name == "Ring"
-	}
-	return false
-}
-
-// checkWrite flags a write target that is (rule 2) a field of a
-// Snapshot outside partition, or (rule 3) Node.end / Node.succ outside
+// checkWrite flags a write target that is (rule 1) a field of a
+// Snapshot outside partition, or (rule 2) Node.end / Node.succ outside
 // setEndSuccLocked. Writes through a container reached from the field
 // (s.byH[h] = v) count: the snapshot owns everything it references.
 func checkWrite(pass *analysis.Pass, fd *ast.FuncDecl, lhs ast.Expr, inPartition bool) {
@@ -147,7 +108,7 @@ func checkWrite(pass *analysis.Pass, fd *ast.FuncDecl, lhs ast.Expr, inPartition
 
 // namedIs reports whether t (after stripping one pointer and aliases)
 // is a named type with the given name, regardless of package — the
-// contract types (partition.Ring, partition.Snapshot, p2p.Node) are
+// contract types (partition.Snapshot, p2p.Node) are
 // effectively unique in the tree, and staying package-agnostic lets the
 // testdata exemplar model them locally.
 func namedIs(t types.Type, name string) bool {

@@ -9,5 +9,4 @@ import (
 
 func TestEpochpub(t *testing.T) {
 	analysistest.Run(t, "testdata/src/epochpubdata", "condisc/exemplar/epochpubdata", epochpub.Analyzer)
-	analysistest.Run(t, "testdata/src/dhgraph", "condisc/exemplar/dhgraph", epochpub.Analyzer)
 }

@@ -1,8 +1,7 @@
-// Package epochpubdata is the epochpub exemplar for rules 2 and 3: an
-// immutable snapshot and a p2p-style node with a version-stamped
-// boundary, exercised by functions that violate (and respect) the PR 7
-// epoch-publication contract. Rule 1 is scoped by package name, so its
-// exemplar is a package of its own, dhgraph.
+// Package epochpubdata is the epochpub exemplar: an immutable snapshot
+// and a p2p-style node with a version-stamped boundary, exercised by
+// functions that violate (and respect) the PR 7 epoch-publication
+// contract.
 package epochpubdata
 
 // Snapshot models partition.Snapshot: immutable once published. Only

@@ -1,12 +1,10 @@
-// Package load type-checks packages of this module for the condisc-vet
-// analyzers without depending on golang.org/x/tools/go/packages: it
-// shells out to `go list -export -deps -json` for metadata and compiled
-// export data, parses the target package's source with go/parser, and
-// type-checks it with go/types, resolving every import (stdlib and
-// in-module alike) through the build cache's export files via the
-// stdlib gc importer. This is the same division of labor as a
-// `go vet -vettool` unit check: one package from source, dependencies
-// from export data.
+// Package load parses and type-checks one package for the condisc-vet
+// analyzers without depending on golang.org/x/tools/go/packages: the
+// package comes from source (go/parser, go/types), and every import,
+// stdlib and in-module alike, from the build cache's export data via
+// the stdlib gc importer. That is the division of labour of a
+// `go vet -vettool` unit check; the vet tool gets its export files from
+// cmd/go, and Dir (for the analyzer self-tests) asks `go list -export`.
 package load
 
 import (
@@ -23,116 +21,70 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Meta is the `go list` metadata for one package.
-type Meta struct {
-	ImportPath string
-	Name       string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
-}
-
-// Loader resolves and type-checks packages against one `go list`
-// snapshot of the module and its dependency universe.
-type Loader struct {
-	Fset *token.FileSet
-	meta map[string]*Meta
-	// roots are the packages matched by the patterns (DepOnly=false),
-	// in go list order.
-	roots []string
-	imp   types.Importer
-}
-
 // Source is one parsed, type-checked package.
 type Source struct {
-	ImportPath string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 }
 
-// New runs `go list -e -export -deps -json <patterns>` in dir and
-// returns a Loader over the result. Patterns default to "./...".
-func New(dir string, patterns ...string) (*Loader, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,Standard,DepOnly",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("load: go list: %v\n%s", err, stderr.String())
-	}
-	l := &Loader{Fset: token.NewFileSet(), meta: map[string]*Meta{}}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var m Meta
-		if err := dec.Decode(&m); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("load: decode go list output: %v", err)
+// Parse parses the named files with their comments (the analyzers read
+// //condisc: directives). The result is not type-checked yet.
+func Parse(filenames []string) (*Source, error) {
+	src := &Source{Fset: token.NewFileSet()}
+	for _, name := range filenames {
+		f, err := parser.ParseFile(src.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
 		}
-		l.meta[m.ImportPath] = &m
-		if !m.DepOnly {
-			l.roots = append(l.roots, m.ImportPath)
-		}
+		src.Files = append(src.Files, f)
 	}
-	l.imp = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
-		m := l.meta[path]
-		if m == nil || m.Export == "" {
+	return src, nil
+}
+
+// Check type-checks the parsed files as package importPath. exportFile
+// names the export data file of an imported package, or "" if it has
+// none. The first type error fails the check.
+func (src *Source) Check(importPath string, exportFile func(path string) string) error {
+	imp := importer.ForCompiler(src.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exportFile(path)
+		if file == "" {
 			return nil, fmt.Errorf("load: no export data for %q", path)
 		}
-		return os.Open(m.Export)
+		return os.Open(file)
 	})
-	return l, nil
-}
-
-// Roots returns the import paths matched by the patterns, excluding
-// standard-library packages.
-func (l *Loader) Roots() []string {
-	var out []string
-	for _, p := range l.roots {
-		if m := l.meta[p]; m != nil && !m.Standard {
-			out = append(out, p)
+	src.Info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Implicits:  map[ast.Node]types.Object{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
+	var typeErr error
+	conf := types.Config{Importer: imp, Error: func(err error) {
+		if typeErr == nil {
+			typeErr = err
 		}
+	}}
+	src.Pkg, _ = conf.Check(importPath, src.Fset, src.Files, src.Info)
+	if typeErr != nil {
+		return fmt.Errorf("load: type errors in %s: %v", importPath, typeErr)
 	}
-	return out
+	return nil
 }
 
-// Meta returns the go list record for an import path, or nil.
-func (l *Loader) Meta(importPath string) *Meta { return l.meta[importPath] }
-
-// LoadSource parses and type-checks the named module package from its
-// non-test source files.
-func (l *Loader) LoadSource(importPath string) (*Source, error) {
-	m := l.meta[importPath]
-	if m == nil {
-		return nil, fmt.Errorf("load: unknown package %q", importPath)
-	}
-	files := make([]string, len(m.GoFiles))
-	for i, f := range m.GoFiles {
-		files[i] = filepath.Join(m.Dir, f)
-	}
-	return l.check(importPath, files)
-}
-
-// LoadDir parses every .go file in dir (testdata exemplar packages for
-// analysistest) and type-checks them under the given import path —
-// the path chooses which package-scoped analyzers consider the package
-// in scope.
-func (l *Loader) LoadDir(dir, importPath string) (*Source, error) {
+// Dir parses every .go file in dir (a testdata exemplar package) and
+// type-checks it under the given import path — the path chooses which
+// package-scoped analyzers consider the package in scope. The imports'
+// export data comes from `go list -export`, run in dir.
+func Dir(dir, importPath string) (*Source, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -147,53 +99,49 @@ func (l *Loader) LoadDir(dir, importPath string) (*Source, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("load: no .go files in %s", dir)
 	}
-	return l.check(importPath, files)
-}
-
-func (l *Loader) check(importPath string, filenames []string) (*Source, error) {
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l.imp,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	pkg, _ := conf.Check(importPath, l.Fset, files, info)
-	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("load: type errors in %s: %v", importPath, typeErrs[0])
-	}
-	return &Source{ImportPath: importPath, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// ModuleRoot walks upward from dir to the enclosing go.mod directory.
-func ModuleRoot(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
+	src, err := Parse(files)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(abs, "go.mod")); err == nil {
-			return abs, nil
+	exports, err := listExports(dir, src.Files)
+	if err != nil {
+		return nil, err
+	}
+	if err := src.Check(importPath, func(path string) string { return exports[path] }); err != nil {
+		return nil, err
+	}
+	return src, nil
+}
+
+// listExports runs `go list -export -deps` in dir over the files'
+// imports and maps each listed import path to its export data file.
+func listExports(dir string, files []*ast.File) (map[string]string, error) {
+	var imports []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			imports = append(imports, path)
 		}
-		parent := filepath.Dir(abs)
-		if parent == abs {
-			return "", fmt.Errorf("load: no go.mod above %s", dir)
+	}
+	exports := map[string]string{}
+	if len(imports) == 0 {
+		return exports, nil
+	}
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, imports...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("load: go list: %v\n%s", err, stderr.String())
+	}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var m struct{ ImportPath, Export string }
+		if err := dec.Decode(&m); err == io.EOF {
+			return exports, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("load: decode go list output: %v", err)
 		}
-		abs = parent
+		exports[m.ImportPath] = m.Export
 	}
 }

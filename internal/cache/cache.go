@@ -373,6 +373,7 @@ func (s *System) collapse(t *activeTree, item string) {
 	}
 	for {
 		var victims []continuous.TreeNode
+		//condisc:allow detpath the victim set is fixed before any deactivate, and deactivate (map delete, sorted-index remove) ends in the same state in any order
 		for z := range t.active {
 			if z.Depth == 0 {
 				continue

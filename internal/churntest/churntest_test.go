@@ -149,7 +149,7 @@ func TestJournalDigestInvariance(t *testing.T) {
 	var churn int
 	for _, r := range jrn.Records() {
 		switch r.Kind {
-		case journal.KindChurnAdmit, journal.KindChurnApply, journal.KindChurnRetire:
+		case journal.KindChurn:
 			churn++
 		}
 	}

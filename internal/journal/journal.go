@@ -1,6 +1,6 @@
 // Package journal is the bounded, wait-free structured flight recorder:
 // a fixed-capacity ring of fixed-width records capturing the events
-// that mutate routing state — churn admit/apply/retire, epoch Publish,
+// that mutate routing state — simulator churn events, epoch Publish,
 // handoff prepare/stream/commit/abort, stale-route repair, end/succ
 // flips. Each record is stamped with the emitting node's ring version
 // and epoch, so journals from different nodes merge into one causally
@@ -34,16 +34,10 @@ type Kind uint8
 const (
 	// KindUnknown is the zero value; no emit site uses it.
 	KindUnknown Kind = iota
-	// KindChurnAdmit: a churn event mutated the ring and patched the graph
-	// (not yet published). A = server id, B = segment start, C = 1 for a
-	// join, 0 for a leave.
-	KindChurnAdmit
-	// KindChurnApply: a churn event's items were copied to their new owner
-	// and its cache region cleared. A = server id, C = 1 join / 0 leave.
-	KindChurnApply
-	// KindChurnRetire: a leave is retired, just before its epoch publish.
-	// A = server id.
-	KindChurnRetire
+	// KindChurn: one simulator churn event mutated the ring and patched the
+	// graph; its items move and its epoch publishes next. A = server id,
+	// B = segment start, C = 1 for a join, 0 for a leave.
+	KindChurn
 	// KindEpochPublish: partition.Ring.Publish made a new immutable
 	// snapshot visible. Epoch = the new epoch, A = ring size n.
 	KindEpochPublish
@@ -82,9 +76,7 @@ const (
 
 var kindNames = [kindCount]string{
 	KindUnknown:      "unknown",
-	KindChurnAdmit:   "churn_admit",
-	KindChurnApply:   "churn_apply",
-	KindChurnRetire:  "churn_retire",
+	KindChurn:        "churn",
 	KindEpochPublish: "epoch_publish",
 	KindHandPrepare:  "hand_prepare",
 	KindHandStream:   "hand_stream",

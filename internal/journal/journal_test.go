@@ -11,7 +11,7 @@ import (
 func TestRecordAndRead(t *testing.T) {
 	j := New(64)
 	for i := uint64(0); i < 10; i++ {
-		j.Record(KindChurnAdmit, i, i/2, i*10, i*100, 1)
+		j.Record(KindChurn, i, i/2, i*10, i*100, 1)
 	}
 	recs := j.Records()
 	if len(recs) != 10 {
@@ -21,7 +21,7 @@ func TestRecordAndRead(t *testing.T) {
 		t.Fatalf("Len/Dropped = %d/%d, want 10/0", j.Len(), j.Dropped())
 	}
 	for i, r := range recs {
-		want := Record{Seq: uint64(i), Kind: KindChurnAdmit, RingVer: uint64(i),
+		want := Record{Seq: uint64(i), Kind: KindChurn, RingVer: uint64(i),
 			Epoch: uint64(i / 2), A: uint64(i) * 10, B: uint64(i) * 100, C: 1}
 		if r != want {
 			t.Fatalf("record %d = %+v, want %+v", i, r, want)
