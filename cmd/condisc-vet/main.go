@@ -3,9 +3,8 @@
 //
 //	segarith   — no raw arithmetic on interval lengths outside the
 //	             ceiling-division primitives (sub-ulp full-circle alias)
-//	epochpub   — epoch-published state changes only at sanctioned publish
-//	             points (immutable snapshots, boundary moves only through
-//	             setEndSuccLocked)
+//	epochpub   — published epoch snapshots are immutable: no Snapshot
+//	             field writes outside package partition
 //	fsyncack   — no acknowledgement over an unsynced framed WAL record
 //	detpath    — no wall clock / global rand / map-order leaks in the
 //	             packages that feed the pinned state digests

@@ -15,8 +15,7 @@
 //   - sub-ulp segment arithmetic must go through the ceiling-division
 //     primitives (segarith),
 //   - the PR 7 epoch-publication contract of the wait-free read path:
-//     snapshots immutable, boundary moves only through
-//     setEndSuccLocked (epochpub),
+//     published snapshots are immutable (epochpub),
 //   - WAL discipline: no acknowledgement may be returned over an
 //     unsynced framed record (fsyncack),
 //   - determinism: no wall clock, global randomness, or map-order
@@ -27,8 +26,10 @@
 //
 // Invariants that behaviour states are tests instead: churn cost flat
 // in n (condisc's TestChurnAllocsFlatInN, dhgraph's
-// TestIncrementalLocality) and only Build publishing inside dhgraph
-// (dhgraph's TestOnlyBuildPublishes).
+// TestIncrementalLocality), only Build publishing inside dhgraph
+// (dhgraph's TestOnlyBuildPublishes), and every boundary move of a live
+// node bumping its ring version (p2p's
+// TestCoreRingVerStampsEveryBoundaryMove).
 //
 // Opt-outs are explicit comment directives that must carry a
 // justification:

@@ -1,23 +1,18 @@
 // Package epochpub machine-checks the epoch-publication contract of
 // the wait-free read path (PR 7): readers resolve ownership against
-// immutable epoch snapshots behind an atomic pointer, so the states a
-// snapshot captures may only change at sanctioned publish points.
+// immutable epoch snapshots behind an atomic pointer, so a snapshot may
+// not change once published.
 //
-// Two rules:
-//
-//  1. No writes to Snapshot fields outside package partition. A
-//     published snapshot is immutable forever; copy-on-write happens in
-//     partition.Ring before the epoch flip, never on the snapshot a
-//     reader may already hold.
-//  2. No direct writes to Node.end / Node.succ outside
-//     setEndSuccLocked. The p2p node's segment boundary is a
-//     version-stamped pointer update: every boundary move must bump
-//     ringVer so in-flight handoff commits stamped with the old version
-//     fast-fail instead of committing against a moved boundary.
+// The rule: no writes to Snapshot fields outside package partition. A
+// published snapshot is immutable forever; copy-on-write happens in
+// partition.Ring before the epoch flip, never on the snapshot a reader
+// may already hold.
 //
 // Where dhgraph publishes (only Build; a churn event's owner publishes
 // after its item copy) is a behaviour, stated by dhgraph's
-// TestOnlyBuildPublishes.
+// TestOnlyBuildPublishes. The live node's ring state is one published
+// core whose transitions are pure; that every boundary move bumps its
+// ring version is stated by p2p's TestCoreRingVerStampsEveryBoundaryMove.
 //
 // The opt-out is //condisc:allow epochpub <why> on the same or the
 // previous line, and the justification is mandatory.
@@ -33,9 +28,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "epochpub",
-	Doc: "epoch-published state changes only at sanctioned publish points: " +
-		"no Snapshot field writes outside partition, " +
-		"no Node.end/Node.succ writes outside setEndSuccLocked (PR 7 read-path contract)",
+	Doc: "published epoch snapshots are immutable: " +
+		"no Snapshot field writes outside partition (PR 7 read-path contract)",
 	Run: run,
 }
 
@@ -63,9 +57,8 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkWrite flags a write target that is (rule 1) a field of a
-// Snapshot outside partition, or (rule 2) Node.end / Node.succ outside
-// setEndSuccLocked. Writes through a container reached from the field
+// checkWrite flags a write target that is a field of a Snapshot outside
+// partition. Writes through a container reached from the field
 // (s.byH[h] = v) count: the snapshot owns everything it references.
 func checkWrite(pass *analysis.Pass, fd *ast.FuncDecl, lhs ast.Expr, inPartition bool) {
 	target := analysis.Unparen(lhs)
@@ -73,62 +66,36 @@ func checkWrite(pass *analysis.Pass, fd *ast.FuncDecl, lhs ast.Expr, inPartition
 		target = analysis.Unparen(ix.X)
 	}
 	sel, ok := target.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	tv, ok := pass.TypesInfo.Types[sel.X]
-	if !ok || tv.Type == nil {
+	if !ok || inPartition {
 		return
 	}
 	// A Snapshot anywhere on the selector chain owns the written field:
 	// s.view.ol = x reaches the snapshot's list through its embedded view.
-	for x := sel; !inPartition; {
-		if xt, ok := pass.TypesInfo.Types[x.X]; ok && xt.Type != nil &&
-			namedIs(xt.Type, "Snapshot") && snapshotPkg(xt.Type) {
+	for x := sel; ; {
+		if xt, ok := pass.TypesInfo.Types[x.X]; ok && xt.Type != nil && isSnapshot(xt.Type) {
 			pass.Reportf(lhs.Pos(),
 				"%s writes field %s of a Snapshot: published snapshots are immutable; "+
 					"copy-on-write belongs in partition.Ring before the epoch flip (PR 7 contract)",
 				fd.Name.Name, x.Sel.Name)
 			return
 		}
-		inner, ok := analysis.Unparen(x.X).(*ast.SelectorExpr)
-		if !ok {
-			break
+		if x, ok = analysis.Unparen(x.X).(*ast.SelectorExpr); !ok {
+			return
 		}
-		x = inner
-	}
-	if (sel.Sel.Name == "end" || sel.Sel.Name == "succ") &&
-		namedIs(tv.Type, "Node") && fd.Name.Name != "setEndSuccLocked" {
-		pass.Reportf(lhs.Pos(),
-			"%s writes Node.%s directly: segment boundary moves must go through "+
-				"setEndSuccLocked so ringVer stamps every move and stale handoff commits "+
-				"fast-fail (PR 7 contract)", fd.Name.Name, sel.Sel.Name)
 	}
 }
 
-// namedIs reports whether t (after stripping one pointer and aliases)
-// is a named type with the given name, regardless of package — the
-// contract types (partition.Snapshot, p2p.Node) are
-// effectively unique in the tree, and staying package-agnostic lets the
-// testdata exemplar model them locally.
-func namedIs(t types.Type, name string) bool {
+// isSnapshot reports whether t (after stripping one pointer and aliases)
+// is the epoch-snapshot type: the Snapshot partition defines, or a
+// testdata exemplar's local model. Other packages may name an unrelated
+// type Snapshot (telemetry's metric dump does) without inheriting
+// partition's immutability contract.
+func isSnapshot(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := types.Unalias(t).(*types.Named)
-	return ok && named.Obj().Name() == name
-}
-
-// snapshotPkg narrows the Snapshot rule to the epoch-snapshot type: the
-// one partition defines, or a testdata exemplar's local model. Other
-// packages may name an unrelated type Snapshot (telemetry's metric dump
-// does) without inheriting partition's immutability contract.
-func snapshotPkg(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+	if !ok || named.Obj().Name() != "Snapshot" || named.Obj().Pkg() == nil {
 		return false
 	}
 	name := named.Obj().Pkg().Name()

@@ -1,7 +1,6 @@
-// Package epochpubdata is the epochpub exemplar: an immutable snapshot
-// and a p2p-style node with a version-stamped boundary, exercised by
-// functions that violate (and respect) the PR 7 epoch-publication
-// contract.
+// Package epochpubdata is the epochpub exemplar: an immutable snapshot,
+// exercised by functions that violate (and respect) the PR 7
+// epoch-publication contract.
 package epochpubdata
 
 // Snapshot models partition.Snapshot: immutable once published. Only
@@ -35,34 +34,11 @@ func mutateEmbedded(s *Snapshot) {
 // readSnapshot only reads: fine.
 func readSnapshot(s *Snapshot) uint64 { return s.epoch }
 
-// Node models p2p.Node: the segment boundary (end, succ) is guarded by
-// a version stamp so stale handoff commits fast-fail.
-type Node struct {
-	end     uint64
-	succ    int
-	ringVer uint64
-}
-
-// setEndSuccLocked is the single sanctioned boundary writer: the
-// version bump and the pointer writes are inseparable.
-func (n *Node) setEndSuccLocked(end uint64, succ int) {
-	n.end = end
-	n.succ = succ
-	n.ringVer++
-}
-
-// stabilize must route boundary moves through setEndSuccLocked; a raw
-// write would skip the ringVer bump and let a stale commit land on a
-// moved boundary.
-func (n *Node) stabilize(end uint64, succ int) {
-	n.end = end   // want `stabilize writes Node.end directly`
-	n.succ = succ // want `stabilize writes Node.succ directly`
-}
-
-// bootstrap demonstrates the escape hatch: before the node serves
-// requests no commit can be in flight, so a raw write is safe — and
-// the justification is mandatory.
-func (n *Node) bootstrap(end uint64) {
-	//condisc:allow epochpub no sessions exist before the node serves
-	n.end = end
+// bootstrap demonstrates the escape hatch: a snapshot no reader can hold
+// yet may be filled in place — and the justification is mandatory.
+func bootstrap() *Snapshot {
+	s := &Snapshot{}
+	//condisc:allow epochpub not yet published: no reader holds it
+	s.epoch = 1
+	return s
 }

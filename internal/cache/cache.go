@@ -378,12 +378,11 @@ func (s *System) collapse(t *activeTree, item string) {
 			if z.Depth == 0 {
 				continue
 			}
-			parent := z.Parent()
-			bit := byte(z.Path >> (z.Depth - 1) & 1)
-			sib := parent.Child(1 - bit)
-			if !t.isLeaf(z) {
+			// Each pair is visited from both leaves; take it from the 0 child.
+			if z.Path>>(z.Depth-1)&1 != 0 || !t.isLeaf(z) {
 				continue
 			}
+			sib := z.Parent().Child(1)
 			sst, ok := t.active[sib]
 			if !ok || !t.isLeaf(sib) {
 				continue

@@ -6,11 +6,16 @@ package p2p
 // range and both sessions stream simultaneously.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"condisc/internal/interval"
+	"condisc/internal/store"
 )
 
 // TestConcurrentJoinsSameOwner proves two join sessions against one owner
@@ -120,13 +125,16 @@ func TestConcurrentJoinsSameOwner(t *testing.T) {
 }
 
 // TestConcurrentClusterChurn is the stress arm the CI race job runs:
-// joins, a leave, and read traffic all in flight against one cluster at
-// once. Every operation either succeeds or retries; at the end the ring
-// closes and every key is served.
+// joins, a leave, and read and write traffic all in flight against one
+// cluster at once. Every operation either succeeds or is refused with a
+// retry: a Get of a pre-loaded key never reads a miss or wrong bytes, and
+// every acknowledged Put reads back once the ring has stabilized. At the
+// end the ring closes and every key is served.
 func TestConcurrentClusterChurn(t *testing.T) {
 	const n = 6
 	const items = 60
-	c, err := StartCluster(n, 2024)
+	slow := func(node *Node) { node.data = slowStore{store.NewMem()} }
+	c, err := StartCluster(n, 2024, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,19 +195,56 @@ func TestConcurrentClusterChurn(t *testing.T) {
 		}
 	}()
 
-	// Read traffic throughout (a get may transiently fail while a node is
-	// mid-leave; only persistent failures matter and the final sweep below
-	// catches those).
-	trafficDone := make(chan struct{})
+	// Read and write traffic throughout. A Get may be refused while a node
+	// is mid-leave or mid-join, or find its owner gone, and a Put may meet
+	// a fenced range: those are retries. A miss is not: a pre-loaded key
+	// is always owned by someone, so ErrNotFound means an owner served it
+	// from a store its range had already left.
+	var trafficMu sync.Mutex
+	var trafficErr error
+	fail := func(err error) {
+		trafficMu.Lock()
+		defer trafficMu.Unlock()
+		if trafficErr == nil {
+			trafficErr = err
+		}
+	}
+	const readers = 4
+	var traffic sync.WaitGroup
+	traffic.Add(readers + 1)
+	var gets atomic.Int64
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer traffic.Done()
+			for i := r * items / readers; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				gets.Add(1)
+				v, _, err := c.Client(r).Get(key2(i%items), h)
+				switch {
+				case errors.Is(err, ErrNotFound):
+					fail(fmt.Errorf("get %s mid-churn: %w", key2(i%items), err))
+				case err == nil && string(v) != val2(i%items):
+					fail(fmt.Errorf("get %s mid-churn = %q, want %q", key2(i%items), v, val2(i%items)))
+				}
+			}
+		}()
+	}
+	var acked []int // the Puts a node acknowledged, read back after the churn
 	go func() {
-		defer close(trafficDone)
+		defer traffic.Done()
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			c.Client(i%4).Get(key2(i%items), h)
+			if _, err := c.Client(i%4).Put(putKey(i), []byte(putVal(i)), h); err == nil {
+				acked = append(acked, i)
+			}
 		}
 	}()
 
@@ -211,7 +256,10 @@ func TestConcurrentClusterChurn(t *testing.T) {
 		t.Fatal("concurrent churn did not settle in 30s")
 	}
 	close(stop)
-	<-trafficDone
+	traffic.Wait()
+	if trafficErr != nil {
+		t.Fatal(trafficErr)
+	}
 
 	select {
 	case err := <-errs:
@@ -244,10 +292,38 @@ func TestConcurrentClusterChurn(t *testing.T) {
 			t.Fatalf("get %s = %q, want %q", key2(i), v, val2(i))
 		}
 	}
+	t.Logf("%d gets and %d acknowledged puts ran during the churn", gets.Load(), len(acked))
+	if len(acked) == 0 {
+		t.Fatal("no Put was acknowledged during the churn")
+	}
+	for _, i := range acked {
+		v, _, err := c.Client(0).Get(putKey(i), h)
+		if err != nil || string(v) != putVal(i) {
+			t.Fatalf("acknowledged put %s after concurrent churn: %q, %v; want %q", putKey(i), v, err, putVal(i))
+		}
+	}
 	if _, err := c.RingOrder(); err != nil {
 		t.Fatalf("ring integrity after concurrent churn: %v", err)
 	}
 }
 
-func key2(i int) string { return fmt.Sprintf("ck%03d", i) }
-func val2(i int) string { return fmt.Sprintf("cv%03d", i) }
+// slowStore holds every item read and write for a millisecond, so an
+// ownership transition at the owner falls inside an item op in most runs:
+// a check made against a stale ring state then shows as a miss or a lost
+// write instead of hiding in a window of microseconds.
+type slowStore struct{ store.Store }
+
+func (s slowStore) Get(p interval.Point, key string) ([]byte, bool, error) {
+	time.Sleep(time.Millisecond)
+	return s.Store.Get(p, key)
+}
+
+func (s slowStore) Put(p interval.Point, key string, value []byte) error {
+	time.Sleep(time.Millisecond)
+	return s.Store.Put(p, key, value)
+}
+
+func key2(i int) string   { return fmt.Sprintf("ck%03d", i) }
+func val2(i int) string   { return fmt.Sprintf("cv%03d", i) }
+func putKey(i int) string { return fmt.Sprintf("cp%05d", i) }
+func putVal(i int) string { return fmt.Sprintf("cw%05d", i) }

@@ -44,16 +44,14 @@ func TestRoutedHopHonoursRPCTimeout(t *testing.T) {
 	}
 	defer c.Stop()
 	entry, hole := c.Nodes[0], blackHole(t)
-	entry.mu.Lock()
 	var stale []NodeInfo
-	for _, e := range entry.back {
+	for _, e := range entry.core.Load().back {
 		if e.Addr != entry.addr {
 			e.Addr = hole
 		}
 		stale = append(stale, e)
 	}
-	entry.setBackLocked(stale)
-	entry.mu.Unlock()
+	editCore(entry, func(c *ringCore) { c.back = stale })
 
 	cl := c.Client(0)
 	for i := 0; i < 64; i++ {

@@ -48,7 +48,7 @@ func TestDualCrashCommitRecordSurvivesRestart(t *testing.T) {
 	if ownerKept == 0 || ownerKept >= items {
 		t.Fatalf("owner kept %d items after commit, want a strict subset of %d", ownerKept, items)
 	}
-	ownerPoint, _, _, _ := owner.State()
+	ownerPoint, _, _, _ := ringState(owner)
 
 	// Crash the owner too.
 	owner.Close()

@@ -45,6 +45,7 @@ package p2p
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -111,7 +112,7 @@ func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 		// is as transient as a refused prepare: it burns an attempt (again)
 		// instead of failing the join, until the attempts run out.
 		lookupRetry := func(p interval.Point) (owner response, again bool, err error) {
-			owner, err = n.wire.lookup(bootstrap, p)
+			owner, err = n.wire.call(bootstrap, &request{Op: opLookup, Target: uint64(p)})
 			if err == nil || attempt >= joinAttempts-1 {
 				return owner, false, err
 			}
@@ -249,17 +250,12 @@ func (n *Node) completeJoin(rec *handoff.Receiver) error {
 // session range is the node's segment, the sender its predecessor, the
 // sender's old successor its successor — and drops the staging session.
 func (n *Node) adopt(rec *handoff.Receiver) error {
-	n.mu.Lock()
-	n.x = rec.Seg.Start
-	n.pred = NodeInfo(rec.Pred)
-	n.setEndSuccLocked(rec.Seg.End(), NodeInfo(rec.Succ))
-	n.setBackLocked([]NodeInfo{n.pred})
-	n.ready = true
 	// The adopted range arrived with no replica payloads anywhere (the
 	// sender's replicas cover its OLD segment, not ours): mark it for
 	// re-replication so the first stabilization round pushes it out.
-	n.replDirty = n.repl.Enabled()
-	n.mu.Unlock()
+	n.transit(func(c *ringCore) (*ringCore, error) {
+		return c.adopt(rec.Seg.Start, rec.Seg.End(), NodeInfo(rec.Pred), NodeInfo(rec.Succ), n.repl.Enabled())
+	})
 	return rec.Finish()
 }
 
@@ -283,8 +279,7 @@ func (n *Node) rollBack(rec *handoff.Receiver) error {
 // a lost message leaves behind.
 func (n *Node) afterJoin() {
 	n.serve()
-	succ := n.succInfo()
-	if succ.Addr != n.addr {
+	if succ := n.core.Load().succ; succ.Addr != n.addr {
 		n.sendPatch(succ.Addr, request{Op: opSetPred, NewPoint: uint64(n.Point()), NewAddr: n.addr, NewID: n.id})
 	}
 	// Fill our own backward table first, so the image lookups below route
@@ -362,71 +357,32 @@ func streamIdleTimeout(rpc time.Duration) time.Duration { return 10 * rpc }
 
 // --- sender side ---
 
-// handleHandPrepare opens a join session: the upper part of this node's
-// segment is fenced and registered, but ownership does not move — that
-// happens at commit. The response carries the ring identities the joiner
-// will adopt.
-//
-// Concurrent disjoint joins: the prepared range is bounded at the start
-// of the nearest already-streaming join session after p, so a second
-// joiner splitting the same owner gets the disjoint sub-range [p, bound)
-// — and that bounding session's joiner as its successor — instead of a
-// refusal. Only a p inside an already-fenced range still refuses (the
-// session registry's overlap check): one range, one mover.
-//
-// An inbound leave absorption does NOT refuse the prepare: the session is
-// stamped with the current ring version, and the commit path validates
-// the stamp (and the boundary geometry) before flipping — so a join may
-// stream concurrently with an absorption, and whichever publishes its
-// pointer update second detects the other and resolves cleanly instead of
-// both being serialized up front.
+// handleHandPrepare opens a join session: the range prepareJoin picks is
+// fenced and registered, but ownership does not move — that happens at
+// commit. The response carries the ring identities the joiner will adopt.
+// A second joiner splitting the same owner gets a disjoint sub-range
+// instead of a refusal; only a p inside an already-fenced range still
+// refuses (the session registry's overlap check): one range, one mover.
 func (n *Node) handleHandPrepare(req request) response {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.leaving {
-		return response{Err: "node is leaving; retry via another node"}
+	c := n.core.Load()
+	upper, succ, err := c.prepareJoin(interval.Point(req.NewPoint), n.sessions.Streaming())
+	if err != nil {
+		return response{Err: err.Error()}
 	}
-	if n.absorbExtended {
-		return response{Err: "leave absorption resolving; retry"}
-	}
-	p := interval.Point(req.NewPoint)
-	if !n.segmentLocked().Contains(p) || p == n.x {
-		return response{Err: fmt.Sprintf("join point %v outside segment", p)}
-	}
-	upper := interval.Segment{Start: p, Len: uint64(n.end - p)}
-	if n.x == n.end { // full circle: the joiner takes [p, x)
-		upper = interval.Segment{Start: p, Len: uint64(n.x - p)}
-	}
-	// The joiner's ring successor: by default this node's successor, but
-	// if an active join session starts inside [p, end) the new joiner's
-	// range stops there and that session's joiner becomes its successor.
-	succID, succAddr := n.succ.ID, n.succ.Addr
-	if n.x == n.end { // singleton network: this node is its own successor
-		succID, succAddr = n.id, n.addr
-	}
-	for _, s := range n.sessions.Streaming() {
-		if s.Role != handoff.RoleJoin {
-			continue
-		}
-		if d := uint64(s.Seg.Start - p); d > 0 && d < upper.Len {
-			upper.Len = d
-			succID, succAddr = s.Peer.ID, s.Peer.Addr
-		}
-	}
-	joiner := handoff.Peer{ID: req.NewID, Point: req.NewPoint, Addr: req.NewAddr}
-	ringVer := n.ringVer.Load()
-	if _, err := n.sessions.Prepare(req.Session, upper, handoff.RoleJoin, joiner, ringVer); err != nil {
+	if _, err := n.sessions.Prepare(req.Session, upper, handoff.RoleJoin, handoff.Peer(req.peer()), c.ringVer); err != nil {
 		return response{Err: err.Error()}
 	}
 	n.met.handPrepares.Inc()
-	n.jrn.Record(journal.KindHandPrepare, ringVer, 0,
+	n.jrn.Record(journal.KindHandPrepare, c.ringVer, 0,
 		req.Session, uint64(upper.Start), upper.Len)
 	n.tel.Emitf("handoff.prepare", "session %x: fenced [%v,+%d) for joiner %s",
 		req.Session, upper.Start, upper.Len, req.NewAddr)
 	return response{
 		OK: true,
-		ID: n.id, Point: uint64(n.x), Addr: n.addr,
-		End: uint64(upper.End()), SuccID: succID, SuccAddr: succAddr,
+		ID: n.id, Point: uint64(c.x), Addr: n.addr,
+		End: uint64(upper.End()), SuccID: succ.ID, SuccAddr: succ.Addr,
 	}
 }
 
@@ -452,7 +408,7 @@ func (n *Node) handleStream(req request, conn net.Conn) {
 	// and resumes; the session stays alive until commit or TTL expiry.
 	count, _, _ := handoff.Stream(w, cur, n.chunkBytes, func() { n.sessions.Touch(sess) })
 	n.met.handBytesOut.Add(w.wrote)
-	n.jrn.Record(journal.KindHandStream, n.ringVer.Load(), 0,
+	n.jrn.Record(journal.KindHandStream, n.core.Load().ringVer, 0,
 		req.Session, count, uint64(w.wrote))
 }
 
@@ -472,61 +428,39 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 }
 
 // handleHandCommit is the ownership flip — the single decision point of a
-// transfer. Under the node mutex: commit the session (Sessions.Commit marks
-// it and durably records the decision before anyone can read it) and (for
-// a join) repoint end/succ at the joiner; then delete the moved range from
-// the local store. After this response the
-// receiver is the owner; before it, this node is. There is no state in
-// which both or neither own the range.
-//
-// The ordering matters: the commit decision comes FIRST, so a refusal
-// (expired session) leaves the items untouched on this side — the old
-// delete-then-commit order could delete here and then refuse, making the
-// receiver roll back too and lose the range from both sides. A delete
-// failure after the decision leaves unreachable duplicates in a range we
-// no longer own — the recoverable direction.
+// transfer. Under the writer lock: commit the session (Sessions.Commit
+// marks it and durably records the decision before anyone can read it) and
+// (for a join) repoint end/succ at the joiner; then delete the moved range
+// from the local store. After this response the receiver is the owner;
+// before it, this node is. The decision comes first, so a refusal leaves
+// the items untouched here; a delete failure after it leaves unreachable
+// duplicates in a range we no longer own — the recoverable direction.
 func (n *Node) handleHandCommit(req request) response {
 	n.mu.Lock()
+	c := n.core.Load()
 	sess, ok := n.sessions.Get(req.Session)
 	if !ok {
-		// Idempotent re-commit: a receiver whose first commit RPC lost
-		// its response (or a restarted receiver replaying it) must read
-		// success, not a refusal it would roll back on — the range is
-		// already durably theirs.
+		// Idempotent re-commit: a receiver that lost the first response, or
+		// replays it after a restart, must read success, not roll back.
 		if n.sessions.Status(req.Session) == handoff.StateCommitted {
-			resp := response{OK: true, ID: n.id, Point: uint64(n.x), Addr: n.addr, End: uint64(n.end)}
+			resp := response{OK: true, ID: n.id, Point: uint64(c.x), Addr: n.addr, End: uint64(c.end)}
 			n.mu.Unlock()
 			return resp
 		}
 		n.mu.Unlock()
 		return response{Err: "unknown or expired session"}
 	}
-	isJoin := sess.Role == handoff.RoleJoin
-	if isJoin && sess.Seg.End() != n.end {
-		if sess.RingVer != n.ringVer.Load() && !n.tailSessionLocked() {
-			// The boundary moved since this session was prepared (a leave
-			// absorption extended the segment past the session's end) and
-			// no active session ends at the new boundary — no chain of
-			// commits can ever make this range the tail again. Flipping
-			// would punch a hole: the joiner's range [Start, End) plus our
-			// remaining [x, Start) would strand the absorbed [End, end).
-			// Refuse definitively; the joiner rolls back and re-joins
-			// against the extended segment.
+	// A leave session repoints nothing here: the leaver is departing, and
+	// its blocked Leave() wakes on the session's done channel.
+	isJoin, next := sess.Role == handoff.RoleJoin, c
+	if isJoin {
+		var err error
+		if next, err = c.commitJoin(sess, n.sessions.Streaming()); err != nil {
+			// An inner range retries until the outer session commits or
+			// aborts; a range the boundary moved past rolls back and re-joins.
 			n.mu.Unlock()
-			return response{Err: "segment boundary moved since prepare; rejoin"}
+			return response{Err: err.Error(), Retry: errors.Is(err, errOuterPending)}
 		}
-		// Commit-in-order: concurrent join sessions stream freely, but
-		// only the OUTERMOST unresolved sub-range — the one ending at
-		// the current segment end — may flip ownership. An inner range
-		// committing while the outer one is still streaming would, if
-		// the outer later aborted, shrink the segment past a range the
-		// owner keeps: a hole no stabilization can repair (and a
-		// successor pointer at a joiner that never joined). The inner
-		// receiver retries until the outer session commits (then its own
-		// end matches) or aborts (then this session can never commit and
-		// the receiver gives up and rolls back).
-		n.mu.Unlock()
-		return response{Err: "outer handoff session unresolved; retry commit", Retry: true}
 	}
 	_, ok, logErr := n.sessions.Commit(req.Session)
 	if !ok {
@@ -536,33 +470,23 @@ func (n *Node) handleHandCommit(req request) response {
 	if logErr != nil {
 		n.tel.Emitf("handoff.commitlog", "session %x committed in memory only: %v", req.Session, logErr)
 	}
-	if isJoin {
-		// The commit-in-order gate above guarantees this session's range
-		// is exactly the tail of the current segment, so adopting the
-		// joiner always shrinks end from Seg.End() to Seg.Start — there
-		// is no out-of-order case left to guard.
-		n.setEndSuccLocked(sess.Seg.Start, NodeInfo(sess.Peer))
-	}
-	// RoleLeave: nothing to repoint here — the leaver is departing and
-	// its blocked Leave() call wakes on the session's done channel.
 	joinFlag := uint64(0)
 	if isJoin {
+		n.publishLocked(next)
 		joinFlag = 1
 	}
-	n.jrn.Record(journal.KindHandCommit, n.ringVer.Load(), 0,
+	n.jrn.Record(journal.KindHandCommit, next.ringVer, 0,
 		req.Session, uint64(sess.Seg.Start), joinFlag)
-	resp := response{OK: true, ID: n.id, Point: uint64(n.x), Addr: n.addr, End: uint64(sess.Seg.End())}
+	resp := response{OK: true, ID: n.id, Point: uint64(c.x), Addr: n.addr, End: uint64(sess.Seg.End())}
 	n.mu.Unlock()
 	n.met.handCommits.Inc()
 	n.tel.Emitf("handoff.commit", "session %x (%s): released [%v,+%d)",
 		req.Session, sess.Role, sess.Seg.Start, sess.Seg.Len)
 
-	// The durable range delete runs outside the node mutex: on a WAL
-	// store it can trigger compaction, and serving lookups meanwhile is
-	// safe — the committed range is no longer this node's segment (a
-	// leaver refuses item ops outright), so nothing reads or writes it
-	// here. (A departing leaver's Close waits out this handler's
-	// goroutine, so the store cannot close under the delete.)
+	// The durable range delete runs outside the lock (on a WAL store it can
+	// compact): an item op re-checks ownership under the read side, so none
+	// touches the range once the flip is published. A departing leaver's
+	// Close waits out this handler, so the store cannot close under it.
 	delSeg := sess.Seg
 	if !isJoin {
 		// The whole store departs with the node, not just the nominal
@@ -572,20 +496,6 @@ func (n *Node) handleHandCommit(req request) response {
 	}
 	_ = n.data.DeleteRange(delSeg)
 	return resp
-}
-
-// tailSessionLocked reports whether some streaming join session ends
-// exactly at the current segment end (mu held). While one does, an
-// inner session's mismatched commit is a transient ordering matter —
-// the chain of outer commits can still make it the tail — so it must
-// retry rather than fail.
-func (n *Node) tailSessionLocked() bool {
-	for _, s := range n.sessions.Streaming() {
-		if s.Role == handoff.RoleJoin && s.Seg.End() == n.end {
-			return true
-		}
-	}
-	return false
 }
 
 // handleHandAbort settles an ambiguous commit for the receiver: abort
@@ -599,7 +509,7 @@ func (n *Node) handleHandAbort(req request) response {
 	final, aborted := n.sessions.Abort(req.Session)
 	if aborted {
 		n.met.handAborts.Inc()
-		n.jrn.Record(journal.KindHandAbort, n.ringVer.Load(), 0, req.Session, 0, 0)
+		n.jrn.Record(journal.KindHandAbort, n.core.Load().ringVer, 0, req.Session, 0, 0)
 		n.tel.Emitf("handoff.abort", "session %x: aborted by its receiver", req.Session)
 	}
 	return response{OK: true, State: final.String()}
@@ -607,11 +517,11 @@ func (n *Node) handleHandAbort(req request) response {
 
 // handleHandStatus answers a receiver's crash-recovery probe (after a
 // restart the registry's commit log still answers for committed
-// sessions). It takes the node mutex so a probe cannot observe a commit
-// whose pointer flip is still in progress.
+// sessions). It takes the read side of the node mutex so a probe cannot
+// observe a commit whose pointer flip is still in progress.
 func (n *Node) handleHandStatus(req request) response {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	return response{OK: true, State: n.sessions.Status(req.Session).String()}
 }
 
@@ -625,20 +535,13 @@ func (n *Node) handleHandStatus(req request) response {
 // every item durably promoted.
 func (n *Node) Leave() error {
 	n.mu.Lock()
-	if n.leaving {
+	c := n.core.Load()
+	next, err := c.leave(len(n.sessions.Streaming()) > 0)
+	if err != nil {
 		n.mu.Unlock()
-		return fmt.Errorf("p2p: leave already in progress")
+		return err
 	}
-	if len(n.sessions.Streaming()) > 0 || n.absorbing > 0 {
-		// A join is mid-transfer out of our segment (its session holds a
-		// fence a leave stream would violate), or an inbound absorption
-		// is still promoting items our leave stream would miss and our
-		// commit's store clear would destroy.
-		n.mu.Unlock()
-		return fmt.Errorf("p2p: handoff in progress; retry")
-	}
-	pred, succ := n.pred, n.succ
-	end := n.end
+	pred, succ := c.pred, c.succ
 	if pred.Addr == n.addr {
 		// Last node: there is nowhere to hand the items — keep the store
 		// intact (a WAL store retains them for a future restart) and stop.
@@ -646,7 +549,7 @@ func (n *Node) Leave() error {
 		n.Close()
 		return nil
 	}
-	seg := n.segmentLocked()
+	seg := c.segment()
 	sessID := (n.id ^ uint64(time.Now().UnixNano())) | 1
 	sess, err := n.sessions.Prepare(sessID, seg, handoff.RoleLeave, handoff.Peer(pred), 0)
 	if err != nil {
@@ -654,7 +557,7 @@ func (n *Node) Leave() error {
 		return err
 	}
 	n.met.handPrepares.Inc()
-	n.leaving = true // refuse item ops: the store must match the stream
+	n.publishLocked(next) // refuse item ops: the store must match the stream
 	n.mu.Unlock()
 	n.tel.Emitf("leave.offer", "session %x: offering [%v,+%d) to predecessor %s",
 		sessID, seg.Start, seg.Len, pred.Addr)
@@ -665,12 +568,10 @@ func (n *Node) Leave() error {
 	n.notifyImageCovers(true)
 	offer := request{Op: opLeave, Session: sessID, SrcAddr: n.addr,
 		SegStart: uint64(seg.Start), SegLen: seg.Len,
-		Target: uint64(end), NewAddr: succ.Addr, NewID: succ.ID, NewPoint: uint64(succ.Point)}
+		Target: uint64(c.end), NewAddr: succ.Addr, NewID: succ.ID, NewPoint: uint64(succ.Point)}
 	if _, err := n.rpc(pred.Addr, offer); err != nil {
 		n.sessions.Abort(sessID)
-		n.mu.Lock()
-		n.leaving = false
-		n.mu.Unlock()
+		n.transit((*ringCore).resume)
 		return err
 	}
 	// The predecessor accepted and pulls the stream; block until it
@@ -684,20 +585,15 @@ func (n *Node) Leave() error {
 		}
 	}
 	if sess.State() != handoff.StateCommitted {
-		n.mu.Lock()
-		n.leaving = false
-		n.mu.Unlock()
+		n.transit((*ringCore).resume)
 		n.tel.Emitf("leave.fail", "session %x: predecessor never committed; resuming service", sessID)
 		return fmt.Errorf("p2p: leave handoff did not commit (predecessor failed mid-transfer); resuming service")
 	}
 	n.tel.Emitf("leave.commit", "session %x: segment absorbed by %s; departing", sessID, pred.Addr)
 	// Committed: the predecessor owns segment and items, and the commit
-	// handler already cleared the local store (durably, on a WAL store).
-	// Everything further is best-effort cleanup and must not surface as a
-	// failed leave — the caller would treat a departed, committed node as
-	// still alive. A lost setpred leaves the successor's pred pointer
-	// stale, which is only a stabilization hint and is rewritten by the
-	// next join in that gap.
+	// handler already cleared the local store. The rest is best-effort and
+	// must not fail the leave: a lost setpred only leaves the successor a
+	// stale stabilization hint.
 	if succ.Addr != n.addr {
 		n.sendPatch(succ.Addr, request{Op: opSetPred, NewPoint: pred.Point, NewAddr: pred.Addr, NewID: pred.ID})
 	}
@@ -709,57 +605,29 @@ func (n *Node) Leave() error {
 // enlarges its segment") and pulls the handoff session asynchronously —
 // the offer RPC stays fast no matter how many items the leaver holds.
 func (n *Node) handleLeave(req request) response {
-	n.mu.Lock()
-	if n.leaving {
-		// We are handing our own store off; absorbing now would park the
-		// items in a store about to be cleared. The leaver aborts and
-		// retries once our own leave resolves.
-		n.mu.Unlock()
-		return response{Err: "node is leaving; retry"}
-	}
-	if n.absorbing > 0 {
-		// One absorption at a time: two concurrent extensions would race
-		// to rewrite end to different targets. Outbound JOIN sessions, by
-		// contrast, no longer exclude an absorption — their streams
-		// interleave freely, and absorbLeave validates the boundary under
-		// the mutex before publishing its extension.
-		n.mu.Unlock()
-		return response{Err: "absorption in progress; retry"}
-	}
-	if req.SrcAddr != n.succ.Addr {
-		n.mu.Unlock()
-		return response{Err: "leave offer from a node that is not my successor"}
-	}
-	n.absorbing++
-	n.mu.Unlock()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer func() {
-			n.mu.Lock()
-			n.absorbing--
-			n.mu.Unlock()
+	resp := reply(n.transit(func(c *ringCore) (*ringCore, error) { return c.absorb(req.SrcAddr) }))
+	if resp.OK {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			n.absorbLeave(req)
 		}()
-		n.absorbLeave(req)
-	}()
-	return response{OK: true}
+	}
+	return resp
 }
 
 // absorbLeave is the predecessor's receiving side of a leave: run the
 // session — pull the stream into staging, promote, extend the ring
 // pointers, commit at the leaver — and keep or roll back by its outcome.
-// The pointers extend before the commit RPC so that the moment the
-// leaver's Leave() returns, this node already answers for the absorbed
-// range; if the commit then turns out refused (the leaver expired the
-// session in that instant), the extension and promotion are rolled back
-// and the leaver resumes serving.
-//
-// Join streams run concurrently with the pull: the extension validates,
-// under the mutex, that this node's segment still ends at the leaver's
-// start — if an interleaved join committed the tail meanwhile, the
-// leaver is no longer the ring successor and the absorption aborts
-// itself at the leaver instead of swallowing the joiner's range.
+// The pointers extend before the commit RPC, so the moment the leaver's
+// Leave() returns this node answers for the absorbed range; a refused
+// commit rolls extension and promotion back. A join that committed the
+// tail while the stream ran refuses the extension: the session aborts at
+// the leaver, whose next attempt goes to its new predecessor, the joiner.
 func (n *Node) absorbLeave(req request) {
+	var covers []NodeInfo
+	dirty := false
+	defer n.transit(func(c *ringCore) (*ringCore, error) { return c.finishAbsorb(covers, dirty) })
 	seg := interval.Segment{Start: interval.Point(req.SegStart), Len: req.SegLen}
 	rec, err := handoff.Begin(n.walDir(), handoff.Receiver{
 		ID: req.Session, Role: handoff.RoleLeave, Seg: seg, Sender: req.SrcAddr})
@@ -769,23 +637,15 @@ func (n *Node) absorbLeave(req request) {
 		_, _ = sessionWire{n, req.SrcAddr, req.Session}.Abort()
 		return
 	}
-	var undo func() // set with the extension: puts the pointers back (mu held)
+	var before *ringCore // set with the extension: the end and successor it replaced
 	out, err := rec.Run(sessionWire{n, rec.Sender, rec.ID}, n.data, func() error {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.end != seg.Start {
-			// A join committed the segment tail while the stream was in
-			// flight. The refusal rolls the promotion back and aborts
-			// authoritatively at the leaver, whose Leave() resolves as
-			// failed: it resumes serving, and its next attempt goes to its
-			// new predecessor, the joiner.
-			return fmt.Errorf("p2p: a join took the segment tail while the leave streamed")
+		prev, _, err := n.transit(func(c *ringCore) (*ringCore, error) {
+			return c.extend(seg.Start, interval.Point(req.Target), req.peer())
+		})
+		if err == nil {
+			before = prev
 		}
-		oldEnd, oldSucc := n.end, n.succ
-		undo = func() { n.setEndSuccLocked(oldEnd, oldSucc) }
-		n.setEndSuccLocked(interval.Point(req.Target), NodeInfo{ID: req.NewID, Point: req.NewPoint, Addr: req.NewAddr})
-		n.absorbExtended = true
-		return nil
+		return err
 	})
 	// Unresolved after the extension means the commit was sent to a leaver
 	// that then became unreachable, its fate unknown. If it landed, the
@@ -797,14 +657,9 @@ func (n *Node) absorbLeave(req request) {
 	// the stabilization pass re-adopts it as successor, shadowing our
 	// duplicates). Unresolved before it, nothing was ever asked of the
 	// leaver, which still owns the range: roll back like a refusal.
-	keep := out == handoff.Committed || (out == handoff.Unresolved && undo != nil)
-	if undo != nil {
-		n.mu.Lock()
-		n.absorbExtended = false
-		if !keep {
-			undo()
-		}
-		n.mu.Unlock()
+	keep := out == handoff.Committed || (out == handoff.Unresolved && before != nil)
+	if before != nil {
+		n.transit(func(c *ringCore) (*ringCore, error) { return c.settle(keep, before.end, before.succ) })
 	}
 	if !keep {
 		n.rollBack(rec)
@@ -815,19 +670,11 @@ func (n *Node) absorbLeave(req request) {
 	// Our backward arc grew by the absorbed segment's. Add its covers now:
 	// until the next stabilization, a walk stepping from the absorbed range
 	// would otherwise go to our last entry and finish by a long ring walk.
-	if covers, err := n.coversOfArc(continuous.DeltaBackImage(seg, Delta)); err == nil {
-		n.mu.Lock()
-		for _, c := range covers {
-			n.patchBackLocked(c, false)
-		}
-		n.mu.Unlock()
-	}
+	covers, _ = n.coversOfArc(continuous.DeltaBackImage(seg, Delta))
 	if out == handoff.Committed {
 		// The absorbed range's replicas were placed by the DEPARTED node
 		// for its own successor chain; re-replicate for ours.
-		n.mu.Lock()
-		n.replDirty = n.repl.Enabled()
-		n.mu.Unlock()
+		dirty = n.repl.Enabled()
 		n.tel.Emitf("absorb.commit", "session %x: absorbed leaver %s's [%v,+%d)",
 			req.Session, req.SrcAddr, seg.Start, seg.Len)
 	}

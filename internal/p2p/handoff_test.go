@@ -300,7 +300,7 @@ func TestLeaveStreamsThroughDiskStaging(t *testing.T) {
 func TestFencedPutRefusedDuringStream(t *testing.T) {
 	owner, _ := handoffHarness(t, 33, 50)
 	defer owner.Close()
-	x, _, _, _ := owner.State()
+	x, _, _, _ := ringState(owner)
 	// The singleton owner covers the full circle; fence the quarter arc
 	// opposite its start point (a session opened directly — no joiner
 	// process needed to test the fence).

@@ -1,7 +1,7 @@
 package p2p
 
 // Tests for interleaved join and leave transfers: end/succ updates are
-// version-stamped pointer writes (setEndSuccLocked), so a join stream and
+// version-stamped pointer writes (setEndSucc), so a join stream and
 // a leave absorption against the same node no longer exclude each other
 // wholesale — they run concurrently and whichever publishes its pointer
 // update second detects the conflict and resolves it cleanly.
@@ -58,11 +58,8 @@ func TestJoinPreparesAndCommitsDuringLeaveAbsorption(t *testing.T) {
 	go func() { leaveErr <- leaver.Leave() }()
 	<-absorbPaused
 
-	pred.mu.Lock()
-	absorbing := pred.absorbing
-	pred.mu.Unlock()
-	if absorbing != 1 {
-		t.Fatalf("pred.absorbing = %d while the pull is frozen, want 1", absorbing)
+	if s := pred.core.Load().state; s != absorbing {
+		t.Fatalf("pred is %s while the pull is frozen, want %s", s, absorbing)
 	}
 
 	// A joiner drives a COMPLETE join through pred while the absorption
@@ -88,10 +85,7 @@ func TestJoinPreparesAndCommitsDuringLeaveAbsorption(t *testing.T) {
 	// Leave() returns when pred's abort reaches the leaver; pred rolls its
 	// promoted copies back only after that RPC, so wait for its absorber.
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		pred.mu.Lock()
-		absorbing = pred.absorbing
-		pred.mu.Unlock()
-		if absorbing == 0 {
+		if pred.core.Load().state == serving {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -248,7 +242,7 @@ func TestLeaveFailsFastWhenAbsorptionRollsBack(t *testing.T) {
 	if leaver.NumItems() == 0 {
 		t.Fatal("test needs the leaver to own items: the failure is injected per streamed chunk")
 	}
-	_, _, predInfo, _ := leaver.State()
+	_, _, predInfo, _ := ringState(leaver)
 	for _, n := range c.Nodes {
 		if n.Addr() == predInfo.Addr {
 			n.handoffChunkHook = func(int) error { return fmt.Errorf("staging disk full") }

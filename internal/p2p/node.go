@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,43 +38,14 @@ type Node struct {
 	ln   net.Listener
 	hash *hashing.Func
 
-	mu   sync.Mutex
-	x    interval.Point // own segment start (fixed for the node's lifetime)
-	end  interval.Point // segment end = successor's point
-	pred NodeInfo
-	succ NodeInfo
-	// ringVer counts the (end, succ) updates this node has performed — a
-	// version stamp, bumped only by setEndSuccLocked (which still runs
-	// under mu). Handoff sessions record it at prepare time so commit can
-	// tell a session prepared against the CURRENT segment tail from one
-	// whose boundary was moved out from under it by an interleaved leave
-	// absorption: the two kinds of transfer no longer exclude each other
-	// wholesale, they serialize only at this version-stamped pointer
-	// update. It is atomic so lock-free observers — the flight recorder's
-	// causal stamps on paths that run outside mu, like stale-route
-	// repair — can read it without racing the bump.
-	ringVer atomic.Uint64
-	// back holds the covers of the backward image b(s) — the neighbours
-	// Fast Lookup hops through — keyed by stable node ID. Entries are
-	// patched incrementally by opPatchBack messages when a neighbour joins
-	// or leaves, and refreshed wholesale by Stabilize. backSorted is the
-	// Point-sorted view the routing hot path binary-searches; it is
-	// re-derived whenever back changes (the table has O(ρ·∆) entries).
-	back       map[uint64]NodeInfo
-	backSorted []NodeInfo
+	// core is the published ring state, and mu its writer lock: the
+	// package doc says who takes which side.
+	mu   sync.RWMutex
+	core atomic.Pointer[ringCore]
 	// data is the node's item store, ordered by hash point so that a
 	// churn handoff streams exactly the moving range (internal/store). It
 	// is the in-memory engine unless WithStore installed a disk-backed one.
 	data store.Store
-	// leaving marks that a Leave handoff is in flight: item requests are
-	// refused (explicit error, not a silent miss or a silently dropped
-	// write) until the leave commits or aborts.
-	leaving bool
-	// ready marks that the node holds a ring position (StartFirst ran, or
-	// a join committed and the segment was adopted). A node that is still
-	// joining serves fast "retry" refusals instead of leaving peers to
-	// hang on its open-but-unserved listener until their RPC deadline.
-	ready bool
 
 	// sessions is the sender side of the node's handoff transfers: it
 	// fences writes to a mid-handoff range and answers commit, abort and
@@ -85,19 +57,6 @@ type Node struct {
 	sessions   *handoff.Sessions
 	handoffTTL time.Duration
 	chunkBytes int
-	// absorbing counts in-flight inbound leave absorptions (this node as
-	// receiver). Leaves and further absorptions are refused while one
-	// runs. Join prepares are NOT: a join may stream concurrently with
-	// the absorption's stream, and the version-stamped commit path sorts
-	// out whichever pointer update publishes second.
-	absorbing int
-	// absorbExtended marks the short window in which an absorption has
-	// published its pointer extension but its commit at the leaver is
-	// still unresolved. Join prepares are refused during this window
-	// only: a session prepared then could not be handed a correct
-	// successor — the leaver if the absorption rolls back, the leaver's
-	// old successor if it commits.
-	absorbExtended bool
 	// recovered is a crashed join's staging session found on disk at
 	// construction; StartJoin resumes or aborts it before a fresh join.
 	recovered *handoff.Receiver
@@ -118,29 +77,10 @@ type Node struct {
 	// mix the two planes.
 	repl  replicate.Policy
 	rdata store.Store
-	// succs caches the K−1-deep ring successor chain (refreshed by
-	// Stabilize; entry 0 is n.succ). It is both the replica placement
-	// target list and — after the successor dies — the replica-holder
-	// list crash repair pulls from (guarded by mu). succsWrapped records
-	// whether the last chain walk affirmatively wrapped the ring (hit
-	// this node again) rather than breaking on an unreachable hop — only
-	// a wrapped chain proves the ring is smaller than the walk wanted,
-	// which gates both the two-node crash absorb and the doctor's
-	// desired-replica count.
-	succs        []NodeInfo
-	succsWrapped bool
-	// Failure-detector state (guarded by mu): fdMisses counts consecutive
-	// failed successor opState probes; at fdThreshold the successor is
-	// declared dead and crashAbsorb runs. repairSegs queues absorbed
-	// ranges whose items exist only as replicas until runRepairs
-	// re-materializes them (repairPending spans that window); replDirty
-	// asks the next Stabilize to re-replicate the owned range (set after
-	// any membership change around this node).
-	fdMisses      int
-	fdThreshold   int
-	repairPending bool
-	repairSegs    []interval.Segment
-	replDirty     bool
+	// fdMisses counts consecutive failed successor probes (guarded by mu);
+	// at fdThreshold the successor is declared dead and crashAbsorb runs.
+	fdMisses    int
+	fdThreshold int
 
 	// tel is the node's telemetry registry (telemetry.Default unless
 	// WithTelemetry gave this node its own — in-process clusters do, so
@@ -153,9 +93,10 @@ type Node struct {
 	// recorded with the node's ring version as the causal stamp, then
 	// served by /journalz and merged cluster-wide by dhctl journal.
 	jrn *journal.Journal
-	// adminAddr is the node's admin HTTP endpoint, advertised in opState
-	// responses so one ring member is enough to discover every /statusz.
-	adminAddr string
+	// adminAddr is the node's admin HTTP endpoint (a string), advertised in
+	// opState responses so one ring member is enough to discover every
+	// /statusz.
+	adminAddr atomic.Value
 
 	// failPatches injects opPatchBack failures for the retry tests: while
 	// positive, incoming patches are refused (and the counter decremented).
@@ -173,7 +114,7 @@ type Node struct {
 
 	closed  chan struct{}
 	wg      sync.WaitGroup
-	started bool
+	started atomic.Bool
 }
 
 // NodeOption configures a Node at construction.
@@ -368,6 +309,7 @@ func NewNode(addr string, seed uint64, opts ...NodeOption) (*Node, error) {
 		ln.Close()
 		return nil, err
 	}
+	n.core.Store(&ringCore{id: n.id, addr: n.addr})
 	return n, nil
 }
 
@@ -398,53 +340,44 @@ func (n *Node) Journal() *journal.Journal { return n.jrn }
 // balance proxy for Definition 1 smoothness. /doctorz serves the
 // report; /healthz degrades while any verdict is breached.
 func (n *Node) Doctor() doctor.Report {
-	n.mu.Lock()
-	seg := n.segmentLocked()
+	n.mu.RLock()
+	c, misses := n.core.Load(), n.fdMisses
+	n.mu.RUnlock()
 	var predLen uint64
-	if n.pred.Addr != "" && n.pred.ID != n.id {
-		predLen = uint64(n.x - interval.Point(n.pred.Point))
+	if c.pred.Addr != "" && c.pred.ID != n.id {
+		predLen = uint64(c.x - interval.Point(c.pred.Point))
 	}
-	deg := len(n.backSorted) + 2 // back table + pred/succ ring pointers
 	stats := doctor.NodeStats{
-		SegLen:  seg.Len,
+		SegLen:  c.segment().Len,
 		PredLen: predLen,
-		Degree:  deg,
+		Degree:  len(c.back) + 2, // back table + pred/succ ring pointers
 		Delta:   Delta,
 	}
-	if n.repl.Enabled() && n.succs != nil {
-		// Desired comes from the POLICY — K−1 replica targets — capped by
-		// the ring size only when the last chain walk affirmatively
-		// wrapped (succsWrapped). A walk that broke early must not shrink
-		// desired, or the invariant would read healthy exactly when
-		// replica targets are missing. Live is the non-self chain entries,
-		// minus a currently-suspected successor; an unfinished crash
-		// repair counts as one missing unit — so the verdict degrades the
-		// moment the detector suspects and recovers only after absorb +
-		// repair both completed.
-		desired := n.repl.K - 1
+	if n.repl.Enabled() && c.succs != nil {
+		// Desired is the policy's K−1, capped by the ring size only when
+		// the last chain walk wrapped: a walk that broke early must not
+		// read healthy exactly when replica targets are missing. Live is
+		// the non-self chain entries minus a suspected successor, and an
+		// unfinished crash repair is pending — so the verdict degrades
+		// when the detector suspects and recovers after absorb + repair.
 		chainLive := 0
-		for _, s := range n.succs {
+		for _, s := range c.succs {
 			if s.ID != n.id && s.Addr != n.addr {
 				chainLive++
 			}
 		}
-		if n.succsWrapped && chainLive < desired {
-			desired = chainLive // the whole ring is smaller than K
+		stats.ReplDesired = n.repl.K - 1
+		if c.succsWrapped {
+			stats.ReplDesired = min(stats.ReplDesired, chainLive) // the whole ring is smaller than K
 		}
-		live := chainLive
-		if live > desired {
-			live = desired
+		stats.ReplLive = min(chainLive, stats.ReplDesired)
+		if misses > 0 && stats.ReplLive > 0 {
+			stats.ReplLive--
 		}
-		if n.fdMisses > 0 && live > 0 {
-			live--
-		}
-		stats.ReplDesired = desired
-		stats.ReplLive = live
-		if n.repairPending {
+		if len(c.repairSegs) > 0 {
 			stats.ReplPending = 1
 		}
 	}
-	n.mu.Unlock()
 	stats.HopP99 = n.met.hops.Quantile(0.99)
 	return doctor.DiagnoseNode(stats)
 }
@@ -452,14 +385,15 @@ func (n *Node) Doctor() doctor.Report {
 // SetAdminAddr records the node's admin HTTP endpoint; it is advertised
 // in opState responses so a single ring member bootstraps discovery of
 // every node's /statusz (dhctl top).
-func (n *Node) SetAdminAddr(addr string) {
-	n.mu.Lock()
-	n.adminAddr = addr
-	n.mu.Unlock()
+func (n *Node) SetAdminAddr(addr string) { n.adminAddr.Store(addr) }
+
+func (n *Node) admin() string {
+	addr, _ := n.adminAddr.Load().(string)
+	return addr
 }
 
 // NodeStatus is the node half of /statusz: ring position, pointers,
-// neighbour table, and store size, read in one consistent snapshot.
+// neighbour table, ownership state and store size, read from one core.
 type NodeStatus struct {
 	ID        uint64     `json:"id"`
 	Addr      string     `json:"addr"`
@@ -471,33 +405,27 @@ type NodeStatus struct {
 	Succ      NodeInfo   `json:"succ"`
 	Back      []NodeInfo `json:"back"`
 	Items     int        `json:"items"`
-	Ready     bool       `json:"ready"`
-	Leaving   bool       `json:"leaving"`
-	Absorbing int        `json:"absorbing"`
+	State     string     `json:"state"`        // ownership: joining, serving, leaving, absorbing, absorbing-extended
+	Repairs   int        `json:"repair_queue"` // crash-absorbed segments not yet re-materialized from replicas
 	// Replication plane (zero values when replication is off): the
-	// policy's K, the cached successor chain replicas go to, the replica
-	// payloads held for predecessors, and whether a crash repair is
-	// still outstanding.
-	ReplK         int        `json:"repl_k,omitempty"`
-	Succs         []NodeInfo `json:"succs,omitempty"`
-	ReplItems     int        `json:"repl_items,omitempty"`
-	RepairPending bool       `json:"repair_pending,omitempty"`
+	// policy's K, the cached successor chain replicas go to, and the
+	// replica payloads held for predecessors.
+	ReplK     int        `json:"repl_k,omitempty"`
+	Succs     []NodeInfo `json:"succs,omitempty"`
+	ReplItems int        `json:"repl_items,omitempty"`
 }
 
 // Status assembles the node's introspection snapshot.
 func (n *Node) Status() NodeStatus {
-	n.mu.Lock()
+	c := n.core.Load()
 	st := NodeStatus{
-		ID: n.id, Addr: n.addr, AdminAddr: n.adminAddr,
-		Point: uint64(n.x), End: uint64(n.end), RingVer: n.ringVer.Load(),
-		Pred: n.pred, Succ: n.succ,
-		Back:  append([]NodeInfo(nil), n.backSorted...),
-		Ready: n.ready, Leaving: n.leaving, Absorbing: n.absorbing,
-		ReplK: n.repl.K, Succs: append([]NodeInfo(nil), n.succs...),
-		RepairPending: n.repairPending,
+		ID: n.id, Addr: n.addr, AdminAddr: n.admin(),
+		Point: uint64(c.x), End: uint64(c.end), RingVer: c.ringVer,
+		Pred: c.pred, Succ: c.succ, Back: slices.Clone(c.back),
+		State: c.state.String(), Repairs: len(c.repairSegs),
+		ReplK: n.repl.K, Succs: slices.Clone(c.succs),
+		Items: n.data.Len(),
 	}
-	n.mu.Unlock()
-	st.Items = n.data.Len()
 	if n.rdata != nil {
 		st.ReplItems = n.rdata.Len()
 	}
@@ -507,93 +435,42 @@ func (n *Node) Status() NodeStatus {
 // ID returns the node's stable identifier.
 func (n *Node) ID() uint64 { return n.id }
 
-// setBackLocked replaces the whole backward table (mu held).
-func (n *Node) setBackLocked(entries []NodeInfo) {
-	n.back = make(map[uint64]NodeInfo, len(entries))
-	for _, e := range entries {
-		n.back[e.ID] = e
-	}
-	n.rebuildBackSortedLocked()
-}
-
-// patchBackLocked adds or removes one backward-table entry by stable ID
-// (mu held) — the incremental churn message the simulator's handle-keyed
-// adjacency lists correspond to on the wire.
-func (n *Node) patchBackLocked(e NodeInfo, remove bool) {
-	if remove {
-		delete(n.back, e.ID)
-	} else {
-		n.back[e.ID] = e
-	}
-	n.rebuildBackSortedLocked()
-}
-
-func (n *Node) rebuildBackSortedLocked() {
-	n.backSorted = n.backSorted[:0]
-	for _, e := range n.back {
-		n.backSorted = append(n.backSorted, e)
-	}
-	sortByPoint(n.backSorted)
-}
-
 // Point returns the node's segment start.
-func (n *Node) Point() interval.Point {
+func (n *Node) Point() interval.Point { return n.core.Load().x }
+
+// transit applies one transition under the writer lock and publishes its
+// result, returning the core it replaced and the one it published.
+func (n *Node) transit(t func(*ringCore) (*ringCore, error)) (prev, next *ringCore, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.x
-}
-
-// setEndSuccLocked is the single place the node's segment end and ring
-// successor change (callers hold mu). Funnelling every update — a join
-// commit shrinking the tail, a leave absorption extending it, a
-// stabilization repair, a rollback — through one version-bumping setter
-// is what lets concurrent transfers interleave: each one validates the
-// version (or the boundary geometry) it captured before publishing its
-// own update, instead of locking the other kind out for its whole
-// duration.
-func (n *Node) setEndSuccLocked(end interval.Point, succ NodeInfo) {
-	n.end = end
-	n.succ = succ
-	v := n.ringVer.Add(1)
-	n.jrn.Record(journal.KindEndSuccFlip, v, 0, uint64(end), succ.ID, 0)
-}
-
-// segment returns the node's current segment (callers hold mu).
-func (n *Node) segmentLocked() interval.Segment {
-	if n.x == n.end {
-		return interval.FullCircle
+	prev = n.core.Load()
+	if next, err = t(prev); err == nil {
+		n.publishLocked(next)
 	}
-	return interval.Segment{Start: n.x, Len: uint64(n.end - n.x)}
+	return prev, next, err
+}
+
+// publishLocked makes next the node's ring state (mu held for writing),
+// recording an end/succ move in the flight recorder.
+func (n *Node) publishLocked(next *ringCore) {
+	if next.ringVer != n.core.Load().ringVer {
+		n.jrn.Record(journal.KindEndSuccFlip, next.ringVer, 0, uint64(next.end), next.succ.ID, 0)
+	}
+	n.core.Store(next)
 }
 
 // StartFirst bootstraps a one-node network: the node owns the full circle.
 func (n *Node) StartFirst(x interval.Point) {
-	n.mu.Lock()
-	n.x = x
 	self := NodeInfo{ID: n.id, Point: uint64(x), Addr: n.addr}
-	n.pred = self
-	n.setEndSuccLocked(x, self)
-	n.setBackLocked([]NodeInfo{self})
-	n.ready = true
-	n.mu.Unlock()
+	n.transit(func(c *ringCore) (*ringCore, error) { return c.adopt(x, x, self, self, false) })
 	n.serve()
-}
-
-func (n *Node) succInfo() NodeInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.succ
 }
 
 // serve starts the accept loop.
 func (n *Node) serve() {
-	n.mu.Lock()
-	if n.started {
-		n.mu.Unlock()
+	if n.started.Swap(true) {
 		return
 	}
-	n.started = true
-	n.mu.Unlock()
 	n.wg.Add(1)
 	go n.acceptLoop()
 }
@@ -679,36 +556,22 @@ func (n *Node) handle(req request) response {
 		code = 0
 	}
 	n.met.rpc[code].Inc()
-	n.mu.Lock()
-	ready := n.ready
-	n.mu.Unlock()
-	if !ready {
-		// Mid-join: no ring position to answer for yet. Refuse fast so a
-		// peer that learned this address early (e.g. as the successor of
-		// a concurrent join) retries or falls back to a ring hop instead
-		// of hanging until its RPC deadline.
-		return response{Err: "node is joining; retry"}
+	c := n.core.Load()
+	if err := c.admit(); err != nil {
+		return response{Err: err.Error()}
 	}
 	switch req.Op {
 	case opState:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return response{OK: true, ID: n.id, Point: uint64(n.x), End: uint64(n.end),
-			Addr: n.addr, SuccID: n.succ.ID, SuccAddr: n.succ.Addr, PredAddr: n.pred.Addr,
-			AdminAddr: n.adminAddr}
+		return response{OK: true, ID: n.id, Point: uint64(c.x), End: uint64(c.end),
+			Addr: n.addr, SuccID: c.succ.ID, SuccAddr: c.succ.Addr, PredAddr: c.pred.Addr,
+			AdminAddr: n.admin()}
 	case opSetPred:
-		n.mu.Lock()
-		n.pred = NodeInfo{ID: req.NewID, Point: req.NewPoint, Addr: req.NewAddr}
-		n.mu.Unlock()
-		return response{OK: true}
+		return reply(n.transit(func(c *ringCore) (*ringCore, error) { return c.setPred(req.peer()) }))
 	case opPatchBack:
 		if n.failPatches.Load() > 0 && n.failPatches.Add(-1) >= 0 {
 			return response{Err: "injected patch drop"} // test hook: see failPatches
 		}
-		n.mu.Lock()
-		n.patchBackLocked(NodeInfo{ID: req.NewID, Point: req.NewPoint, Addr: req.NewAddr}, req.Remove)
-		n.mu.Unlock()
-		return response{OK: true}
+		return reply(n.transit(func(c *ringCore) (*ringCore, error) { return c.patchBack(req.Remove, req.peer()) }))
 	case opHandPrepare:
 		return n.handleHandPrepare(req)
 	case opHandCommit:
@@ -728,6 +591,14 @@ func (n *Node) handle(req request) response {
 	default:
 		return response{Err: fmt.Sprintf("unknown op: %d", req.Op)}
 	}
+}
+
+// reply answers a request with a transition's outcome: OK, or its refusal.
+func reply(_, _ *ringCore, err error) response {
+	if err != nil {
+		return response{Err: err.Error()}
+	}
+	return response{OK: true}
 }
 
 // Patch delivery policy: every opPatchBack is acknowledged by its RPC
@@ -771,11 +642,10 @@ func (n *Node) notifyImageCovers(remove bool) {
 	if n.noPatches {
 		return
 	}
-	n.mu.Lock()
-	seg := n.segmentLocked()
-	self := request{Op: opPatchBack, NewID: n.id, NewPoint: uint64(n.x), NewAddr: n.addr, Remove: remove}
-	heir := request{Op: opPatchBack, NewID: n.pred.ID, NewPoint: n.pred.Point, NewAddr: n.pred.Addr}
-	n.mu.Unlock()
+	c := n.core.Load()
+	seg := c.segment()
+	self := request{Op: opPatchBack, NewID: n.id, NewPoint: uint64(c.x), NewAddr: n.addr, Remove: remove}
+	heir := request{Op: opPatchBack, NewID: c.pred.ID, NewPoint: c.pred.Point, NewAddr: c.pred.Addr}
 	for k := uint64(0); k < Delta; k++ {
 		covers, err := n.coversOfArc(continuous.DeltaImage(seg, Delta, k))
 		if err != nil {

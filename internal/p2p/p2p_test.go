@@ -226,7 +226,7 @@ func TestSegmentsPartitionTheCircle(t *testing.T) {
 	defer c.Stop()
 	var total uint64
 	for _, n := range c.Nodes {
-		x, end, _, _ := n.State()
+		x, end, _, _ := ringState(n)
 		total += uint64(end - x)
 	}
 	if total != 0 { // segments tile the ring: lengths sum to 2^64 ≡ 0

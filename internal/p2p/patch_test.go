@@ -15,11 +15,10 @@ import (
 
 // backIDs snapshots a node's ID-keyed backward table.
 func backIDs(n *Node) map[uint64]NodeInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[uint64]NodeInfo, len(n.back))
-	for id, e := range n.back {
-		out[id] = e
+	back := n.core.Load().back
+	out := make(map[uint64]NodeInfo, len(back))
+	for _, e := range back {
+		out[e.ID] = e
 	}
 	return out
 }
@@ -81,10 +80,7 @@ func TestJoinPatchesBackTablesIncrementally(t *testing.T) {
 		byAddr[n.Addr()] = n.ID()
 	}
 	for _, n := range append(append([]*Node(nil), c.Nodes...), joiner) {
-		n.mu.Lock()
-		succ := n.succ
-		n.mu.Unlock()
-		if succ.ID == 0 || succ.ID != byAddr[succ.Addr] {
+		if succ := n.core.Load().succ; succ.ID == 0 || succ.ID != byAddr[succ.Addr] {
 			t.Fatalf("node %s: succ pointer %s has ID %x, want %x",
 				n.Addr(), succ.Addr, succ.ID, byAddr[succ.Addr])
 		}
@@ -233,6 +229,9 @@ func TestLeaveHandsTableEntriesToHeir(t *testing.T) {
 		victim := c.Nodes[vi]
 		alive = slices.DeleteFunc(alive, func(n *Node) bool { return n == victim })
 		st := victim.Status()
+		if st.State != "serving" || st.Repairs != 0 {
+			t.Fatalf("formed node %s reads state %q, repair queue %d; want serving, 0", victim.Addr(), st.State, st.Repairs)
+		}
 		vseg := interval.Segment{Start: interval.Point(st.Point), Len: uint64(st.End - st.Point)}
 		for _, n := range alive {
 			if vseg.Contains(interval.DeltaBack(n.Point(), Delta)) {
@@ -247,9 +246,9 @@ func TestLeaveHandsTableEntriesToHeir(t *testing.T) {
 		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 			busy := 0
 			for _, n := range alive {
-				n.mu.Lock()
-				busy += n.absorbing
-				n.mu.Unlock()
+				if n.core.Load().state != serving {
+					busy++
+				}
 			}
 			if busy == 0 {
 				break
@@ -264,5 +263,27 @@ func TestLeaveHandsTableEntriesToHeir(t *testing.T) {
 	}
 	if listedFirst == 0 {
 		t.Fatal("no survivor's arc starts inside a victim's segment; the heir patch went unexercised")
+	}
+
+	// A joiner reads joining until its own side of the commit lands —
+	// also after the owner has committed — and serving once it has.
+	joiner, err := NewNode("127.0.0.1:0", 83)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	var midJoin string
+	joiner.handoffCommitHook = func() error {
+		midJoin = joiner.Status().State
+		return nil
+	}
+	if st := joiner.Status().State; st != "joining" {
+		t.Fatalf("a node before StartJoin reads %q, want joining", st)
+	}
+	if err := joiner.StartJoin(c.Nodes[0].Addr(), rand.New(rand.NewPCG(84, 85))); err != nil {
+		t.Fatal(err)
+	}
+	if st := joiner.Status().State; midJoin != "joining" || st != "serving" {
+		t.Fatalf("joiner reads %q after the owner's commit and %q after its own, want joining, serving", midJoin, st)
 	}
 }

@@ -100,6 +100,9 @@ type request struct {
 	TraceOn bool
 }
 
+// peer is the node a request's NewID/NewPoint/NewAddr describe.
+func (r request) peer() NodeInfo { return NodeInfo{ID: r.NewID, Point: r.NewPoint, Addr: r.NewAddr} }
+
 // Hop is one node's per-hop trace record, appended as a traced response
 // unwinds through the recursive route. The first element of a response's
 // Trace is therefore the owner, the last the entry node; clients reverse

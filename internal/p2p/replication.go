@@ -33,6 +33,7 @@ package p2p
 import (
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"condisc/internal/handoff"
@@ -133,9 +134,7 @@ func (n *Node) replicatePut(req request, resp *response, succs []NodeInfo) {
 		// when the quorum was met; mark the owned range dirty so the next
 		// stabilization's repair pass re-replicates it — without this the
 		// value stays degraded until some unrelated membership change.
-		n.mu.Lock()
-		n.replDirty = true
-		n.mu.Unlock()
+		n.transit((*ringCore).markDirty)
 	}
 	if need := n.repl.NeedAcks(); acks < need {
 		n.met.replQuorumFail.Inc()
@@ -179,9 +178,6 @@ func (n *Node) pushReplicas(point uint64, key string, val []byte, succs []NodeIn
 // value cannot be reconstructed.
 func (n *Node) replicaFallback(req request, base response) response {
 	n.met.replFallbacks.Inc()
-	n.mu.Lock()
-	succs := append([]NodeInfo(nil), n.succs...)
-	n.mu.Unlock()
 	if n.rdata != nil {
 		if v, ok, _ := n.rdata.Get(interval.Point(req.Target), req.Key); ok {
 			if val, ok := replicate.Reconstruct([][]byte{v}); ok {
@@ -189,7 +185,7 @@ func (n *Node) replicaFallback(req request, base response) response {
 			}
 		}
 	}
-	for _, s := range succs {
+	for _, s := range n.core.Load().succs {
 		if s.Addr == n.addr {
 			continue
 		}
@@ -208,7 +204,7 @@ func (n *Node) fallbackHit(req request, base response, val []byte) response {
 	n.met.replFallbackOK.Inc()
 	n.tel.Emitf("repl.fallback", "served %q from replicas (owner unreachable or repairing)", req.Key)
 	return response{OK: true, Val: val, Hops: base.Hops, Stale: base.Stale,
-		ID: n.id, Addr: n.addr, RingVer: n.ringVer.Load()}
+		ID: n.id, Addr: n.addr, RingVer: n.core.Load().ringVer}
 }
 
 // fallbackWanted reports whether a failed Get response should attempt
@@ -216,114 +212,72 @@ func (n *Node) fallbackHit(req request, base response, val []byte) response {
 // unreachable, or this node owns the key's range but its crash repair
 // has not finished re-materializing it.
 func (n *Node) fallbackWanted(resp response) bool {
-	if !n.repl.Enabled() {
-		return false
-	}
-	if resp.Unreachable {
-		return true
-	}
-	if !resp.NotFound {
-		return false
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.repairPending
+	return n.repl.Enabled() && (resp.Unreachable || resp.NotFound && len(n.core.Load().repairSegs) > 0)
 }
 
 // --- failure detection + crash absorb ---
 
-// noteSuccMiss records one failed successor probe; trip reports that
-// the detector's threshold was reached and the successor should be
-// declared dead. Accrual is per-successor: any successful probe, or a
-// successor change, resets the count.
-func (n *Node) noteSuccMiss(probed NodeInfo) (trip bool) {
+// noteProbe feeds one successor probe's outcome to the failure detector;
+// trip reports that the threshold was reached and the successor should be
+// declared dead. Accrual is per-successor: a successful probe resets the
+// count, and a miss against a successor that has since changed counts
+// nothing.
+func (n *Node) noteProbe(probed NodeInfo, err error) (trip bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.fdThreshold <= 0 || n.succ.ID != probed.ID || n.succ.Addr != probed.Addr {
-		return false
-	}
-	if n.succ.Addr == n.addr {
-		return false // singleton ring: nothing to detect
-	}
-	n.fdMisses++
-	n.met.fdSuspicion.Set(int64(n.fdMisses))
-	return n.fdMisses >= n.fdThreshold && !n.leaving && n.absorbing == 0
-}
-
-// noteSuccHit clears the detector after a successful probe.
-func (n *Node) noteSuccHit() {
-	n.mu.Lock()
-	if n.fdMisses != 0 {
+	c, misses := n.core.Load(), n.fdMisses
+	switch {
+	case err == nil:
 		n.fdMisses = 0
-		n.met.fdSuspicion.Set(0)
+	case n.fdThreshold <= 0 || c.succ.ID != probed.ID || c.succ.Addr != probed.Addr:
+		return false
+	case c.succ.Addr == n.addr:
+		return false // singleton ring: nothing to detect
+	default:
+		n.fdMisses++
 	}
-	n.mu.Unlock()
+	if n.fdMisses != misses {
+		n.met.fdSuspicion.Set(int64(n.fdMisses))
+	}
+	return n.fdMisses > misses && n.fdMisses >= n.fdThreshold && c.busy() == nil
 }
 
 // crashAbsorb declares the successor dead and absorbs its segment
 // WITHOUT a handoff session — there is no one left to stream from. The
 // ring pointer extension is the same single sanctioned mutation a leave
-// absorption publishes (setEndSuccLocked), but the absorbed range's
-// items exist only as replica payloads on the new successor chain until
+// absorption publishes (setEndSucc), but the absorbed range's items
+// exist only as replica payloads on the new successor chain until
 // runRepairs re-materializes them; the segment is queued for exactly
 // that.
 func (n *Node) crashAbsorb(dead NodeInfo) error {
 	n.mu.Lock()
-	if n.succ.ID != dead.ID || n.succ.Addr != dead.Addr || n.leaving || n.absorbing > 0 {
-		n.fdMisses = 0
-		n.met.fdSuspicion.Set(0)
-		n.mu.Unlock()
-		return nil
-	}
-	self := NodeInfo{ID: n.id, Point: uint64(n.x), Addr: n.addr}
-	var next NodeInfo
-	switch {
-	case len(n.succs) > 1 && n.succs[1].Addr != dead.Addr && n.succs[1].ID != n.id:
-		// The cached chain names the dead node's successor: heal past it.
-		next = n.succs[1]
-	case n.succsWrapped && len(n.succs) == 1 && n.succs[0].ID == dead.ID:
-		// The last healthy walk wrapped right after the successor: this
-		// was affirmatively a two-node ring, so the survivor owns the full
-		// circle again.
-		next = self
-	default:
-		// The successor's successor is unknown (the chain walk never got
-		// past the dead node, or the cache predates a successor change).
-		// Absorbing the whole circle here would split-brain a larger ring,
-		// so decline; the detector stays tripped and the absorb retries
-		// once a later probe or patch reveals a live next hop.
+	prev := n.core.Load()
+	next, err := prev.crashAbsorb(dead, n.repl.Enabled())
+	if err == errChainUnknown {
+		// Decline; the detector stays tripped and the absorb retries once
+		// a later probe or patch reveals a live next hop.
 		n.mu.Unlock()
 		n.tel.Emitf("crash.absorb", "successor %s suspected dead but its successor is unknown; declining absorb until the chain resolves", dead.Addr)
 		return nil
 	}
-	var deadSeg interval.Segment
-	if next.ID == n.id {
-		// Two-node ring: the survivor owns the full circle again.
-		deadSeg = interval.Segment{Start: n.end, Len: uint64(n.x - n.end)}
-	} else {
-		deadSeg = interval.Segment{Start: n.end, Len: uint64(interval.Point(next.Point) - n.end)}
-	}
 	misses := n.fdMisses
 	n.fdMisses = 0
-	n.setEndSuccLocked(interval.Point(next.Point), next)
-	if next.ID == n.id {
-		n.pred = self
+	if err != nil {
+		// The successor moved, or a leave or absorption is in flight.
+		n.met.fdSuspicion.Set(0)
+		n.mu.Unlock()
+		return nil
 	}
-	n.patchBackLocked(NodeInfo{ID: dead.ID}, true)
-	if n.repl.Enabled() {
-		n.repairPending = true
-		n.repairSegs = append(n.repairSegs, deadSeg)
-		n.replDirty = true
-	}
-	n.jrn.Record(journal.KindCrashAbsorb, n.ringVer.Load(), 0,
-		dead.ID, uint64(next.Point), uint64(misses))
+	n.publishLocked(next)
+	n.jrn.Record(journal.KindCrashAbsorb, next.ringVer, 0,
+		dead.ID, next.succ.Point, uint64(misses))
 	n.mu.Unlock()
 	n.met.crashAbsorbs.Inc()
 	n.met.fdSuspicion.Set(0)
 	n.tel.Emitf("crash.absorb", "successor %s silent for %d probes; absorbed [%v,+%d), new successor %s",
-		dead.Addr, misses, deadSeg.Start, deadSeg.Len, next.Addr)
-	if next.ID != n.id {
-		n.sendPatch(next.Addr, request{Op: opSetPred, NewPoint: uint64(self.Point), NewAddr: n.addr, NewID: n.id})
+		dead.Addr, misses, prev.end, uint64(next.end-prev.end), next.succ.Addr)
+	if next.succ.ID != n.id {
+		n.sendPatch(next.succ.Addr, request{Op: opSetPred, NewPoint: uint64(next.x), NewAddr: n.addr, NewID: n.id})
 	}
 	n.notifyImageCovers(false)
 	return nil
@@ -335,12 +289,9 @@ func (n *Node) crashAbsorb(dead NodeInfo) error {
 // crash anywhere in the next K−1 ring positions — marks the owned range
 // for re-replication.
 func (n *Node) refreshSuccs(st response) {
-	want := n.repl.K - 1
-	if want < 2 {
-		// Even fd-only nodes track two hops: the crash absorb needs the
-		// successor's successor to heal the ring around a dead node.
-		want = 2
-	}
+	// Even fd-only nodes track two hops: the crash absorb needs the
+	// successor's successor to heal the ring around a dead node.
+	want := max(n.repl.K-1, 2)
 	chain := []NodeInfo{{ID: st.ID, Point: st.Point, Addr: st.Addr}}
 	next := NodeInfo{ID: st.SuccID, Point: st.End, Addr: st.SuccAddr}
 	// wrapped means the walk came back to this node (or cycled): the
@@ -356,14 +307,7 @@ func (n *Node) refreshSuccs(st response) {
 		if next.Addr == "" {
 			break // successor reported no onward pointer: unknown, not a wrap
 		}
-		dup := false
-		for _, c := range chain {
-			if c.ID == next.ID {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if slices.ContainsFunc(chain, func(c NodeInfo) bool { return c.ID == next.ID }) {
 			wrapped = true
 			break
 		}
@@ -377,22 +321,7 @@ func (n *Node) refreshSuccs(st response) {
 		}
 		next = NodeInfo{ID: r.SuccID, Point: r.End, Addr: r.SuccAddr}
 	}
-	n.mu.Lock()
-	changed := len(chain) != len(n.succs)
-	if !changed {
-		for i := range chain {
-			if chain[i].ID != n.succs[i].ID {
-				changed = true
-				break
-			}
-		}
-	}
-	n.succs = chain
-	n.succsWrapped = wrapped
-	if changed && n.repl.Enabled() {
-		n.replDirty = true
-	}
-	n.mu.Unlock()
+	n.transit(func(c *ringCore) (*ringCore, error) { return c.refreshSuccs(chain, wrapped, n.repl.Enabled()) })
 }
 
 // --- repair ---
@@ -407,36 +336,22 @@ func (n *Node) runRepairs() {
 	if !n.repl.Enabled() {
 		return
 	}
-	n.mu.Lock()
-	segs := n.repairSegs
-	n.repairSegs = nil
-	dirty := n.replDirty
-	n.replDirty = false
-	pending := n.repairPending
-	succs := append([]NodeInfo(nil), n.succs...)
-	seg := n.segmentLocked()
-	n.mu.Unlock()
-	if len(segs) == 0 && !dirty && !pending {
+	c, _, err := n.transit((*ringCore).takeRepairs)
+	if err != nil || (len(c.repairSegs) == 0 && !c.replDirty) {
 		return
 	}
 	n.met.repairRuns.Inc()
-	var retry []interval.Segment
-	for _, s := range segs {
-		if !n.repairAbsorbed(s, succs) {
-			retry = append(retry, s)
+	// A segment whose gather missed the reconstruction quorum stays queued
+	// (and with it the replica-read fallback): dropping it after one failed
+	// pass would turn a transient partition into permanent NotFounds.
+	var done []interval.Segment
+	for _, s := range c.repairSegs {
+		if n.repairAbsorbed(s, c.succs) {
+			done = append(done, s)
 		}
 	}
-	n.repairOwned(seg, succs)
-	n.mu.Lock()
-	// A segment whose gather missed the reconstruction quorum goes back
-	// on the queue (keeping repairPending, and with it the replica-read
-	// fallback) — dropping it after one failed pass would turn a
-	// transient partition into permanent NotFounds.
-	n.repairSegs = append(n.repairSegs, retry...)
-	if len(n.repairSegs) == 0 {
-		n.repairPending = false
-	}
-	n.mu.Unlock()
+	n.repairOwned(c.segment(), c.succs)
+	n.transit(func(c *ringCore) (*ringCore, error) { return c.repaired(done) })
 }
 
 // repairAbsorbed re-materializes one crash-absorbed segment: gather its

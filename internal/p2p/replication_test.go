@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,7 +125,7 @@ func TestReplicaFallbackBeforeRepair(t *testing.T) {
 	vicAddr := victim.Addr()
 	var pred *Node
 	for _, n := range c.Nodes {
-		if n.succInfo().Addr == vicAddr {
+		if n.core.Load().succ.Addr == vicAddr {
 			pred = n
 		}
 	}
@@ -154,7 +155,7 @@ func TestReplicaFallbackBeforeRepair(t *testing.T) {
 
 // ownedBy reports whether the (possibly closed) node's segment contains p.
 func ownedBy(n *Node, p interval.Point) bool {
-	x, end, _, _ := n.State()
+	x, end, _, _ := ringState(n)
 	seg := interval.Segment{Start: x, Len: uint64(end - x)}
 	if x == end {
 		seg = interval.FullCircle
@@ -258,7 +259,7 @@ func TestCrashAbsorbDeclinesWithoutChain(t *testing.T) {
 	pred := c.Nodes[0]
 	// The cluster shares telemetry.Default, so compare counter deltas.
 	base := pred.met.crashAbsorbs.Value()
-	vic := pred.succInfo()
+	vic := pred.core.Load().succ
 	var victim *Node
 	for _, n := range c.Nodes {
 		if n.Addr() == vic.Addr {
@@ -267,11 +268,8 @@ func TestCrashAbsorbDeclinesWithoutChain(t *testing.T) {
 	}
 	// Simulate the walk having broken at the successor: one entry, not
 	// wrapped — the successor's successor is unknown.
-	pred.mu.Lock()
-	full := append([]NodeInfo(nil), pred.succs...)
-	pred.succs = full[:1:1]
-	pred.succsWrapped = false
-	pred.mu.Unlock()
+	full := pred.core.Load().succs
+	editCore(pred, func(c *ringCore) { c.succs, c.succsWrapped = full[:1:1], false })
 	victim.Close()
 	for i := 0; i < 6; i++ {
 		_ = pred.Stabilize()
@@ -279,7 +277,7 @@ func TestCrashAbsorbDeclinesWithoutChain(t *testing.T) {
 	if v := pred.met.crashAbsorbs.Value() - base; v != 0 {
 		t.Fatalf("absorbed %d times with an unknown successor chain, want decline", v)
 	}
-	x, end, p, _ := pred.State()
+	x, end, p, _ := ringState(pred)
 	if x == end {
 		t.Fatal("predecessor claims the full circle on a 5-node ring")
 	}
@@ -288,9 +286,7 @@ func TestCrashAbsorbDeclinesWithoutChain(t *testing.T) {
 	}
 	// Once the chain names the dead node's successor the absorb proceeds
 	// (the detector is still tripped, so the next probe retries it).
-	pred.mu.Lock()
-	pred.succs = full
-	pred.mu.Unlock()
+	editCore(pred, func(c *ringCore) { c.succs = full })
 	for i := 0; i < 4; i++ {
 		_ = pred.Stabilize()
 	}
@@ -308,14 +304,12 @@ func TestFailedReplicaPushMarksDirty(t *testing.T) {
 	defer c.Stop()
 	h := c.Hash()
 	owner := c.Nodes[0]
-	owner.mu.Lock()
-	if len(owner.succs) < 2 {
-		owner.mu.Unlock()
+	succs := slices.Clone(owner.core.Load().succs)
+	if len(succs) < 2 {
 		t.Fatal("successor chain not populated")
 	}
-	owner.succs[1].Addr = "127.0.0.1:1" // nothing listens here: one push fails
-	owner.replDirty = false
-	owner.mu.Unlock()
+	succs[1].Addr = "127.0.0.1:1" // nothing listens here: one push fails
+	editCore(owner, func(c *ringCore) { c.succs, c.replDirty = succs, false })
 	key := ""
 	for i := 0; key == ""; i++ {
 		if k := fmt.Sprintf("key-%d", i); ownedBy(owner, h(k)) {
@@ -326,45 +320,35 @@ func TestFailedReplicaPushMarksDirty(t *testing.T) {
 	if _, err := (&Client{Bootstrap: owner.Addr()}).Put(key, []byte("v"), h); err != nil {
 		t.Fatalf("quorum-met put with one failed push: %v", err)
 	}
-	owner.mu.Lock()
-	dirty := owner.replDirty
-	owner.mu.Unlock()
-	if !dirty {
+	if !owner.core.Load().replDirty {
 		t.Fatal("failed replica push did not mark the owned range dirty for repair")
 	}
 }
 
 func TestRepairRequeuesWhenHoldersUnreachable(t *testing.T) {
 	// A repair pass that reaches no replica holder must re-queue the
-	// segment and keep repairPending (and with it the replica-read
+	// segment, and with it the replica-read
 	// fallback) — dropping it would turn a transient partition into
 	// permanent NotFounds.
 	c, _ := replCluster(t, 3, 100, 3)
 	defer c.Stop()
 	n := c.Nodes[0]
 	seg := interval.Segment{Start: 1, Len: 10}
-	n.mu.Lock()
-	real := append([]NodeInfo(nil), n.succs...)
-	n.repairPending = true
-	n.repairSegs = []interval.Segment{seg}
-	n.succs = []NodeInfo{{ID: 42, Addr: "127.0.0.1:1"}} // unreachable holder
-	n.mu.Unlock()
+	real := n.core.Load().succs
+	editCore(n, func(c *ringCore) {
+		c.repairSegs = []interval.Segment{seg}
+		c.succs = []NodeInfo{{ID: 42, Addr: "127.0.0.1:1"}} // unreachable holder
+	})
 	n.runRepairs()
-	n.mu.Lock()
-	segs, pending := len(n.repairSegs), n.repairPending
-	n.succs = real
-	n.mu.Unlock()
-	if segs != 1 || !pending {
-		t.Fatalf("unreachable holders: segs=%d pending=%v, want segment re-queued and pending kept", segs, pending)
+	if segs := len(n.core.Load().repairSegs); segs != 1 {
+		t.Fatalf("unreachable holders: %d segments queued, want the segment kept", segs)
 	}
+	editCore(n, func(c *ringCore) { c.succs = real })
 	// With the real (reachable) holders back, the retried pass retires
 	// the segment: the gather met the reconstruction quorum.
 	n.runRepairs()
-	n.mu.Lock()
-	segs, pending = len(n.repairSegs), n.repairPending
-	n.mu.Unlock()
-	if segs != 0 || pending {
-		t.Fatalf("after holders reachable: segs=%d pending=%v, want repair retired", segs, pending)
+	if segs := len(n.core.Load().repairSegs); segs != 0 {
+		t.Fatalf("after holders reachable: %d segments queued, want repair retired", segs)
 	}
 }
 
@@ -379,18 +363,14 @@ func TestDoctorReplDesiredFromPolicy(t *testing.T) {
 	if v, ok := rep.Find(doctor.InvReplication); !ok || !v.OK {
 		t.Fatalf("healthy ring: replication verdict %+v (found=%v), want pass", v, ok)
 	}
-	n.mu.Lock()
-	full := n.succs
-	n.succs = full[:1:1] // walk broke after one hop, NOT a wrap
-	n.succsWrapped = false
-	n.mu.Unlock()
+	full := n.core.Load().succs
+	// The walk broke after one hop, NOT a wrap.
+	editCore(n, func(c *ringCore) { c.succs, c.succsWrapped = full[:1:1], false })
 	rep = n.Doctor()
 	if v, ok := rep.Find(doctor.InvReplication); !ok || v.OK {
 		t.Fatalf("degraded chain: replication verdict %+v (found=%v), want breach", v, ok)
 	}
-	n.mu.Lock()
-	n.succs = full
-	n.mu.Unlock()
+	editCore(n, func(c *ringCore) { c.succs = full })
 }
 
 func TestCrashRepairRestoresReplicationFactor(t *testing.T) {
@@ -472,27 +452,18 @@ func TestRepairRequeuesOnLocalReadError(t *testing.T) {
 	if err := rdata.Put(5, "lost", replicate.EncodeCopy([]byte("v"))); err != nil {
 		t.Fatal(err)
 	}
-	n.mu.Lock()
 	n.rdata = rdata
-	n.repairPending = true
-	n.repairSegs = []interval.Segment{seg}
-	n.mu.Unlock()
+	editCore(n, func(c *ringCore) { c.repairSegs = []interval.Segment{seg} })
 	n.runRepairs()
-	n.mu.Lock()
-	segs, pending := len(n.repairSegs), n.repairPending
-	n.mu.Unlock()
-	if !rdata.failed || segs != 1 || !pending {
-		t.Fatalf("local read error (injected=%v): segs=%d pending=%v, want segment re-queued and pending kept", rdata.failed, segs, pending)
+	if segs := len(n.core.Load().repairSegs); !rdata.failed || segs != 1 {
+		t.Fatalf("local read error (injected=%v): %d segments queued, want the segment kept", rdata.failed, segs)
 	}
 	if _, ok, _ := n.data.Get(5, "lost"); ok {
 		t.Fatal("key repaired by the pass whose local read failed")
 	}
 	n.runRepairs()
-	n.mu.Lock()
-	segs, pending = len(n.repairSegs), n.repairPending
-	n.mu.Unlock()
-	if segs != 0 || pending {
-		t.Fatalf("after a clean local read: segs=%d pending=%v, want repair retired", segs, pending)
+	if segs := len(n.core.Load().repairSegs); segs != 0 {
+		t.Fatalf("after a clean local read: %d segments queued, want repair retired", segs)
 	}
 	if v, ok, _ := n.data.Get(5, "lost"); !ok || string(v) != "v" {
 		t.Fatalf("key not repaired from the local replica store: %q %v", v, ok)

@@ -3,7 +3,6 @@ package p2p
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"condisc/internal/continuous"
@@ -45,11 +44,9 @@ func (n *Node) routeObserved(req request) response {
 		n.met.hops.Observe(int64(resp.Hops))
 	}
 	if req.TraceOn && resp.OK {
-		n.mu.Lock()
-		hop := Hop{ID: n.id, Addr: n.addr, Point: uint64(n.x), RingVer: n.ringVer.Load(),
-			StaleIn: req.Stale, SubtreeNanos: time.Since(t0).Nanoseconds()}
-		n.mu.Unlock()
-		resp.Trace = append(resp.Trace, hop)
+		c := n.core.Load()
+		resp.Trace = append(resp.Trace, Hop{ID: n.id, Addr: n.addr, Point: uint64(c.x), RingVer: c.ringVer,
+			StaleIn: req.Stale, SubtreeNanos: time.Since(t0).Nanoseconds()})
 	}
 	return resp
 }
@@ -60,8 +57,8 @@ func (n *Node) routeObserved(req request) response {
 // chosen at the entry node, and which steps stay inside a segment — is
 // route.FastPlan/FastAdvance at Delta, shared with the simulator.
 func (n *Node) route(req request) response {
-	n.mu.Lock()
-	seg := n.segmentLocked()
+	c := n.core.Load()
+	seg := c.segment()
 	target := interval.Point(req.Target)
 
 	if !req.Started {
@@ -77,19 +74,16 @@ func (n *Node) route(req request) response {
 		// Walk done: we should cover the target; otherwise ring-forward.
 		req.Pos, req.StepsLeft = uint64(pos), 0
 		if seg.Contains(target) {
-			return n.serveLocalUnlock(req)
+			return n.serveLocal(req)
 		}
-		next := n.ringStepLocked(target)
-		n.mu.Unlock()
-		return n.forward(next, req)
+		return n.forward(c.ringStep(target), req)
 	}
 
 	// The next step pos' = ∆·pos leaves our segment: forward to its cover.
 	pos = interval.DeltaBack(pos, Delta)
 	req.Pos, req.StepsLeft = uint64(pos), int(left)-1
-	next := n.nextHopLocked(pos)
-	ring := n.ringStepLocked(pos)
-	n.mu.Unlock()
+	next := c.nextHop(pos)
+	ring := c.ringStep(pos)
 	resp, delivered := n.tryForward(next, req)
 	if !delivered && ring.Addr != next.Addr {
 		// Stale backward-table entry (e.g. a departed node): the ring
@@ -99,55 +93,50 @@ func (n *Node) route(req request) response {
 		// stabilization interval.
 		req.Stale++
 		n.met.staleRepairs.Inc()
-		n.jrn.Record(journal.KindStaleRepair, n.ringVer.Load(), 0,
+		n.jrn.Record(journal.KindStaleRepair, c.ringVer, 0,
 			req.Target, uint64(req.Hops), 0)
 		resp, _ = n.tryForward(ring, req)
 	}
 	return resp
 }
 
-// serveLocalUnlock serves the data operation under mu, releases it, and
-// then — for an owned Put with replication on — pushes the replica
-// payloads to the successor chain and enforces the write quorum. The
-// replication RPCs deliberately run outside the mutex: a quorum write
-// blocks on the network, and the node must keep routing (and being
-// stabilized against) meanwhile.
-func (n *Node) serveLocalUnlock(req request) response {
-	resp := n.serveLocal(req)
-	replicate := req.Op == opPut && resp.OK && n.repl.Enabled()
-	var succs []NodeInfo
-	if replicate {
-		succs = append([]NodeInfo(nil), n.succs...)
+// serveLocal executes the data operation at the owner, holding the read
+// side of mu from its ownership check through its store access: a Get
+// checked before a commit flip reads before the flip's range delete, and a
+// Put checked before a Leave lands before the leave stream starts. A
+// boundary moved since route read its core ring-forwards the request. An
+// owned Put's replica payloads go out after the lock is released.
+func (n *Node) serveLocal(req request) response {
+	n.mu.RLock()
+	c := n.core.Load()
+	target := interval.Point(req.Target)
+	if !c.segment().Contains(target) {
+		n.mu.RUnlock()
+		return n.forward(c.ringStep(target), req)
 	}
-	n.mu.Unlock()
-	if replicate {
+	resp := n.serveLocked(c, req)
+	n.mu.RUnlock()
+	if req.Op == opPut && resp.OK && n.repl.Enabled() {
 		// An empty chain (a node that has not stabilized yet) still goes
 		// through the quorum check: one local ack must not satisfy K>1.
-		n.replicatePut(req, &resp, succs)
+		n.replicatePut(req, &resp, c.succs)
 	}
 	return resp
 }
 
-// serveLocal executes the data operation at the owner (mu held).
-func (n *Node) serveLocal(req request) response {
-	if n.leaving && (req.Op == opGet || req.Op == opPut) {
-		// The store is mid-handoff to the predecessor: a write now would
-		// be invisible to the stream, and after commit a read would be a
-		// silent miss. Fail loudly instead.
-		return response{Err: "node is leaving; retry", Hops: req.Hops}
-	}
-	if req.Op == opPut && n.sessions.Fenced(interval.Point(req.Target)) {
-		// The target point lies in a range mid-handoff to a joiner: the
-		// stream cursor may already be past it, so accepting the write
-		// would silently lose it at commit. (Reads keep being served —
-		// the range is ours until commit.)
-		return response{Err: "range is mid-handoff; retry", Hops: req.Hops}
+// serveLocked serves one data operation against c (mu held for reading).
+func (n *Node) serveLocked(c *ringCore, req request) response {
+	if req.Op == opGet || req.Op == opPut {
+		fenced := req.Op == opPut && n.sessions.Fenced(interval.Point(req.Target))
+		if err := c.serves(req.Op == opPut, fenced); err != nil {
+			return response{Err: err.Error(), Hops: req.Hops}
+		}
 	}
 	n.met.ownerServed.Inc()
 	resp := response{OK: true, Hops: req.Hops, Stale: req.Stale,
-		ID: n.id, Point: uint64(n.x), End: uint64(n.end), Addr: n.addr,
-		SuccID: n.succ.ID, SuccAddr: n.succ.Addr, PredAddr: n.pred.Addr,
-		RingVer: n.ringVer.Load()}
+		ID: n.id, Point: uint64(c.x), End: uint64(c.end), Addr: n.addr,
+		SuccID: c.succ.ID, SuccAddr: c.succ.Addr, PredAddr: c.pred.Addr,
+		RingVer: c.ringVer}
 	switch req.Op {
 	case opGet:
 		v, ok, err := n.data.Get(interval.Point(req.Target), req.Key)
@@ -166,31 +155,6 @@ func (n *Node) serveLocal(req request) response {
 		}
 	}
 	return resp
-}
-
-// nextHopLocked picks the backward-table entry covering pos (via the
-// Point-sorted view of the ID-keyed table), falling back to a ring step
-// while tables are stale (mu held).
-func (n *Node) nextHopLocked(pos interval.Point) NodeInfo {
-	if len(n.backSorted) > 0 {
-		i := sort.Search(len(n.backSorted), func(k int) bool { return n.backSorted[k].Point > uint64(pos) })
-		if i == 0 {
-			i = len(n.backSorted)
-		}
-		cand := n.backSorted[i-1]
-		if cand.Addr != n.addr {
-			return cand
-		}
-	}
-	return n.ringStepLocked(pos)
-}
-
-// ringStepLocked returns the ring neighbour in the direction of p.
-func (n *Node) ringStepLocked(p interval.Point) NodeInfo {
-	if interval.CWDist(n.x, p) <= 1<<63 {
-		return n.succ
-	}
-	return n.pred
 }
 
 // forward relays the request to the next node, incrementing the hop count.
@@ -233,41 +197,34 @@ func (n *Node) tryForward(next NodeInfo, req request) (response, bool) {
 // stabilization already generates. fdThreshold consecutive probe
 // failures declare the successor dead and trigger crashAbsorb.
 func (n *Node) Stabilize() error {
-	n.mu.Lock()
-	succ := n.succ
-	n.mu.Unlock()
+	succ := n.core.Load().succ
 
 	// Successor refresh: if succ's pred is between us and succ, adopt it.
 	// All RPCs happen without holding mu (a node may be stabilized against
 	// while stabilizing).
 	st, err := n.rpc(succ.Addr, request{Op: opState})
+	if n.noteProbe(succ, err) {
+		// The detector tripped: declare the successor dead, absorb its
+		// segment, and let the next rounds refresh the chain + repair.
+		return n.crashAbsorb(succ)
+	}
 	if err != nil {
-		if n.noteSuccMiss(succ) {
-			// The detector tripped: declare the successor dead, absorb its
-			// segment, and let the next rounds refresh the chain + repair.
-			return n.crashAbsorb(succ)
-		}
 		return err
 	}
-	n.noteSuccHit()
-	var candidate *response
+	var cand *NodeInfo
 	if st.PredAddr != "" && st.PredAddr != n.addr {
 		if ps, err2 := n.rpc(st.PredAddr, request{Op: opState}); err2 == nil {
-			candidate = &ps
+			cand = &NodeInfo{ID: ps.ID, Point: ps.Point, Addr: ps.Addr}
 		}
 	}
-	n.mu.Lock()
-	if candidate != nil {
-		if p := interval.Point(candidate.Point); n.segmentLocked().Contains(p) && p != n.x {
-			n.setEndSuccLocked(p, NodeInfo{ID: candidate.ID, Point: candidate.Point, Addr: candidate.Addr})
-		}
-	} else if st.PredAddr == n.addr && n.end != interval.Point(st.Point) {
-		// Steady state re-reads the same end; only a real repair bumps the
-		// ring version (a spurious bump would fast-fail in-flight commits).
-		n.setEndSuccLocked(interval.Point(st.Point), n.succ)
+	// Steady state re-reads the same end; only a real repair bumps the
+	// ring version (a spurious bump would fast-fail in-flight commits).
+	_, c, err := n.transit(func(c *ringCore) (*ringCore, error) {
+		return c.stabilized(cand, interval.Point(st.Point), st.PredAddr)
+	})
+	if err != nil {
+		return err
 	}
-	seg := n.segmentLocked()
-	n.mu.Unlock()
 
 	// Successor-chain refresh for the replica plane (and the crash
 	// absorb's two-hop lookahead). The probe response already names the
@@ -287,25 +244,18 @@ func (n *Node) Stabilize() error {
 	// refresh is the repair loop; between passes the ID-keyed table is
 	// kept current by the incremental opPatchBack messages joins and
 	// leaves send.
-	covers, err := n.coversOfArc(continuous.DeltaBackImage(seg, Delta))
+	covers, err := n.coversOfArc(continuous.DeltaBackImage(c.segment(), Delta))
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	n.setBackLocked(covers)
-	n.mu.Unlock()
-	return nil
-}
-
-// sortByPoint orders routing-table entries by segment start.
-func sortByPoint(entries []NodeInfo) {
-	sort.Slice(entries, func(a, b int) bool { return entries[a].Point < entries[b].Point })
+	_, _, err = n.transit(func(c *ringCore) (*ringCore, error) { return c.setBack(covers) })
+	return err
 }
 
 // coversOfArc finds all nodes whose segments intersect the arc, by looking
 // up the arc start's owner and walking successor pointers. The lookup
 // enters at this node as a peer's request would, without dialing itself.
-// A cover's End is its successor's point (setEndSuccLocked sets the two
+// A cover's End is its successor's point (setEndSucc sets the two
 // together), so the walk stops at the first cover whose End lies outside
 // the arc without asking that successor for its state.
 func (n *Node) coversOfArc(arc interval.Segment) ([]NodeInfo, error) {
@@ -331,15 +281,6 @@ func (n *Node) coversOfArc(arc interval.Segment) ([]NodeInfo, error) {
 	}
 	sortByPoint(covers)
 	return covers, nil
-}
-
-// lookup resolves the owner of point p through any live node.
-func (d dialer) lookup(addr string, p interval.Point) (response, error) {
-	resp, err := d.call(addr, &request{Op: opLookup, Target: uint64(p)})
-	if err != nil {
-		return response{}, err
-	}
-	return resp, nil
 }
 
 // --- client API ---
@@ -412,7 +353,7 @@ func (c *Client) Lookup(p interval.Point) (owner string, hops int, err error) {
 // backward-table entries the route hit (each one a failed dial repaired
 // by a ring-hop fallback) — the E31 staleness probe.
 func (c *Client) LookupStats(p interval.Point) (owner string, hops, stale int, err error) {
-	resp, err := defaultWire.lookup(c.Bootstrap, p)
+	resp, err := call(c.Bootstrap, request{Op: opLookup, Target: uint64(p)})
 	c.recordLookup(resp, err)
 	if err != nil {
 		return "", 0, 0, err
@@ -512,13 +453,6 @@ func (c *Client) RingStates() ([]NodeState, error) {
 
 // HashFunc returns the node's item-hash (shared across a cluster seed).
 func (n *Node) HashFunc() func(string) interval.Point { return n.hash.Point }
-
-// State returns a snapshot of the node's segment and ring pointers.
-func (n *Node) State() (x, end interval.Point, pred, succ NodeInfo) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.x, n.end, n.pred, n.succ
-}
 
 // NumItems returns how many items the node stores.
 func (n *Node) NumItems() int {

@@ -164,7 +164,7 @@ func TestAbsorbFreesStagingWhenSenderDiesMidStream(t *testing.T) {
 	if got := pred.NumItems(); got != 0 {
 		t.Fatalf("%d staged items were promoted into the live store", got)
 	}
-	px, pend, _, succ := pred.State()
+	px, pend, _, succ := ringState(pred)
 	if px != x || pend != x || succ.Addr != pred.Addr() {
 		t.Fatalf("ring pointers moved: x=%v end=%v succ=%s", px, pend, succ.Addr)
 	}
