@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"errors"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -43,6 +44,11 @@ func coreEvents() []coreEvent {
 	}
 	other := NodeInfo{ID: 40, Point: 150, Addr: "joiner"}
 	busy := map[ownership]error{leaving: errLeaving, absorbing: errAbsorbBusy, absorbingExtended: errAbsorbBusy}
+	with := func(m map[ownership]error, s ownership, err error) map[ownership]error {
+		m = maps.Clone(m)
+		m[s] = err
+		return m
+	}
 	evs := []coreEvent{
 		{name: "adopt", apply: func(c *ringCore) (*ringCore, error) {
 			return c.adopt(1000, 1100, other, NodeInfo{ID: 41, Point: 1100, Addr: "next"}, true)
@@ -102,6 +108,14 @@ func coreEvents() []coreEvent {
 		{name: "detector trip", apply: check((*ringCore).busy), refused: busy},
 		{name: "crash absorb", apply: func(c *ringCore) (*ringCore, error) { return c.crashAbsorb(c.succ, true) },
 			refused: busy},
+		{name: "crash absorb, chain unknown", apply: func(c *ringCore) (*ringCore, error) {
+			d := *c
+			d.succs = c.succs[:1]
+			return d.crashAbsorb(d.succ, true)
+		}, refused: with(busy, serving, errChainUnknown)},
+		{name: "crash absorb, successor moved", apply: func(c *ringCore) (*ringCore, error) {
+			return c.crashAbsorb(NodeInfo{ID: 77, Addr: "gone"}, true)
+		}, refused: with(busy, serving, errSuccMoved)},
 		{name: "mark dirty", apply: (*ringCore).markDirty},
 		{name: "repair pass starts", apply: (*ringCore).takeRepairs},
 		{name: "repair pass ends", apply: func(c *ringCore) (*ringCore, error) { return c.repaired(c.repairSegs) }},
@@ -171,7 +185,7 @@ func TestCoreTransitionTable(t *testing.T) {
 		}
 	}
 	for _, err := range []error{errJoining, errLeaving, errFenced, errPrepareLeaving, errAbsorbResolving,
-		errLeaveInProgress, errHandoffBusy, errAbsorbBusy, errNotSuccessor} {
+		errLeaveInProgress, errHandoffBusy, errAbsorbBusy, errNotSuccessor, errChainUnknown, errSuccMoved} {
 		if !seen[err] {
 			t.Errorf("no pair refused with %q", err)
 		}
@@ -207,18 +221,12 @@ func TestCoreRingVerStampsEveryBoundaryMove(t *testing.T) {
 	}
 }
 
-// TestCoreCrashAbsorbDeclines: a crash absorb needs the dead node's
-// successor from the cached chain; without it, or once the successor has
-// moved, it declines instead of absorbing the whole circle.
-func TestCoreCrashAbsorbDeclines(t *testing.T) {
+// TestCoreCrashAbsorbHealsTwoNodeRing: with the dead successor the only
+// entry of a wrapped chain, the survivor absorbs the full circle, becomes
+// its own predecessor and queues the lost segment for repair.
+func TestCoreCrashAbsorbHealsTwoNodeRing(t *testing.T) {
 	c := coreIn(serving)
 	c.succs = c.succs[:1]
-	if _, err := c.crashAbsorb(c.succ, true); !errors.Is(err, errChainUnknown) {
-		t.Fatalf("crash absorb with a one-entry unwrapped chain: %v, want %v", err, errChainUnknown)
-	}
-	if _, err := coreIn(serving).crashAbsorb(NodeInfo{ID: 77, Addr: "gone"}, true); !errors.Is(err, errSuccMoved) {
-		t.Fatalf("crash absorb of a node that is no longer the successor: %v, want %v", err, errSuccMoved)
-	}
 	c.succsWrapped = true
 	next, err := c.crashAbsorb(c.succ, true)
 	if err != nil || next.segment() != interval.FullCircle || next.pred.ID != c.id {

@@ -118,7 +118,8 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 node, mets = doc["node"], doc["metrics"]
 addr = node["addr"]
-assert node["ready"], addr + ": not ready"
+assert node["state"] == "serving", addr + ": state " + str(node["state"]) + ", want serving"
+assert node["repair_queue"] == 0, addr + ": " + str(node["repair_queue"]) + " segments awaiting repair"
 assert node["succ"]["Addr"] and node["pred"]["Addr"], addr + ": ring pointers missing"
 assert mets["counters"].get('condisc_p2p_rpc_total{op="state"}', 0) > 0, \
     addr + ": no state RPCs counted (top scraped through this node)"
