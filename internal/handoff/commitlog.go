@@ -3,15 +3,14 @@ package handoff
 // commitLog closes the dual-crash corner of the handoff protocol. The
 // sender's in-memory session registry keeps a committed session around
 // far past the TTL (Sessions.committedFor) so a crashed receiver can
-// probe its fate — but if the
-// SENDER also crashes, a restarted (amnesiac) sender answers "unknown",
-// and the restarted receiver would abort a range it in fact owns,
-// deleting the only durable copies (the sender's commit already deleted
-// its side). Persisting every commit decision in a small WAL beside the
-// sender's store closes the window entirely: the commit record becomes
-// durable before the commit response (or any session-registry state a
-// probe could observe) is emitted, so a restarted sender's Sessions.Status
-// still answers "committed".
+// learn its fate — but if the SENDER also crashes, a restarted (amnesiac)
+// sender answers "unknown", and the restarted receiver would abort a
+// range it in fact owns, deleting the only durable copies (the sender's
+// commit already deleted its side). Persisting every commit decision in a
+// small WAL beside the sender's store closes the window entirely: the
+// commit record becomes durable before the commit response (or any
+// session-registry state a receiver could observe) is emitted, so a
+// restarted sender's Sessions.Abort still answers "committed".
 //
 // Format: fixed 20-byte records — session id (8), unix-nano commit time
 // (8), CRC-32C over both (4). A torn tail (partial record or bad CRC,

@@ -34,16 +34,18 @@
 //	sender    NewSessions once (it keeps the durable commit record);
 //	          Prepare to fence a range; Get/Touch and Stream to serve it;
 //	          Commit inside the critical section that flips its pointers,
-//	          the range delete after; Abort and Status to answer the
-//	          receiver's probes. It asks "is this committed" of nothing but
-//	          those, and deletes no range Commit did not return ok for.
+//	          the range delete after; Abort to settle a receiver's lost
+//	          commit or refused stream. It asks "is this committed" of
+//	          nothing but Sessions, and deletes no range Commit did not
+//	          return ok for.
 //	receiver  Begin, then Run over a Wire to the sender, and map the
 //	          Outcome onto its own state — Committed: adopt the range and
 //	          Finish; Refused: Abort; Unresolved: keep or roll back by its
-//	          own policy. After a crash: Recover, and for a session whose
-//	          commit is known to have landed, Promote then Finish. It never
-//	          promotes a live session itself (Run does, before the commit),
-//	          never calls Finish before a commit or Abort after one.
+//	          own policy. After a crash: Recover, then Run the session
+//	          again, or, for a session whose commit is known to have
+//	          landed, Promote then Finish. It never promotes a live session
+//	          itself (Run does, before the commit), never calls Finish
+//	          before a commit or Abort after one.
 //
 // Memory: the sender holds one cursor batch and one frame buffer, which it
 // reuses for every frame of a stream (it grows only when a frame does not

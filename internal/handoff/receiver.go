@@ -95,10 +95,11 @@ func Begin(base string, r Receiver) (*Receiver, error) {
 
 // Recover reopens the receivers a crashed process left beside base. The
 // staged items (every chunk acknowledged by the WAL before the crash) and
-// the manifest state come back; the caller decides — by probing the
-// sender's session status — whether to resume streaming, finish
-// promoting, or abort. A staging directory that cannot be reopened is
-// removed: the process crashed before the manifest write, nothing staged.
+// the manifest state come back; the caller runs the session again (Run
+// resumes the stream, or settles a refused one with an abort), or
+// finishes or discards it by its manifest state. A staging directory
+// that cannot be reopened is removed: the process crashed before the
+// manifest write, nothing staged.
 func Recover(base string) ([]*Receiver, error) {
 	if base == "" {
 		return nil, nil

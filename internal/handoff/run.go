@@ -26,8 +26,9 @@ type Wire interface {
 }
 
 // ErrInterrupted, wrapped in an error a Wire returns, stops Run where it
-// stands — no reconnect, nothing rolled back — leaving the session's disk
-// state exactly as a dying process would (p2p's crash-injection hooks).
+// stands — no reconnect, no abort sent, nothing rolled back — leaving the
+// session's disk state exactly as a dying process would: a test's Wire
+// wrapper kills the receiver with it.
 var ErrInterrupted = errors.New("handoff: receiver interrupted")
 
 // Outcome is how Run left the session.
@@ -39,9 +40,10 @@ const (
 	// commit (it still owns the range), or the commit was sent and the
 	// sender could not be reached again to learn its fate.
 	Unresolved Outcome = iota
-	// Refused: the range stays with the sender — it refused the stream
-	// or the commit, an abort beat the commit, or the caller's publish
-	// step refused. The caller rolls back with Abort.
+	// Refused: the range stays with the sender — it refused the commit,
+	// or an abort beat the commit (after a lost commit or a refused
+	// stream), or the caller's publish step refused. The caller rolls
+	// back with Abort.
 	Refused
 	// Committed: the sender committed and the promoted items are the
 	// caller's, which adopts the range and calls Finish.
@@ -63,10 +65,12 @@ const (
 // moment later, and a receiver that rolled back on it would then lose
 // the range from both sides), so the receiver asks the sender to ABORT:
 // abort and commit serialize at the sender, making either answer final.
-// The sender stays reachable for the whole receiver-silence TTL (a
-// leaver blocks in Leave() until commit or expiry), so a handful of
-// spaced attempts resolve every single-failure case; only a sender that
-// crashed in exactly this window stays unknown.
+// A refused stream is settled the same way: a recovered receiver whose
+// earlier process sent the commit finds the session gone because it
+// committed, or because it expired. The sender stays reachable for the
+// whole receiver-silence TTL (a leaver blocks in Leave() until commit or
+// expiry), so a handful of spaced attempts resolve every single-failure
+// case; only a sender that crashed in exactly this window stays unknown.
 const (
 	commitProbeAttempts = 5
 	commitProbeDelay    = 100 * time.Millisecond
@@ -82,24 +86,37 @@ const (
 	commitWaitDelay    = 250 * time.Millisecond
 )
 
+// sleep is every pause Run takes; the package's tests replace it to run
+// the retry schedules in virtual time.
+var sleep = time.Sleep
+
 // Run drives the receiving end of a prepared session (fresh or recovered)
 // to one Outcome, in the only safe order: pull the stream into staging,
 // reconnecting after the staged prefix; promote, so the items are durable
 // and live at their future owner BEFORE the current owner may delete them;
 // run the caller's publish step (may be nil) — what must be visible the
 // instant the sender's commit returns, and the caller's last chance to
-// refuse; then ask the sender to commit and pin the answer down. The
-// error says why the outcome is not Committed.
+// refuse; then ask the sender to commit and pin the answer down. A
+// refused stream is pinned down the same way: if the abort reads
+// committed, an earlier process's commit landed, the idempotent Promote
+// runs again and the outcome is Committed (publish does not run: that
+// process ran it). The error says why the outcome is not Committed.
 func (r *Receiver) Run(w Wire, live store.Store, publish func() error) (Outcome, error) {
 	var refusal *RemoteError
 	err := r.pull(w)
+	if errors.As(err, &refusal) { // committed, expired or aborted at the sender
+		out, err := r.resolveByAbort(w, err)
+		if out == Committed {
+			if err := r.Promote(live); err != nil {
+				return Unresolved, err
+			}
+		}
+		return out, err
+	}
 	if err == nil {
 		err = r.Promote(live)
 	}
 	if err != nil {
-		if errors.As(err, &refusal) { // expired or aborted at the sender
-			return Refused, err
-		}
 		return Unresolved, err
 	}
 	if publish != nil {
@@ -112,13 +129,16 @@ func (r *Receiver) Run(w Wire, live store.Store, publish func() error) (Outcome,
 		if retry, err = w.Commit(); err == nil {
 			return Committed, nil
 		}
+		if errors.Is(err, ErrInterrupted) {
+			return Unresolved, err
+		}
 		if !errors.As(err, &refusal) {
 			return r.resolveByAbort(w, err)
 		}
 		if !retry {
 			break
 		}
-		time.Sleep(commitWaitDelay)
+		sleep(commitWaitDelay)
 	}
 	return Refused, err // refused outright, or the outer session never resolved
 }
@@ -127,7 +147,7 @@ func (r *Receiver) Run(w Wire, live store.Store, publish func() error) (Outcome,
 func (r *Receiver) pull(w Wire) (err error) {
 	for attempt := 0; attempt < streamAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(streamRetryDelay)
+			sleep(streamRetryDelay)
 		}
 		p, key, resume, rerr := r.resumeAfter()
 		if rerr != nil {
@@ -142,21 +162,25 @@ func (r *Receiver) pull(w Wire) (err error) {
 	return err
 }
 
-// resolveByAbort settles a commit whose request failed in transport (it
-// may still be in flight and could land after any status probe) by asking
-// the sender to abort the session: after a "committed" reply the receiver
-// owns the range, after any other no delayed commit can land any more.
+// resolveByAbort settles a session whose commit may be in flight or may
+// have landed — its commit request failed in transport, or its stream was
+// refused — by asking the sender to abort it: after a "committed" reply
+// the receiver owns the range, after any other no delayed commit can land
+// any more.
 func (r *Receiver) resolveByAbort(w Wire, cause error) (Outcome, error) {
 	for attempt := 0; attempt < commitProbeAttempts; attempt++ {
-		time.Sleep(commitProbeDelay)
+		sleep(commitProbeDelay)
 		committed, err := w.Abort()
+		if errors.Is(err, ErrInterrupted) {
+			return Unresolved, err
+		}
 		if err != nil {
 			continue
 		}
 		if committed {
 			return Committed, nil
 		}
-		return Refused, fmt.Errorf("handoff: session %x aborted after its commit was lost: %w", r.ID, cause)
+		return Refused, fmt.Errorf("handoff: session %x aborted: %w", r.ID, cause)
 	}
 	return Unresolved, fmt.Errorf("handoff: commit of session %x unresolved, sender unreachable: %w", r.ID, cause)
 }

@@ -151,10 +151,19 @@ func (w *fakeWire) Abort() (bool, error) {
 	return next(w.aborts, w.abortCalls-1)
 }
 
+// noSleep runs Run's retry pauses in no time for the rest of the test.
+func noSleep(t *testing.T) {
+	sleep = func(time.Duration) {}
+	t.Cleanup(func() { sleep = time.Sleep })
+}
+
+var errKilled = fmt.Errorf("killed: %w", ErrInterrupted)
+
 // TestRun drives the receiving driver against every answer a sender can
 // give: the outcome, what reached the live store, and how often each
 // request was sent.
 func TestRun(t *testing.T) {
+	noSleep(t)
 	const items = 100
 	refusal := &RemoteError{Msg: "no"}
 	ok := []wireReply{{}}
@@ -172,8 +181,12 @@ func TestRun(t *testing.T) {
 			want: Committed, promoted: items, streams: 3, commits: 1},
 		{name: "stream never completes", wire: fakeWire{streamFails: streamAttempts},
 			want: Unresolved, streams: streamAttempts},
-		{name: "sender refuses the stream", wire: fakeWire{refuse: true},
-			want: Refused, streams: 1},
+		{name: "sender refuses the stream", wire: fakeWire{refuse: true, aborts: ok},
+			want: Refused, streams: 1, aborts: 1},
+		{name: "sender refuses the stream, abort reads committed", wire: fakeWire{refuse: true, aborts: []wireReply{{true, nil}}},
+			want: Committed, streams: 1, aborts: 1},
+		{name: "sender refuses the stream, receiver killed probing", wire: fakeWire{refuse: true, aborts: []wireReply{{false, errKilled}}},
+			want: Unresolved, streams: 1, aborts: 1},
 		{name: "publish refuses", wire: fakeWire{}, publishErr: errors.New("boundary moved"),
 			want: Refused, promoted: items, streams: 1},
 		{name: "commit refused", wire: fakeWire{commits: []wireReply{{false, refusal}}},
@@ -186,6 +199,8 @@ func TestRun(t *testing.T) {
 			want: Refused, promoted: items, streams: 1, commits: 1, aborts: 1},
 		{name: "commit lost, sender never answers", wire: fakeWire{commits: []wireReply{{false, errConn}}, aborts: []wireReply{{false, errConn}}},
 			want: Unresolved, promoted: items, streams: 1, commits: 1, aborts: commitProbeAttempts},
+		{name: "receiver killed at the commit", wire: fakeWire{commits: []wireReply{{false, errKilled}}},
+			want: Unresolved, promoted: items, streams: 1, commits: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

@@ -124,9 +124,9 @@ func NewSessions(d time.Duration, commitLogPath string) (*Sessions, error) {
 // committedFor is how long a commit decision stays answerable, in the
 // registry and in the log alike — far past the streaming TTL: a receiver
 // that crashed after the commit landed must still read "committed" (not
-// "unknown") when it restarts and probes, or it would abort a range it
-// now owns. 100× the receiver-silence TTL bounds the leak; past it a
-// probe reading "unknown" resolves against the ring.
+// "unknown") when it restarts and asks for an abort, or it would roll back
+// a range it now owns. 100× the receiver-silence TTL bounds the leak;
+// past it an abort reading "unknown" resolves against the ring.
 func (ss *Sessions) committedFor() time.Duration { return 100 * ss.ttl }
 
 // Close releases the commit log.
@@ -141,8 +141,8 @@ func (ss *Sessions) Close() error {
 
 // expireLocked drops sessions past their deadline: streaming ones abort
 // (ownership stays with the sender), committed ones are garbage-collected
-// (their outcome is already durable; a very late status probe reads
-// unknown, which the receiver resolves against the ring).
+// (their outcome is already durable; a very late abort reads unknown,
+// which the receiver resolves against the ring).
 func (ss *Sessions) expireLocked(now time.Time) {
 	for id, s := range ss.m {
 		if now.UnixNano() > s.deadline.Load() {
@@ -283,10 +283,12 @@ func (ss *Sessions) Abort(id uint64) (final SessionState, aborted bool) {
 	return final, false
 }
 
-// Status reports a session's state for a receiver probe: streaming and
-// committed are reported as such; everything else is unknown. The
-// registry is authoritative while this process lives; after a restart
-// the commit log still answers for committed sessions.
+// Status reports a session's state: streaming and committed are reported
+// as such; everything else is unknown. The registry is authoritative
+// while this process lives; after a restart the commit log still answers
+// for committed sessions. Its callers are the idempotent re-commit (is a
+// commit of a session no longer streaming a repeat?) and a blocked
+// Leave's lazy expiry; a receiver learns its session's fate from Abort.
 func (ss *Sessions) Status(id uint64) SessionState {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

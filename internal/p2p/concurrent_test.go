@@ -40,13 +40,13 @@ func TestConcurrentJoinsSameOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.handoffChunkHook = func(chunk int) error {
+	hookHandoff(a, func(chunk int) error {
 		if chunk >= 1 {
 			pauseOnce.Do(func() { close(aPaused) })
 			<-aResume
 		}
 		return nil
-	}
+	}, nil)
 	aErr := make(chan error, 1)
 	go func() { aErr <- a.StartJoin(owner.Addr(), rand.New(rand.NewPCG(141, 141))) }()
 

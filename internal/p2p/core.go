@@ -119,7 +119,9 @@ func (c *ringCore) admit() error {
 // mid-handoff to its predecessor: a write would be invisible to the stream,
 // and after commit a read would be a silent miss. fenced says a Put's point
 // lies in a range mid-handoff to a joiner, whose stream cursor may be past
-// it; reads there keep being served, the range is ours until commit.
+// it; reads there keep being served, the range is ours until commit. An
+// absorber whose extension waits on the leaver's commit refuses Puts: a
+// refused commit deletes the absorbed range from its store.
 func (c *ringCore) serves(put, fenced bool) error {
 	switch {
 	case c.state == joining:
@@ -128,6 +130,8 @@ func (c *ringCore) serves(put, fenced bool) error {
 		return errLeaving
 	case put && fenced:
 		return errFenced
+	case put && c.state == absorbingExtended:
+		return errAbsorbResolving
 	}
 	return nil
 }

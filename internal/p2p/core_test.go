@@ -56,7 +56,7 @@ func coreEvents() []coreEvent {
 		{name: "get", apply: check(func(c *ringCore) error { return c.serves(false, false) }),
 			refused: map[ownership]error{leaving: errLeaving}},
 		{name: "put", apply: check(func(c *ringCore) error { return c.serves(true, false) }),
-			refused: map[ownership]error{leaving: errLeaving}},
+			refused: map[ownership]error{leaving: errLeaving, absorbingExtended: errAbsorbResolving}},
 		{name: "put into a fenced range", apply: check(func(c *ringCore) error { return c.serves(true, true) }),
 			refused: map[ownership]error{serving: errFenced, leaving: errLeaving, absorbing: errFenced, absorbingExtended: errFenced}},
 		{name: "join prepare", apply: check(func(c *ringCore) error { _, _, err := c.prepareJoin(150, nil); return err }),

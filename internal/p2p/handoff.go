@@ -40,8 +40,10 @@ package p2p
 //	  |   repoint successor, close
 //
 // A restarted joiner (same address and data directory) finds its staging
-// manifest, probes the owner with opHandStatus, and resumes the stream,
-// finishes a committed session, or aborts cleanly and joins fresh.
+// manifest and runs the session again: Receiver.Run resumes the stream
+// after the staged prefix, or — the owner refusing it — asks the owner to
+// abort, which answers "committed" (promote and adopt) or not (roll back
+// and join fresh).
 
 import (
 	"bufio"
@@ -67,11 +69,6 @@ const (
 	joinRetryDelay = 50 * time.Millisecond
 )
 
-// errHookKill marks a test-injected receiver death: the caller must NOT
-// clean up (no abort, no staging removal) — the point is to leave the
-// on-disk state exactly as a crash would.
-var errHookKill = fmt.Errorf("p2p: handoff receiver killed by test hook: %w", handoff.ErrInterrupted)
-
 // --- joiner side ---
 
 // StartJoin joins an existing network through the bootstrap address,
@@ -79,8 +76,8 @@ var errHookKill = fmt.Errorf("p2p: handoff receiver killed by test hook: %w", ha
 // rule of §4: sample a random z, look up its owner, and take the middle of
 // that owner's segment. The item transfer is a resumable handoff session;
 // if this node crashed mid-join and was restarted on the same address and
-// data directory, the recovered session is resumed (or aborted cleanly)
-// before any fresh join.
+// data directory, the recovered session runs to an outcome first, and a
+// fresh join follows only if the owner kept the range.
 func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 	// Serve (fast refusals, see handle) from the first moment other nodes
 	// can learn this address — a concurrent joiner may be told we are its
@@ -88,12 +85,11 @@ func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 	n.serve()
 	if rec := n.recovered; rec != nil {
 		n.recovered = nil
-		joined, err := n.resumeJoin(rec)
-		if joined || err != nil {
+		if out, err := n.completeJoin(rec); out != handoff.Refused {
 			return err
 		}
-		// The sender had expired the session and kept the range; the
-		// rollback is done and a fresh join follows.
+		// The owner kept the range; the rollback is done and a fresh join
+		// follows.
 	}
 	// Pick a split point and prepare a session at its owner. The first
 	// attempt takes the middle of the owner's segment (Improved Single
@@ -169,81 +165,37 @@ func (n *Node) StartJoin(bootstrap string, rng *rand.Rand) error {
 	if err != nil {
 		return err
 	}
-	return n.completeJoin(rec)
-}
-
-// resumeJoin resolves a join session recovered from disk against the
-// sender's authoritative state. joined reports that the node is now part
-// of the ring; (false, nil) means the session was aborted cleanly and the
-// caller should join fresh.
-func (n *Node) resumeJoin(rec *handoff.Receiver) (joined bool, err error) {
-	st, serr := n.rpc(rec.Sender, request{Op: opHandStatus, Session: rec.ID})
-	if serr != nil {
-		// The sender is unreachable, so "who owns the range" cannot be
-		// decided: aborting could demote items we own, resuming could
-		// duplicate items the sender kept. Keep the staging untouched and
-		// surface the ambiguity.
-		return false, fmt.Errorf("p2p: recovered handoff session %x unresolved (sender %s unreachable): %w",
-			rec.ID, rec.Sender, serr)
-	}
-	switch st.State {
-	case handoff.StateStreaming.String():
-		// The sender still holds the fenced session: continue where the
-		// staged prefix ends.
-		return true, n.completeJoin(rec)
-	case handoff.StateCommitted.String():
-		// The commit already landed — this node owns the range (the
-		// sender deleted its copy); only the local finish was lost.
-		if err := rec.Promote(n.data); err != nil {
-			return false, err
-		}
-		if err := n.adopt(rec); err != nil {
-			return false, err
-		}
-		n.afterJoin()
-		return true, nil
-	default:
-		// Unknown: the sender expired the session and kept the range.
-		// Roll back (deleting any promoted items — the sender owns them)
-		// and let the caller join fresh.
-		return false, rec.Abort(n.data)
-	}
+	_, err = n.completeJoin(rec)
+	return err
 }
 
 // completeJoin runs a prepared session (fresh or recovered) and maps its
 // outcome onto the ring: adopt the range, roll back, or — with no final
 // answer — keep everything for a restart to resolve.
-func (n *Node) completeJoin(rec *handoff.Receiver) error {
+func (n *Node) completeJoin(rec *handoff.Receiver) (handoff.Outcome, error) {
 	t0 := time.Now()
-	switch out, err := rec.Run(sessionWire{n, rec.Sender, rec.ID}, n.data, nil); out {
+	switch out, err := rec.Run(n.senderWire(rec.Sender, rec.ID), n.data, nil); out {
 	case handoff.Refused:
 		// The owner kept the range (it expired or aborted the session, or
 		// refused the commit): roll our side back.
 		if aerr := n.rollBack(rec); aerr != nil {
-			return aerr
+			return out, aerr
 		}
-		return fmt.Errorf("p2p: join session %x refused; the owner kept the range: %w", rec.ID, err)
+		return out, fmt.Errorf("p2p: join session %x refused; the owner kept the range: %w", rec.ID, err)
 	case handoff.Unresolved:
-		// Transport failure after all retries, a test-injected kill, or a
+		// Transport failure after all retries, a killed receiver, or a
 		// commit whose fate the unreachable owner could not tell: leave
 		// the staging session untouched so a restart (or retry) can
 		// resolve it against the owner later.
-		return fmt.Errorf("p2p: join session %x unresolved: %w", rec.ID, err)
-	}
-	if n.handoffCommitHook != nil {
-		if herr := n.handoffCommitHook(); herr != nil {
-			// Test-injected crash in the post-commit window: leave the
-			// staging session exactly as a dying process would.
-			return fmt.Errorf("%w: %v", errHookKill, herr)
-		}
+		return out, fmt.Errorf("p2p: join session %x unresolved: %w", rec.ID, err)
 	}
 	if err := n.adopt(rec); err != nil {
-		return err
+		return handoff.Committed, err
 	}
 	n.tel.Emitf("join.commit", "session %x: adopted [%v,+%d) from %s in %s",
 		rec.ID, rec.Seg.Start, rec.Seg.Len, rec.Sender, time.Since(t0).Round(time.Millisecond))
 	n.afterJoin()
-	return nil
+	return handoff.Committed, nil
 }
 
 // adopt installs the ring state a committed join session implies — the
@@ -266,7 +218,7 @@ func (n *Node) adopt(rec *handoff.Receiver) error {
 // range fenced — resolves it now instead of at its TTL. Then the staging
 // goes, and with it whatever was already promoted.
 func (n *Node) rollBack(rec *handoff.Receiver) error {
-	_, _ = sessionWire{n, rec.Sender, rec.ID}.Abort()
+	_, _ = n.senderWire(rec.Sender, rec.ID).Abort()
 	return rec.Abort(n.data)
 }
 
@@ -298,20 +250,20 @@ type sessionWire struct {
 	id   uint64
 }
 
+// senderWire is the line to session id's sender at addr, wrapped by the
+// test seam when one is set.
+func (n *Node) senderWire(addr string, id uint64) handoff.Wire {
+	var w handoff.Wire = sessionWire{n, addr, id}
+	if n.wrapWire != nil {
+		w = n.wrapWire(w)
+	}
+	return w
+}
+
 func (w sessionWire) Stream(resume bool, p interval.Point, key string, apply func([]store.Item) error) error {
-	n := w.n
 	req := request{Op: opHandStream, Session: w.id, FromPoint: uint64(p), FromKey: key, HasFrom: resume}
-	chunk := 0
-	count, err := n.readStream(w.addr, &req, func(items []store.Item) error {
-		if n.handoffChunkHook != nil {
-			if herr := n.handoffChunkHook(chunk); herr != nil {
-				return fmt.Errorf("%w: %v", errHookKill, herr)
-			}
-		}
-		chunk++
-		return apply(items)
-	})
-	n.met.handItemsIn.Add(int64(count))
+	count, err := w.n.readStream(w.addr, &req, apply)
+	w.n.met.handItemsIn.Add(int64(count))
 	return err
 }
 
@@ -515,16 +467,6 @@ func (n *Node) handleHandAbort(req request) response {
 	return response{OK: true, State: final.String()}
 }
 
-// handleHandStatus answers a receiver's crash-recovery probe (after a
-// restart the registry's commit log still answers for committed
-// sessions). It takes the read side of the node mutex so a probe cannot
-// observe a commit whose pointer flip is still in progress.
-func (n *Node) handleHandStatus(req request) response {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return response{OK: true, State: n.sessions.Status(req.Session).String()}
-}
-
 // --- leave ---
 
 // Leave gracefully exits: offer the segment to the ring predecessor, let
@@ -634,11 +576,11 @@ func (n *Node) absorbLeave(req request) {
 	if err != nil {
 		// Nothing staged, but the leaver still blocks on the session:
 		// release it (see rollBack).
-		_, _ = sessionWire{n, req.SrcAddr, req.Session}.Abort()
+		_, _ = n.senderWire(req.SrcAddr, req.Session).Abort()
 		return
 	}
 	var before *ringCore // set with the extension: the end and successor it replaced
-	out, err := rec.Run(sessionWire{n, rec.Sender, rec.ID}, n.data, func() error {
+	out, err := rec.Run(n.senderWire(rec.Sender, rec.ID), n.data, func() error {
 		prev, _, err := n.transit(func(c *ringCore) (*ringCore, error) {
 			return c.extend(seg.Start, interval.Point(req.Target), req.peer())
 		})

@@ -28,6 +28,45 @@ func withChunkBytes(b int) NodeOption {
 	return func(n *Node) { n.chunkBytes = b }
 }
 
+// hookWire wraps a node's line to the sender of an inbound session: chunk
+// runs before each chunk of a stream connection is staged (i counts from
+// 0 per connection), commit after the sender answered a commit. An error
+// from either kills the receiver there with handoff.ErrInterrupted:
+// nothing is rolled back, exactly as a dying process leaves it.
+type hookWire struct {
+	handoff.Wire
+	chunk  func(i int) error
+	commit func() error
+}
+
+func (w hookWire) Stream(resume bool, p interval.Point, key string, apply func([]store.Item) error) error {
+	i := 0
+	return w.Wire.Stream(resume, p, key, func(items []store.Item) error {
+		if w.chunk != nil {
+			if err := w.chunk(i); err != nil {
+				return fmt.Errorf("%w: %v", handoff.ErrInterrupted, err)
+			}
+		}
+		i++
+		return apply(items)
+	})
+}
+
+func (w hookWire) Commit() (bool, error) {
+	retry, err := w.Wire.Commit()
+	if err == nil && w.commit != nil {
+		if herr := w.commit(); herr != nil {
+			return false, fmt.Errorf("%w: %v", handoff.ErrInterrupted, herr)
+		}
+	}
+	return retry, err
+}
+
+// hookHandoff wraps every inbound session of n in a hookWire.
+func hookHandoff(n *Node, chunk func(i int) error, commit func() error) {
+	n.wrapWire = func(w handoff.Wire) handoff.Wire { return hookWire{w, chunk, commit} }
+}
+
 // handoffHarness: a log-backed single-node network holding `items` keys,
 // with a tiny chunk budget so a join transfer spans many frames.
 func handoffHarness(t *testing.T, seed uint64, items int, ownerOpts ...NodeOption) (*Node, string) {
@@ -80,109 +119,141 @@ func countLogItems(t *testing.T, dir string) int {
 	return s.Len()
 }
 
-// TestJoinerKilledMidStreamThenResumes is the acceptance scenario for the
-// handoff subsystem: a log-backed joiner dies mid-stream; afterwards
-// exactly one node owns the range (the owner — ownership never flipped),
-// no item is lost or duplicated, and a joiner restarted on the same
-// address and data directory resumes the session from its staged prefix
-// and completes the join. Durability is verified by reopening both WALs
-// offline at the end.
-func TestJoinerKilledMidStreamThenResumes(t *testing.T) {
+// TestDualCrashCommitRecordSurvivesRestart is the real-socket restart arm
+// of the handoff fault coverage (internal/handoff's explorer covers every
+// schedule of up to two faults in process). A log-backed joiner dies
+// mid-stream; restarted on the same address and data directory it resumes
+// after its staged prefix and dies again just after the owner's commit
+// landed. Then the owner crashes too — the dual-crash corner: only its WAL
+// and its commit log survive. The joiner, restarted once more, finds its
+// stream refused by the restarted owner, which answers the abort that
+// follows from the commit log with "committed"; the joiner promotes and
+// adopts the range. Exactly one copy of every item survives, on disk too.
+func TestDualCrashCommitRecordSurvivesRestart(t *testing.T) {
 	const items = 300
 	owner, ownerDir := handoffHarness(t, 77, items)
-	defer owner.Close()
-
 	joinerDir := filepath.Join(t.TempDir(), "joiner")
-	openJoiner := func() *Node {
+	joinerAddr := "127.0.0.1:0"
+	// joiner starts an incarnation of the joiner on its address and data
+	// directory; chunk and commit hook its inbound sessions.
+	joiner := func(tel *telemetry.Registry, chunk func(int) error, commit func() error) *Node {
 		st, err := store.OpenLog(joinerDir, store.LogOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := NewNode("127.0.0.1:0", 77, WithStore(st))
+		n, err := NewNode(joinerAddr, 77, WithStore(st), WithTelemetry(tel))
 		if err != nil {
 			t.Fatal(err)
 		}
+		joinerAddr = n.Addr()
+		hookHandoff(n, chunk, commit)
 		return n
 	}
-
-	// First incarnation: dies after two staged chunks.
-	j1 := openJoiner()
-	j1.handoffChunkHook = func(chunk int) error {
+	// First incarnation: dies after two staged chunks. The owner still owns
+	// and serves every item, and the staging holds a strict prefix.
+	j1 := joiner(telemetry.NewRegistry(), func(chunk int) error {
 		if chunk >= 2 {
-			return fmt.Errorf("kill -9")
+			return fmt.Errorf("kill -9 mid-stream")
 		}
 		return nil
-	}
-	err := j1.StartJoin(owner.Addr(), rand.New(rand.NewPCG(78, 78)))
-	if err == nil {
+	}, nil)
+	if err := j1.StartJoin(owner.Addr(), rand.New(rand.NewPCG(78, 78))); err == nil {
 		t.Fatal("killed joiner reported a successful join")
 	}
-	jAddr := j1.Addr()
-	j1.Close() // the crash: no abort, no cleanup
-
-	// Exactly one owner, nothing lost: the owner still serves all keys
-	// from its own store (ownership never flipped), and the crashed
-	// joiner's staging session survives on disk.
+	j1.Close()
 	if got := owner.NumItems(); got != items {
-		t.Fatalf("after joiner crash the owner has %d items, want %d", got, items)
+		t.Fatalf("after the joiner's crash the owner has %d items, want %d", got, items)
 	}
-	verifyAllKeys(t, owner.Addr(), owner.HashFunc(), items, "after joiner crash")
+	verifyAllKeys(t, owner.Addr(), owner.HashFunc(), items, "after the joiner's crash")
 	staging, err := filepath.Glob(joinerDir + ".handoff-*")
 	if err != nil || len(staging) != 1 {
 		t.Fatalf("want exactly one staging dir, got %v (%v)", staging, err)
 	}
-	if n := countLogItems(t, staging[0]); n == 0 || n >= items {
-		t.Fatalf("staging holds %d items, want a strict prefix of the range", n)
+	staged := countLogItems(t, staging[0])
+	if staged == 0 || staged >= items {
+		t.Fatalf("staging holds %d items, want a strict prefix of the range", staged)
 	}
 
-	// Second incarnation on the same address + data directory: the
-	// recovered session resumes from the staged prefix.
-	st2, err := store.OpenLog(joinerDir, store.LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := NewNode(jAddr, 77, WithStore(st2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Second incarnation: resumes after the staged prefix and dies just
+	// after the owner committed (range deleted there, commit recorded).
+	tel := telemetry.NewRegistry()
+	j2 := joiner(tel, nil, func() error { return fmt.Errorf("kill -9 after commit") })
 	if j2.recovered == nil {
-		t.Fatal("restarted joiner did not recover the staging session")
+		t.Fatal("restarted joiner did not recover its staging session")
 	}
-	if err := j2.StartJoin(owner.Addr(), rand.New(rand.NewPCG(79, 79))); err != nil {
-		t.Fatalf("resumed join failed: %v", err)
+	if err := j2.StartJoin(owner.Addr(), rand.New(rand.NewPCG(79, 79))); err == nil {
+		t.Fatal("killed joiner reported a successful join")
+	}
+	j2.Close()
+	ownerKept := owner.NumItems()
+	if ownerKept == 0 || ownerKept >= items {
+		t.Fatalf("owner kept %d items after commit, want a strict subset of %d", ownerKept, items)
+	}
+	if got := tel.Counter("condisc_p2p_handoff_items_in_total").Value(); got != int64(items-ownerKept-staged) {
+		t.Fatalf("the resumed stream carried %d items, want the %d after the staged prefix", got, items-ownerKept-staged)
 	}
 
-	// The range moved exactly once: counts are disjoint and conserved,
-	// every key is served, the staging session is gone.
-	if sum := owner.NumItems() + j2.NumItems(); sum != items {
-		t.Fatalf("items not conserved after resume: owner %d + joiner %d != %d",
-			owner.NumItems(), j2.NumItems(), items)
+	// The owner crashes too and restarts from its WAL and commit log.
+	ownerPoint, _, _, _ := ringState(owner)
+	oAddr := owner.Addr()
+	owner.Close()
+	ownerStore2, err := store.OpenLog(ownerDir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if j2.NumItems() == 0 {
-		t.Fatal("resumed joiner owns no items; the transfer did not complete")
+	owner2, err := NewNode(oAddr, 77, WithStore(ownerStore2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	verifyAllKeys(t, owner.Addr(), owner.HashFunc(), items, "after resumed join")
-	verifyAllKeys(t, j2.Addr(), owner.HashFunc(), items, "after resumed join via joiner")
+	defer owner2.Close()
+	owner2.StartFirst(ownerPoint)
+	if got := owner2.NumItems(); got != ownerKept {
+		t.Fatalf("restarted owner replays %d items, want %d", got, ownerKept)
+	}
+
+	// Third incarnation: the restarted owner refuses the stream and its
+	// commit log answers the abort with "committed".
+	j3 := joiner(telemetry.NewRegistry(), nil, nil)
+	defer j3.Close()
+	if err := j3.StartJoin(owner2.Addr(), rand.New(rand.NewPCG(80, 80))); err != nil {
+		t.Fatalf("dual-crash recovery join failed: %v", err)
+	}
+	if j3.NumItems() != items-ownerKept || owner2.NumItems() != ownerKept {
+		t.Fatalf("owner %d + joiner %d items, want %d + %d", owner2.NumItems(), j3.NumItems(), ownerKept, items-ownerKept)
+	}
+	// The restarted owner booted as a singleton (StartFirst) and learns of
+	// the joiner's range through stabilization, like any stale pointer.
+	for round := 0; round < 3; round++ {
+		for _, n := range []*Node{owner2, j3} {
+			if err := n.Stabilize(); err != nil {
+				t.Fatalf("stabilize: %v", err)
+			}
+		}
+	}
+	for _, n := range []*Node{owner2, j3} {
+		verifyAllKeys(t, n.Addr(), owner2.HashFunc(), items, "after the dual-crash recovery via "+n.Addr())
+	}
 	if left, _ := filepath.Glob(joinerDir + ".handoff-*"); len(left) != 0 {
 		t.Fatalf("staging session not cleaned up: %v", left)
 	}
 
-	// Durability: reopen both WALs offline — the split survives restarts
-	// with no item lost or present on both sides.
-	ownerN, joinerN := owner.NumItems(), j2.NumItems()
-	owner.Close()
-	j2.Close()
-	if n := countLogItems(t, ownerDir); n != ownerN {
-		t.Fatalf("owner WAL reopened with %d items, want %d", n, ownerN)
+	// Durability: reopen both WALs offline — exactly one copy of every
+	// item survives the restarts.
+	oN, jN := owner2.NumItems(), j3.NumItems()
+	owner2.Close()
+	j3.Close()
+	if n := countLogItems(t, ownerDir); n != oN {
+		t.Fatalf("owner WAL reopened with %d items, want %d", n, oN)
 	}
-	if n := countLogItems(t, joinerDir); n != joinerN {
-		t.Fatalf("joiner WAL reopened with %d items, want %d", n, joinerN)
+	if n := countLogItems(t, joinerDir); n != jN {
+		t.Fatalf("joiner WAL reopened with %d items, want %d", n, jN)
 	}
 }
 
 // TestJoinerKilledExpiredSessionAbortsCleanly: if the owner expires the
-// session before the joiner returns, the restarted joiner rolls its
-// staging back and joins fresh — still exactly one copy of every item.
+// session before the joiner returns, the restarted joiner's stream is
+// refused, the abort that follows reads "unknown", and the joiner rolls
+// its staging back and joins fresh — still exactly one copy of every item.
 func TestJoinerKilledExpiredSessionAbortsCleanly(t *testing.T) {
 	const items = 200
 	owner, _ := handoffHarness(t, 91, items, withHandoffTTL(100*time.Millisecond))
@@ -197,12 +268,12 @@ func TestJoinerKilledExpiredSessionAbortsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1.handoffChunkHook = func(chunk int) error {
+	hookHandoff(j1, func(chunk int) error {
 		if chunk >= 1 {
 			return fmt.Errorf("kill -9")
 		}
 		return nil
-	}
+	}, nil)
 	if err := j1.StartJoin(owner.Addr(), rand.New(rand.NewPCG(92, 92))); err == nil {
 		t.Fatal("killed joiner reported a successful join")
 	}

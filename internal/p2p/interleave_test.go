@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"condisc/internal/handoff"
+	"condisc/internal/interval"
 	"condisc/internal/store"
 	"condisc/internal/telemetry"
 )
@@ -46,13 +48,13 @@ func TestJoinPreparesAndCommitsDuringLeaveAbsorption(t *testing.T) {
 	absorbPaused := make(chan struct{})
 	absorbResume := make(chan struct{})
 	var pauseOnce sync.Once
-	pred.handoffChunkHook = func(chunk int) error {
+	hookHandoff(pred, func(chunk int) error {
 		if chunk >= 1 {
 			pauseOnce.Do(func() { close(absorbPaused) })
 			<-absorbResume
 		}
 		return nil
-	}
+	}, nil)
 
 	leaveErr := make(chan error, 1)
 	go func() { leaveErr <- leaver.Leave() }()
@@ -161,13 +163,13 @@ func TestLeaveCompletesDuringJoinStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer joiner.Close()
-	joiner.handoffChunkHook = func(chunk int) error {
+	hookHandoff(joiner, func(chunk int) error {
 		if chunk >= 1 {
 			pauseOnce.Do(func() { close(joinPaused) })
 			<-joinResume
 		}
 		return nil
-	}
+	}, nil)
 	joinErr := make(chan error, 1)
 	// Seed chosen so the first draw lands in the owner's segment (the
 	// leaver owns [0.92, 0.42) after its midpoint join): the join must
@@ -245,7 +247,7 @@ func TestLeaveFailsFastWhenAbsorptionRollsBack(t *testing.T) {
 	_, _, predInfo, _ := ringState(leaver)
 	for _, n := range c.Nodes {
 		if n.Addr() == predInfo.Addr {
-			n.handoffChunkHook = func(int) error { return fmt.Errorf("staging disk full") }
+			hookHandoff(n, func(int) error { return fmt.Errorf("staging disk full") }, nil)
 		}
 	}
 
@@ -275,4 +277,78 @@ func TestLeaveFailsFastWhenAbsorptionRollsBack(t *testing.T) {
 	if got := leaver.met.handAborts.Value(); got != 1 {
 		t.Fatalf("handoff_aborts_total = %d after one real abort and one probe, want 1", got)
 	}
+}
+
+// beforeCommit runs do on the line to the sender just before a commit is
+// sent.
+type beforeCommit struct {
+	handoff.Wire
+	do func(w handoff.Wire)
+}
+
+func (w beforeCommit) Commit() (bool, error) {
+	w.do(w.Wire)
+	return w.Wire.Commit()
+}
+
+// TestAbsorbRefusesPutsUntilTheLeaverCommits: between publishing its
+// extension and the leaver's commit, an absorbing predecessor must not ack
+// a Put into the leaver's segment, because a refused commit rolls the
+// absorbed range back out of its store. The leaver's session is aborted
+// just before the commit; the Put must then read back from the leaver, or
+// have been refused with a retry-class error.
+func TestAbsorbRefusesPutsUntilTheLeaverCommits(t *testing.T) {
+	const items = 60
+	c, err := StartCluster(3, 570, withHandoffTTL(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl := c.Client(0)
+	for i := 0; i < items; i++ {
+		if _, err := cl.Put(fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("v%03d", i)), c.Hash()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaver := c.Nodes[1]
+	x, end, predInfo, _ := ringState(leaver)
+	seg := interval.Segment{Start: x, Len: uint64(end - x)}
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("late%d", i); seg.Contains(c.Hash()(k)) {
+			key = k
+		}
+	}
+	var pred *Node
+	for _, n := range c.Nodes {
+		if n.Addr() == predInfo.Addr {
+			pred = n
+		}
+	}
+	var putErr error
+	pred.wrapWire = func(w handoff.Wire) handoff.Wire {
+		return beforeCommit{w, func(w handoff.Wire) {
+			if s := pred.core.Load().state; s != absorbingExtended {
+				t.Errorf("pred is %s before the commit, want %s", s, absorbingExtended)
+			}
+			_, putErr = (&Client{Bootstrap: pred.Addr()}).Put(key, []byte("late"), c.Hash())
+			w.Abort()
+		}}
+	}
+	if err := leaver.Leave(); err == nil || !strings.Contains(err.Error(), "resuming service") {
+		t.Fatalf("Leave() = %v, want the did-not-commit error", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); pred.core.Load().state != serving; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the absorption still unresolved 2 s after the leave failed")
+		}
+	}
+	if putErr != nil {
+		if !strings.Contains(putErr.Error(), "retry") {
+			t.Fatalf("Put during the unresolved absorption failed with %v, want a retry-class refusal", putErr)
+		}
+	} else if v, _, err := cl.Get(key, c.Hash()); err != nil || string(v) != "late" {
+		t.Fatalf("Put acked during the unresolved absorption reads back %q, %v", v, err)
+	}
+	verifyAllKeys(t, leaver.Addr(), c.Hash(), items, "after the refused absorption")
 }

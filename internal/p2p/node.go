@@ -48,8 +48,8 @@ type Node struct {
 	data store.Store
 
 	// sessions is the sender side of the node's handoff transfers: it
-	// fences writes to a mid-handoff range and answers commit, abort and
-	// status — on a disk-backed node from a durable record of every
+	// fences writes to a mid-handoff range and answers commit and abort —
+	// on a disk-backed node from a durable record of every
 	// commit decision, so a restarted process still answers for them.
 	// Several join sessions over disjoint sub-ranges of the segment may
 	// stream at once (handleHandPrepare bounds each at the next); their
@@ -58,7 +58,7 @@ type Node struct {
 	handoffTTL time.Duration
 	chunkBytes int
 	// recovered is a crashed join's staging session found on disk at
-	// construction; StartJoin resumes or aborts it before a fresh join.
+	// construction; StartJoin runs it to an outcome before a fresh join.
 	recovered *handoff.Receiver
 	// noPatches disables the incremental opPatchBack announcements,
 	// leaving table repair to Stabilize alone — the ablation arm of the
@@ -101,16 +101,10 @@ type Node struct {
 	// failPatches injects opPatchBack failures for the retry tests: while
 	// positive, incoming patches are refused (and the counter decremented).
 	failPatches atomic.Int32
-	// handoffChunkHook, when set by a test, runs before each received
-	// stream chunk is staged; an error simulates the receiver dying
-	// mid-stream (no cleanup runs — staging is left exactly as a crash
-	// would leave it).
-	handoffChunkHook func(chunk int) error
-	// handoffCommitHook, when set by a test, runs after a join's commit
-	// has landed at the sender but before this node adopts the range; an
-	// error simulates the receiver dying in exactly the dual-crash
-	// window (commit durable at the sender, acknowledgement lost here).
-	handoffCommitHook func() error
+	// wrapWire, nil in production, lets a test wrap this node's line to
+	// the sender of each inbound session: pause a stream, or kill the
+	// receiver with handoff.ErrInterrupted at a chosen call.
+	wrapWire func(handoff.Wire) handoff.Wire
 
 	closed  chan struct{}
 	wg      sync.WaitGroup
@@ -246,7 +240,9 @@ func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 	}
 	m.rpc[0] = reg.Counter(`condisc_p2p_rpc_total{op="other"}`)
 	for i, name := range wireOps {
-		m.rpc[i+1] = reg.Counter(fmt.Sprintf("condisc_p2p_rpc_total{op=%q}", name))
+		if name != "" { // an unassigned code never decodes
+			m.rpc[i+1] = reg.Counter(fmt.Sprintf("condisc_p2p_rpc_total{op=%q}", name))
+		}
 	}
 	return m
 }
@@ -576,8 +572,6 @@ func (n *Node) handle(req request) response {
 		return n.handleHandPrepare(req)
 	case opHandCommit:
 		return n.handleHandCommit(req)
-	case opHandStatus:
-		return n.handleHandStatus(req)
 	case opHandAbort:
 		return n.handleHandAbort(req)
 	case opReplPut:

@@ -273,10 +273,10 @@ func TestLeaveHandsTableEntriesToHeir(t *testing.T) {
 	}
 	defer joiner.Close()
 	var midJoin string
-	joiner.handoffCommitHook = func() error {
+	hookHandoff(joiner, nil, func() error {
 		midJoin = joiner.Status().State
 		return nil
-	}
+	})
 	if st := joiner.Status().State; st != "joining" {
 		t.Fatalf("a node before StartJoin reads %q, want joining", st)
 	}

@@ -25,7 +25,8 @@ package p2p
 
 // op names a request's operation. Its value is the op's code on the wire
 // (wire.go), so the order below is part of the protocol: append, never
-// reorder. wireOps names them for metric labels.
+// reorder, and leave a retired op's code unassigned. wireOps names them
+// for metric labels.
 type op byte
 
 const (
@@ -41,8 +42,8 @@ const (
 	opHandPrepare // joiner opens a session at the segment owner
 	opHandStream  // pull the chunk stream (chunk frames follow, no response message)
 	opHandCommit  // flip ownership: sender deletes the range and repoints (idempotent)
-	opHandStatus  // receiver probe after a crash: streaming/committed/unknown
-	opHandAbort   // receiver resolves an ambiguous commit: abort unless already committed
+	_             // code 11, unassigned: was a status probe, which a delayed commit could overtake
+	opHandAbort   // receiver resolves a lost commit or a refused stream: abort unless already committed
 
 	// Replication ops (k-successor replica plane, internal/replicate).
 	// These address a node directly — they are never routed — and move
@@ -53,9 +54,10 @@ const (
 	opReplStream // pull a segment's replica payloads as a framed chunk stream
 )
 
-// wireOps is each op's name, indexed by its code minus one.
+// wireOps is each op's name, indexed by its code minus one; "" marks an
+// unassigned code, which the decoder refuses.
 var wireOps = [...]string{"state", "lookup", "get", "put", "setpred", "patchback", "leave",
-	"hprepare", "hstream", "hcommit", "hstatus", "habort", "replput", "replget", "replstream"}
+	"hprepare", "hstream", "hcommit", "", "habort", "replput", "replget", "replstream"}
 
 // request is the single wire request type. There is deliberately no bulk
 // item payload: since the handoff protocol replaced the single-RPC
@@ -148,7 +150,7 @@ type response struct {
 	// reported in opState so dhctl top can scrape a whole ring having
 	// been told only one member.
 	AdminAddr string
-	// State reports a handoff session's fate to an opHandStatus probe.
+	// State answers an opHandAbort with the session's final state.
 	State string
 	// NotFound marks a Get refusal as a genuine miss: the owner was
 	// reached and the key is not there. Unreachable marks the opposite

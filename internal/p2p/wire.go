@@ -281,7 +281,7 @@ func decodeRequest(body []byte, req *request) error {
 		return errWireLayout
 	}
 	code, flags := body[1], body[2]
-	if body[0] != wireVersion || code == 0 || int(code) > len(wireOps) || flags >= reqFlagsEnd {
+	if body[0] != wireVersion || code == 0 || int(code) > len(wireOps) || wireOps[code-1] == "" || flags >= reqFlagsEnd {
 		return errWireVersion
 	}
 	var r wireReader

@@ -38,8 +38,12 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 			f.SetBool(rng.IntN(2) == 1)
 		case reflect.Uint64:
 			f.SetUint(rng.Uint64())
-		case reflect.Uint8: // request.Op, the one byte-typed field
-			f.SetUint(uint64(1 + rng.IntN(len(wireOps))))
+		case reflect.Uint8: // request.Op, the one byte-typed field: an assigned code
+			code := 1 + rng.IntN(len(wireOps))
+			for wireOps[code-1] == "" {
+				code = 1 + rng.IntN(len(wireOps))
+			}
+			f.SetUint(uint64(code))
 		case reflect.Int:
 			f.SetInt(int64(rng.Uint32() >> 1))
 		case reflect.Int64:
@@ -195,6 +199,7 @@ func TestWireRejectsDamage(t *testing.T) {
 		{"unknown version", sealed(edit(func(b []byte) []byte { b[0] = wireVersion + 1; return b })), errWireVersion, "version"},
 		{"previous version", sealed(edit(func(b []byte) []byte { b[0] = 1; return b })), errWireVersion, "version"},
 		{"unknown op code", sealed(edit(func(b []byte) []byte { b[1] = byte(len(wireOps)) + 1; return b })), errWireVersion, "version"},
+		{"unassigned op code 11", sealed(edit(func(b []byte) []byte { b[1] = 11; return b })), errWireVersion, "version"},
 		{"response tag in a request", sealed(edit(func(b []byte) []byte { b[1] = tagResponse; return b })), errWireVersion, "version"},
 		{"unknown flag", sealed(edit(func(b []byte) []byte { b[2] |= reqFlagsEnd; return b })), errWireVersion, "version"},
 		{"value bytes without the flag", sealed(edit(func(b []byte) []byte { b[2] &^= reqHasVal; return b })), errWireLayout, "short"},
