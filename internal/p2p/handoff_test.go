@@ -119,6 +119,101 @@ func countLogItems(t *testing.T, dir string) int {
 	return s.Len()
 }
 
+// TestJoinerKilledMidStreamThenResumes is the acceptance scenario for the
+// handoff subsystem: a log-backed joiner dies mid-stream; afterwards
+// exactly one node owns the range (the owner — ownership never flipped),
+// no item is lost or duplicated, and a joiner restarted on the same
+// address and data directory resumes the session from its staged prefix
+// and completes the join. Durability is verified by reopening both WALs
+// offline at the end.
+func TestJoinerKilledMidStreamThenResumes(t *testing.T) {
+	const items = 300
+	owner, ownerDir := handoffHarness(t, 77, items)
+	defer owner.Close()
+
+	joinerDir := filepath.Join(t.TempDir(), "joiner")
+
+	// First incarnation: dies after two staged chunks.
+	st1, err := store.OpenLog(joinerDir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, err := NewNode("127.0.0.1:0", 77, WithStore(st1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hookHandoff(j1, func(chunk int) error {
+		if chunk >= 2 {
+			return fmt.Errorf("kill -9")
+		}
+		return nil
+	}, nil)
+	if err := j1.StartJoin(owner.Addr(), rand.New(rand.NewPCG(78, 78))); err == nil {
+		t.Fatal("killed joiner reported a successful join")
+	}
+	jAddr := j1.Addr()
+	j1.Close() // the crash: no abort, no cleanup
+
+	// Exactly one owner, nothing lost: the owner still serves all keys
+	// from its own store (ownership never flipped), and the crashed
+	// joiner's staging session survives on disk.
+	if got := owner.NumItems(); got != items {
+		t.Fatalf("after joiner crash the owner has %d items, want %d", got, items)
+	}
+	verifyAllKeys(t, owner.Addr(), owner.HashFunc(), items, "after joiner crash")
+	staging, err := filepath.Glob(joinerDir + ".handoff-*")
+	if err != nil || len(staging) != 1 {
+		t.Fatalf("want exactly one staging dir, got %v (%v)", staging, err)
+	}
+	if n := countLogItems(t, staging[0]); n == 0 || n >= items {
+		t.Fatalf("staging holds %d items, want a strict prefix of the range", n)
+	}
+
+	// Second incarnation on the same address + data directory: the
+	// recovered session resumes from the staged prefix.
+	st2, err := store.OpenLog(joinerDir, store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := NewNode(jAddr, 77, WithStore(st2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.recovered == nil {
+		t.Fatal("restarted joiner did not recover the staging session")
+	}
+	if err := j2.StartJoin(owner.Addr(), rand.New(rand.NewPCG(79, 79))); err != nil {
+		t.Fatalf("resumed join failed: %v", err)
+	}
+
+	// The range moved exactly once: counts are disjoint and conserved,
+	// every key is served, the staging session is gone.
+	if sum := owner.NumItems() + j2.NumItems(); sum != items {
+		t.Fatalf("items not conserved after resume: owner %d + joiner %d != %d",
+			owner.NumItems(), j2.NumItems(), items)
+	}
+	if j2.NumItems() == 0 {
+		t.Fatal("resumed joiner owns no items; the transfer did not complete")
+	}
+	verifyAllKeys(t, owner.Addr(), owner.HashFunc(), items, "after resumed join")
+	verifyAllKeys(t, j2.Addr(), owner.HashFunc(), items, "after resumed join via joiner")
+	if left, _ := filepath.Glob(joinerDir + ".handoff-*"); len(left) != 0 {
+		t.Fatalf("staging session not cleaned up: %v", left)
+	}
+
+	// Durability: reopen both WALs offline — the split survives restarts
+	// with no item lost or present on both sides.
+	ownerN, joinerN := owner.NumItems(), j2.NumItems()
+	owner.Close()
+	j2.Close()
+	if n := countLogItems(t, ownerDir); n != ownerN {
+		t.Fatalf("owner WAL reopened with %d items, want %d", n, ownerN)
+	}
+	if n := countLogItems(t, joinerDir); n != joinerN {
+		t.Fatalf("joiner WAL reopened with %d items, want %d", n, joinerN)
+	}
+}
+
 // TestDualCrashCommitRecordSurvivesRestart is the real-socket restart arm
 // of the handoff fault coverage (internal/handoff's explorer covers every
 // schedule of up to two faults in process). A log-backed joiner dies
